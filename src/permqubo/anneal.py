@@ -15,7 +15,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, factorial
+from math import ceil, factorial, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +55,8 @@ class AnnealSchedule:
 
     def __post_init__(self):
         self.tau = float(self.tau)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not (isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
         pts = [(float(s), float(u)) for s, u in self.path]
         if len(pts) < 2:
             raise ValueError("path needs at least two breakpoints")
@@ -440,9 +440,14 @@ class SuccessReport:
         }
 
 
-def success_probability(samples: SampleSet, inst: QapInstance) -> SuccessReport:
-    """Score a SampleSet against the exact optimum of the instance."""
-    _, f_opt = brute_force_qap(inst)
+def success_probability(samples: SampleSet, inst: QapInstance,
+                        f_opt: float | None = None) -> SuccessReport:
+    """Score a SampleSet against the exact optimum f_opt of the instance.
+
+    f_opt is computed by brute force when the caller does not pass it.
+    """
+    if f_opt is None:
+        _, f_opt = brute_force_qap(inst)
     tol = ENERGY_RTOL * max(1.0, abs(f_opt))
     hits = 0
     for entry in samples.entries:

@@ -22,9 +22,12 @@ import numpy as np
 
 from . import __version__
 from .anneal import (
+    ENERGY_RTOL,
+    EVOLVE_MAX_QUBITS,
     AnnealSchedule,
     SampleEntry,
     SampleSet,
+    SuccessReport,
     evolve,
     evolve_trotter,
     measure,
@@ -34,6 +37,7 @@ from .anneal import (
 )
 from .errors import SizeCapError
 from .qap import (
+    BRUTE_FORCE_MAX_N,
     DistanceData,
     PermutationMatrix,
     QapInstance,
@@ -43,13 +47,20 @@ from .qap import (
     vectorize,
     worst_permutation,
 )
-from .qubo import build_formulation, decode, normalize_couplings, to_spin, exhaustive_minimum, FORMULATIONS
+from .qubo import build_formulation, decode, normalize_couplings, to_spin, exhaustive_minimum
+from .qubo import EXHAUSTIVE_MAX_BITS, FORMULATIONS
 from .spectral import build_hamiltonians, gap_profile
 from .provenance import sha256_of_text
 
 SOLVERS = ("brute", "sa", "schrodinger", "trotter")
 
-ENERGY_RTOL = 1e-9
+# Every solver parameter and its default; a solver reads the keys it
+# uses and ignores the others.
+SOLVER_DEFAULTS = {
+    "sweeps": 100, "runs": 500, "schedule": None,  # sa
+    "tau": 100.0, "steps": None, "shots": 500,  # schrodinger, trotter
+    "slices": 256,  # trotter
+}
 
 WORKERS_ENV = "PERMQUBO_WORKERS"
 
@@ -89,6 +100,13 @@ class ExperimentSpec:
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+        if not isinstance(self.solver_params, dict):
+            raise ValueError(f"solver_params must be a mapping, got {self.solver_params!r}")
+        unknown = sorted(set(self.solver_params) - set(SOLVER_DEFAULTS))
+        if unknown:
+            raise ValueError(
+                f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -154,20 +172,21 @@ def _instance_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _check_solver_size(spec: ExperimentSpec) -> None:
-    if spec.n > 8:
-        raise SizeCapError("benchmarks need the exact oracle, which is limited to n <= 8")
-    dims = [(spec.n - 1) ** 2 if f == "inserted" else spec.n**2 for f in spec.formulations]
-    top = max(dims)
-    if spec.solver == "brute" and top > 20:
-        raise SizeCapError(f"brute hypercube enumeration is limited to 20 bits, needs {top}")
-    if spec.solver in ("schrodinger", "trotter") and top > 12:
-        raise SizeCapError(f"state-vector simulation is limited to 12 qubits, needs {top}")
+def _check_solver_size(n: int, formulations, solver: str) -> None:
+    """Refuse, before any work, a run that would hit a size cap."""
+    if n > BRUTE_FORCE_MAX_N:
+        raise SizeCapError(f"pricing needs the exact oracle, limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
+    top = max((n - 1) ** 2 if f == "inserted" else n**2 for f in formulations)
+    if solver == "brute" and top > EXHAUSTIVE_MAX_BITS:
+        raise SizeCapError(f"brute enumeration needs {top} bits, over its {EXHAUSTIVE_MAX_BITS}-bit cap")
+    if solver in ("schrodinger", "trotter") and top > EVOLVE_MAX_QUBITS:
+        raise SizeCapError(f"state vectors need {top} qubits, over the {EVOLVE_MAX_QUBITS}-qubit cap")
 
 
-def _solve(model, spec: ExperimentSpec, run_seed: int) -> SampleSet:
-    params = spec.solver_params
-    if spec.solver == "brute":
+def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
+    """Run ``solver`` on ``model``; ``params`` overrides SOLVER_DEFAULTS."""
+    params = {**SOLVER_DEFAULTS, **params}
+    if solver == "brute":
         bits, energy = exhaustive_minimum(model)
         perm = decode(model, bits)
         entry = SampleEntry(
@@ -178,68 +197,76 @@ def _solve(model, spec: ExperimentSpec, run_seed: int) -> SampleSet:
             assignment=None if perm is None else tuple(int(a) for a in perm.assignment),
         )
         return SampleSet(entries=[entry], total=1, metadata={"solver": "brute"})
-    if spec.solver == "sa":
+    if solver == "sa":
         return simulated_annealing(
             model,
-            sweeps=int(params.get("sweeps", 100)),
-            runs=int(params.get("runs", 500)),
-            seed=run_seed,
-            schedule=params.get("schedule"),
+            sweeps=int(params["sweeps"]),
+            runs=int(params["runs"]),
+            seed=seed,
+            schedule=params["schedule"],
         )
-    sched = AnnealSchedule(
-        tau=float(params.get("tau", 100.0)),
-        steps=params.get("steps"),
-    )
+    sched = AnnealSchedule(tau=float(params["tau"]), steps=params["steps"])
     spin, _ = normalize_couplings(to_spin(model))
     pair = build_hamiltonians(spin)
-    if spec.solver == "schrodinger":
+    if solver == "schrodinger":
         state = evolve(pair, sched)
     else:
-        state = evolve_trotter(pair, sched, slices=int(params.get("slices", 256)))
-    samples = measure(state, shots=int(params.get("shots", 500)), seed=run_seed, model=model)
-    samples.metadata["solver"] = spec.solver
+        state = evolve_trotter(pair, sched, slices=int(params["slices"]))
+    samples = measure(state, shots=int(params["shots"]), seed=seed, model=model)
+    samples.metadata["solver"] = solver
     samples.metadata["schedule"] = sched.params()
     return samples
 
 
+@dataclass
+class Pricing:
+    """One solver run priced against the instance's exact optimum."""
+
+    most_frequent: SampleEntry
+    normalized_energy: float  # 0 = optimal; the worst permutation's when invalid
+    success: bool
+    valid: bool
+    report: SuccessReport
+
+
+def price(samples: SampleSet, inst: QapInstance, f_opt: float, f_worst: float) -> Pricing:
+    """Price the most frequent entry of ``samples``, charging f_worst when invalid."""
+    mf = most_frequent(samples)
+    valid = mf.assignment is not None
+    if valid:
+        perm = PermutationMatrix(inst.n, np.asarray(mf.assignment, dtype=int))
+        normalized = qap_energy(inst, vectorize(perm)) - f_opt
+        success = normalized <= ENERGY_RTOL * max(1.0, abs(f_opt))
+    else:
+        normalized = f_worst - f_opt
+        success = False
+    return Pricing(mf, normalized, bool(success), valid, success_probability(samples, inst, f_opt))
+
+
 def _run_instance(spec: ExperimentSpec, index: int, inst: QapInstance) -> dict:
-    best, f_opt = brute_force_qap(inst)
+    _, f_opt = brute_force_qap(inst)
     _, f_worst = worst_permutation(inst)
-    tol = ENERGY_RTOL * max(1.0, abs(f_opt))
     run_seed = _instance_seed(spec.seed, index)
     record = {"instance": index, "f_opt": f_opt, "f_worst": f_worst, "results": []}
     for formulation in spec.formulations:
         for scale in spec.scales:
             model = build_formulation(inst, formulation, scale)
-            samples = _solve(model, spec, run_seed)
-            mf = most_frequent(samples)
-            if mf.assignment is not None:
-                perm_energy = qap_energy(
-                    inst, vectorize_assignment(inst.n, mf.assignment)
-                )
-                normalized = perm_energy - f_opt
-                success = normalized <= tol
-            else:
-                normalized = f_worst - f_opt
-                success = False
+            priced = price(_solve(model, spec.solver, spec.solver_params, run_seed),
+                           inst, f_opt, f_worst)
             result = {
                 "formulation": formulation,
                 "scale": scale,
-                "normalized_energy": normalized,
-                "success": bool(success),
-                "valid": mf.assignment is not None,
-                "most_frequent_bits": list(mf.bits),
-                "success_fraction": success_probability(samples, inst).probability,
+                "normalized_energy": priced.normalized_energy,
+                "success": priced.success,
+                "valid": priced.valid,
+                "most_frequent_bits": list(priced.most_frequent.bits),
+                "success_fraction": priced.report.probability,
                 "min_gap": None,
             }
             if spec.gap_samples > 0:
                 result["min_gap"] = gap_profile(model, num_samples=spec.gap_samples).min_gap
             record["results"].append(result)
     return record
-
-
-def vectorize_assignment(n: int, assignment) -> np.ndarray:
-    return vectorize(PermutationMatrix(n, np.asarray(assignment, dtype=int)))
 
 
 @dataclass
@@ -298,7 +325,7 @@ def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> BenchRep
     and merged by instance index, so serial and parallel runs produce
     identical reports.
     """
-    _check_solver_size(spec)
+    _check_solver_size(spec.n, spec.formulations, spec.solver)
     instances = generate_instances(spec)
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV, "1"))

@@ -18,34 +18,30 @@ import json
 import sys
 from pathlib import Path
 
-from . import __version__
-from .anneal import (
-    AnnealSchedule,
-    SampleEntry,
-    SampleSet,
-    evolve,
-    evolve_trotter,
-    measure,
-    most_frequent,
-    simulated_annealing,
-    success_probability,
+from . import __version__, bench
+from .anneal import most_frequent
+from .bench import (
+    PRESETS,
+    SOLVER_DEFAULTS,
+    SOLVERS,
+    BenchReport,
+    ExperimentSpec,
+    preset_spec,
+    price,
+    run_experiment,
 )
-from .bench import BenchReport, ExperimentSpec, preset_spec, run_experiment
 from .errors import SizeCapError, SolverError
 from .provenance import make_provenance, sha256_of_file
-from .qap import QapInstance, brute_force_qap, qap_energy, worst_permutation
+from .qap import QapInstance, brute_force_qap, worst_permutation
 from .qubo import (
+    FORMULATIONS,
     QuboModel,
     build_formulation,
     coupling_report,
-    decode,
-    exhaustive_minimum,
     export_sparse,
-    normalize_couplings,
     penalty_bounds,
-    to_spin,
 )
-from .spectral import MAX_QUBITS, build_hamiltonians, gap_profile
+from .spectral import gap_profile
 
 
 def _load_instance(path) -> QapInstance:
@@ -116,12 +112,6 @@ def cmd_build(args) -> int:
 def cmd_gap(args) -> int:
     fmt = _resolve_format(args, ("csv", "json"), "csv")
     inst = _load_instance(args.instance)
-    dim = (inst.n - 1) ** 2 if args.formulation == "inserted" else inst.n**2
-    if dim > MAX_QUBITS:
-        raise SizeCapError(
-            f"gap profiles are limited to {MAX_QUBITS} qubits; "
-            f"{args.formulation} at n={inst.n} needs {dim}"
-        )
     scales = [float(s) for s in args.scales.split(",")]
     out = Path(args.out)
     summaries = []
@@ -153,81 +143,42 @@ def cmd_gap(args) -> int:
     return 0
 
 
-def _solve_model(model: QuboModel, args) -> SampleSet:
-    if args.solver == "brute":
-        bits, energy = exhaustive_minimum(model)
-        perm = decode(model, bits)
-        entry = SampleEntry(
-            bits=tuple(int(b) for b in bits),
-            energy=energy,
-            count=1,
-            valid=perm is not None,
-            assignment=None if perm is None else tuple(int(a) for a in perm.assignment),
-        )
-        return SampleSet(entries=[entry], total=1, metadata={"solver": "brute"})
-    if args.solver == "sa":
-        return simulated_annealing(model, sweeps=args.sweeps, runs=args.runs, seed=args.seed)
-    sched = AnnealSchedule(tau=args.tau, steps=args.steps)
-    spin, _ = normalize_couplings(to_spin(model))
-    pair = build_hamiltonians(spin)
-    if pair.num_qubits > 12:
-        raise SizeCapError(
-            f"state-vector simulation is limited to 12 qubits, needs {pair.num_qubits}"
-        )
-    if args.solver == "schrodinger":
-        state = evolve(pair, sched)
-    else:
-        state = evolve_trotter(pair, sched, slices=args.slices)
-    samples = measure(state, shots=args.shots, seed=args.seed, model=model)
-    samples.metadata["schedule"] = sched.params()
-    samples.metadata["solver"] = args.solver
-    return samples
-
-
 def cmd_solve(args) -> int:
     _resolve_format(args, ("json",), "json")
-    inputs = []
+    if not (args.qubo or args.instance):
+        raise ValueError("solve needs --instance (or --qubo)")
+    inst = _load_instance(args.instance) if args.instance else None
     if args.qubo:
         model = QuboModel.load(args.qubo)
-        inputs.append(args.qubo)
-        inst = _load_instance(args.instance) if args.instance else None
-        if args.instance:
-            inputs.append(args.instance)
     else:
-        if not args.instance:
-            raise ValueError("solve needs --instance (or --qubo)")
-        inst = _load_instance(args.instance)
-        inputs.append(args.instance)
         model = build_formulation(inst, args.formulation, args.scale)
-
-    samples = _solve_model(model, args)
-    samples.metadata["provenance"] = _provenance(args.seed, inputs)
-
-    mf = most_frequent(samples)
-    summary = {
-        "most_frequent": mf.to_dict(),
-        "total": samples.total,
-    }
     if inst is not None:
-        report = success_probability(samples, inst)
+        bench._check_solver_size(inst.n, (model.formulation,), args.solver)
+
+    params = {k: v for k, v in vars(args).items() if k in SOLVER_DEFAULTS and v is not None}
+    samples = bench._solve(model, args.solver, params, args.seed)
+    samples.metadata["provenance"] = _provenance(
+        args.seed, [p for p in (args.qubo, args.instance) if p]
+    )
+
+    summary = {"total": samples.total}
+    if inst is not None:
         _, f_opt = brute_force_qap(inst)
         _, f_worst = worst_permutation(inst)
-        if mf.assignment is not None:
-            from .bench import vectorize_assignment
-
-            normalized = qap_energy(inst, vectorize_assignment(inst.n, mf.assignment)) - f_opt
-        else:
-            normalized = f_worst - f_opt
+        priced = price(samples, inst, f_opt, f_worst)
+        mf, report = priced.most_frequent, priced.report
         summary["success"] = report.to_dict()
-        summary["most_frequent_normalized_energy"] = normalized
+        summary["most_frequent_normalized_energy"] = priced.normalized_energy
         print(
             f"success probability {report.probability:.4f} "
             f"(random guessing {report.reference.numerator}/{report.reference.denominator} "
             f"= {float(report.reference):.4%}); most frequent solution normalized energy "
-            f"{normalized:.6g}"
+            f"{priced.normalized_energy:.6g}"
         )
     else:
+        mf = most_frequent(samples)
         print(f"most frequent state energy {mf.energy:.6g} (count {mf.count}/{samples.total})")
+    summary["most_frequent"] = mf.to_dict()
     payload = samples.to_dict()
     payload["summary"] = summary
     _write_json(args.out, payload)
@@ -293,11 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
         p.add_argument("--format", choices=("auto", "json", "csv"), default="auto",
                        help="output format (default: inferred from --out extension)")
-        p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("build", help="build an unconstrained model from an instance file")
     p.add_argument("--instance", required=True)
-    p.add_argument("--formulation", required=True, choices=("baseline", "row_wise", "inserted"))
+    p.add_argument("--formulation", required=True, choices=FORMULATIONS)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--sparse-out", help="optional upper-triangular text export")
@@ -306,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gap", help="spectral-gap profile along the interpolation path")
     p.add_argument("--instance", required=True)
-    p.add_argument("--formulation", required=True, choices=("baseline", "row_wise", "inserted"))
+    p.add_argument("--formulation", required=True, choices=FORMULATIONS)
     p.add_argument("--scales", default="1.0", help="comma-separated penalty scales")
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--out", required=True, help="CSV output path (suffixed per scale)")
@@ -317,15 +267,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a solver and report the sample distribution")
     p.add_argument("--instance", help="instance JSON (enables success statistics)")
     p.add_argument("--qubo", help="prebuilt model JSON (instead of building)")
-    p.add_argument("--formulation", default="baseline", choices=("baseline", "row_wise", "inserted"))
+    p.add_argument("--formulation", default="baseline", choices=FORMULATIONS)
     p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--solver", required=True, choices=("brute", "sa", "schrodinger", "trotter"))
-    p.add_argument("--tau", type=float, default=100.0)
+    p.add_argument("--solver", required=True, choices=SOLVERS)
+    # Solver flags left unset take bench.SOLVER_DEFAULTS.
+    p.add_argument("--tau", type=float)
     p.add_argument("--steps", type=int)
-    p.add_argument("--slices", type=int, default=256)
-    p.add_argument("--shots", type=int, default=500)
-    p.add_argument("--runs", type=int, default=500)
-    p.add_argument("--sweeps", type=int, default=100)
+    p.add_argument("--slices", type=int)
+    p.add_argument("--shots", type=int)
+    p.add_argument("--runs", type=int)
+    p.add_argument("--sweeps", type=int)
     p.add_argument("--out", required=True, help="sample set JSON output path")
     p.add_argument("--hist-out", help="optional histogram CSV path")
     common(p)
@@ -333,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run an experiment spec or preset")
     p.add_argument("--spec", help="experiment spec JSON")
-    p.add_argument("--preset", choices=("gap-scan", "random-dense", "success-probability", "sa-comparison"))
+    p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--n", type=int, help="instance size override for presets")
     p.add_argument("--out", required=True, help="report JSON output path")
     p.add_argument("--csv-out", help="optional CSV table path")

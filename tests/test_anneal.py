@@ -61,8 +61,9 @@ class TestSchedule:
             AnnealSchedule(tau=1.0, path=((0, 0.2), (1, 1)))
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            AnnealSchedule(tau=0.0)
+        for tau in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                AnnealSchedule(tau=tau)
 
     def test_default_steps_scale_with_tau(self):
         assert AnnealSchedule(tau=1.0).effective_steps() == 100

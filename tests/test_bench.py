@@ -63,6 +63,12 @@ class TestGeneration:
             ExperimentSpec(n=3, num_instances=1, seed=0, solver="quantum")
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, formulations=("magic",))
+        with pytest.raises(ValueError):
+            ExperimentSpec(n=3, num_instances=1, seed=0, solver_params=None)
+        with pytest.raises(ValueError, match="sweepz"):
+            ExperimentSpec(n=3, num_instances=1, seed=0, solver="sa", solver_params={"sweepz": 1})
+        # a key another solver reads is accepted
+        ExperimentSpec(n=3, num_instances=1, seed=0, solver="schrodinger", solver_params={"runs": 2})
 
 
 class TestRunExperiment:

@@ -1,9 +1,18 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from permqubo import QapInstance, QuboModel, build_formulation
+from permqubo import (
+    QapInstance,
+    QuboModel,
+    SampleEntry,
+    SampleSet,
+    brute_force_qap,
+    build_formulation,
+    worst_permutation,
+)
 from permqubo.cli import main
 
 
@@ -186,6 +195,32 @@ class TestSolve:
         got = [(tuple(e["bits"]), e["energy"], e["count"]) for e in data["entries"]]
         want = [(e.bits, e.energy, e.count) for e in expected.entries]
         assert got == want
+
+    def test_oversized_instance_refused_before_solving(self, tmp_path):
+        _, path = write_instance(tmp_path, 9, 12)
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.bench.simulated_annealing") as sa:
+            code = main(["solve", "--instance", str(path), "--solver", "sa",
+                         "--runs", "2", "--sweeps", "1", "--out", str(out)])
+        assert code == 4
+        sa.assert_not_called()
+        assert not out.exists()
+
+    def test_invalid_result_priced_at_worst_permutation(self, tmp_path):
+        inst, path = write_instance(tmp_path, 3, 13)
+        _, f_opt = brute_force_qap(inst)
+        _, f_worst = worst_permutation(inst)
+        invalid = SampleSet(
+            entries=[SampleEntry(bits=(0,) * 9, energy=0.0, count=1, valid=False, assignment=None)],
+            total=1,
+        )
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.bench._solve", return_value=invalid):
+            assert main(["solve", "--instance", str(path), "--solver", "sa",
+                         "--out", str(out)]) == 0
+        summary = json.loads(out.read_text())["summary"]
+        assert summary["most_frequent_normalized_energy"] == pytest.approx(f_worst - f_opt, rel=1e-12)
+        assert summary["success"]["probability"] == 0.0
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--solver", "brute", "--out", str(tmp_path / "s.json")]) == 2
