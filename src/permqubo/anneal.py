@@ -142,10 +142,11 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None,
     """Integrate the schedule and return the final state vector.
 
     Each step applies the exact unitary exp(-i H(u_mid) dt) of the
-    Hamiltonian frozen at the step midpoint, evaluated through a
-    matrix-free Krylov expansion; the stepping is therefore
-    norm-preserving by construction.  ``callback(step, u, psi, norm)``
-    receives the post-step state and its pre-renormalisation norm.
+    Hamiltonian frozen at the step midpoint, evaluated through a Krylov
+    expansion built from sparse products with H(u); the stepping is
+    therefore norm-preserving by construction.
+    ``callback(step, u, psi, norm)`` receives the post-step state and its
+    pre-renormalisation norm.
     """
     if pair.num_qubits > max_qubits:
         raise SizeCapError(

@@ -96,6 +96,9 @@ class ExperimentSpec:
                 raise ValueError(f"unknown formulation {f!r}")
         if not self.scales:
             raise ValueError("scales must be nonempty")
+        for s in self.scales:
+            if not (np.isfinite(s) and s > 0.0):
+                raise ValueError(f"scales must be finite and positive, got {s}")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.solver not in SOLVERS:

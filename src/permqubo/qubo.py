@@ -574,15 +574,20 @@ def import_sparse(path, formulation: str, n: int) -> QuboModel:
     offset = 0.0
     entries = []
     max_idx = -1
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "offset":
-            offset = float(parts[1])
-            continue
-        i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        try:
+            if parts[0] == "offset":
+                offset = float(parts[1])
+                continue
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(
+                f"{path}:{lineno}: expected 'offset value' or 'i j value', got {line!r}"
+            ) from exc
         entries.append((i, j, v))
         max_idx = max(max_idx, i, j)
     dim = max_idx + 1

@@ -12,6 +12,11 @@ and the minimal difference between the two lowest eigenvalues of H(u)
 over the path (the spectral gap) governs how slowly the interpolation
 must be traversed.
 
+The mixer is stored as a sparse (CSR) matrix, built once per
+Hamiltonian pair: m off-diagonal entries of -1 per row, so one product
+with H(u) costs O(m 2^m).  The eigensolver and the propagator both
+apply H(u) through that one matrix.
+
 Bit convention, shared with the annealing simulators: bit i of the
 basis index is the i-th least significant bit and maps to spin -1 when
 0 and +1 when 1.
@@ -23,9 +28,11 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import SizeCapError, SolverError
@@ -43,7 +50,11 @@ _DENSE_DIM = 8
 
 @dataclass
 class HamiltonianPair:
-    """Diagonal problem Hamiltonian plus matrix-free transverse-field mixer."""
+    """Diagonal problem Hamiltonian plus sparse transverse-field mixer.
+
+    The mixer matrix is built on first use and kept for the lifetime of
+    the pair.
+    """
 
     num_qubits: int
     problem_diagonal: np.ndarray
@@ -58,16 +69,25 @@ class HamiltonianPair:
     def dim(self) -> int:
         return 2**self.num_qubits
 
+    @cached_property
+    def mixer(self) -> csr_array:
+        """-sum_i sigma_x^(i) in CSR form: entry (z, z ^ (1 << i)) is -1.
+
+        Within a row the columns run from the highest flipped bit to the
+        lowest; that order fixes the rounding of every product.
+        """
+        m, dim = self.num_qubits, self.dim
+        bits = 1 << np.arange(m - 1, -1, -1, dtype=np.int32)
+        cols = (np.arange(dim, dtype=np.int32)[:, None] ^ bits).ravel()
+        indptr = m * np.arange(dim + 1, dtype=np.int32)
+        return csr_array((np.full(dim * m, -1.0), cols, indptr), shape=(dim, dim))
+
     def apply_mixer(self, v: np.ndarray) -> np.ndarray:
-        """Action of -sum_i sigma_x^(i): subtract every single-bit-flipped copy."""
-        t = np.asarray(v).reshape((2,) * self.num_qubits)
-        out = np.zeros_like(t)
-        for ax in range(self.num_qubits):
-            out -= np.flip(t, axis=ax)
-        return out.reshape(np.asarray(v).shape)
+        """Action of -sum_i sigma_x^(i) on v."""
+        return self.mixer @ v
 
     def apply(self, u: float, v: np.ndarray) -> np.ndarray:
-        """Matrix-free action of H(u) = u H_P + (1-u) H_B."""
+        """Action of H(u) = u H_P + (1-u) H_B on v."""
         v = np.asarray(v)
         out = u * (self.problem_diagonal * v)
         if u != 1.0:
@@ -133,21 +153,17 @@ def interpolated_hamiltonian(pair: HamiltonianPair, u: float) -> LinearOperator:
 
 
 def _dense_matrix(pair: HamiltonianPair, u: float) -> np.ndarray:
-    H = np.zeros((pair.dim, pair.dim))
-    eye = np.eye(pair.dim)
-    for j in range(pair.dim):
-        H[:, j] = pair.apply(u, eye[:, j])
-    return H
+    return u * np.diag(pair.problem_diagonal) + (1.0 - u) * pair.mixer.toarray()
 
 
 def two_lowest_eigenvalues(pair: HamiltonianPair, u: float) -> tuple[float, float]:
     """Two smallest eigenvalues of H(u), counted with multiplicity.
 
-    Uses an iterative Krylov (Lanczos) solver with matrix-free products
-    and a deterministic start vector.  At u = 1 the operator is diagonal
-    and is read off directly, which keeps exact ground-state
-    degeneracies visible (a Krylov space built from a single vector
-    cannot resolve multiplicity).
+    Uses an iterative Krylov (Lanczos) solver, whose products with H(u)
+    go through the pair's sparse mixer matrix, and a deterministic start
+    vector.  At u = 1 the operator is diagonal and is read off directly,
+    which keeps exact ground-state degeneracies visible (a Krylov space
+    built from a single vector cannot resolve multiplicity).
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"u must lie in [0, 1], got {u}")

@@ -72,19 +72,26 @@ def dense_propagator(pair, sched):
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     steps = sched.effective_steps()
     dt = sched.tau / steps
-    eye = np.eye(dim)
     for k in range(steps):
         u = sched.path_value((k + 0.5) / steps)
-        H = np.column_stack([pair.apply(u, eye[:, j]) for j in range(dim)])
+        H = dense_hamiltonian(pair, u)
         psi = scipy.linalg.expm(-1j * H * dt) @ psi
     return psi
 
 
 def dense_hamiltonian(pair, u):
-    """H(u) assembled column by column from the matrix-free action."""
+    """H(u) = u H_P + (1-u) H_B by explicit loops over basis states z and bits i.
+
+    H_P is the problem diagonal; H_B = -sum_i sigma_x^(i) couples z to
+    z ^ (1 << i) with amplitude -1.
+    """
     dim = pair.dim
-    eye = np.eye(dim)
-    return np.column_stack([pair.apply(u, eye[:, j]) for j in range(dim)])
+    H = np.zeros((dim, dim))
+    for z in range(dim):
+        H[z, z] = u * pair.problem_diagonal[z]
+        for i in range(pair.num_qubits):
+            H[z, z ^ (1 << i)] = -(1.0 - u)
+    return H
 
 
 def total_variation(p, q):

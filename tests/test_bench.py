@@ -59,6 +59,9 @@ class TestGeneration:
             ExperimentSpec(n=3, num_instances=1, seed=0, sparsity=1.0)
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, scales=())
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="scales"):
+                ExperimentSpec(n=3, num_instances=1, seed=0, scales=(1.0, bad))
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, solver="quantum")
         with pytest.raises(ValueError):

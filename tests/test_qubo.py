@@ -413,6 +413,13 @@ class TestEnumerationAndExports:
         states = enumerate_states(model.dim)
         assert np.allclose(model.energies(states), back.energies(states), rtol=1e-12, atol=1e-12)
 
+    def test_sparse_import_rejects_malformed_lines(self, tmp_path):
+        for bad in ("offset", "0 1", "0 1 x"):
+            path = tmp_path / "short.qubo"
+            path.write_text(f"# header\noffset 0.5\n0 0 1.0\n{bad}\n")
+            with pytest.raises(ValueError, match=r"short\.qubo:4"):
+                import_sparse(path, "baseline", 2)
+
     def test_model_hash_stable(self):
         inst = random_instance(2, 60)
         m1 = build_baseline(inst)

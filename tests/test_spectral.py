@@ -96,6 +96,14 @@ class TestInterpolatedOperator:
             rhs = np.dot(pair.apply(u, v), w)
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
+    def test_matches_loop_oracle_entrywise(self):
+        for m in range(1, 7):
+            pair = build_hamiltonians(random_spin_model(m, 200 + m))
+            for u in (0.0, 0.3, 1.0):
+                H = interpolated_hamiltonian(pair, u) @ np.eye(pair.dim)
+                expected = oracles.dense_hamiltonian(pair, u)
+                np.testing.assert_array_equal(H, expected, err_msg=f"m={m}, u={u}")
+
     def test_half_sigma_x_spectrum(self):
         pair = HamiltonianPair(1, np.zeros(2))
         e0, e1 = two_lowest_eigenvalues(pair, 0.5)
