@@ -137,8 +137,7 @@ def _propagate(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> n
     return psi
 
 
-def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None,
-           max_qubits: int = EVOLVE_MAX_QUBITS) -> np.ndarray:
+def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.ndarray:
     """Integrate the schedule and return the final state vector.
 
     Each step applies the exact unitary exp(-i H(u_mid) dt) of the
@@ -148,9 +147,9 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None,
     ``callback(step, u, psi, norm)`` receives the post-step state and its
     pre-renormalisation norm.
     """
-    if pair.num_qubits > max_qubits:
+    if pair.num_qubits > EVOLVE_MAX_QUBITS:
         raise SizeCapError(
-            f"state-vector evolution is limited to {max_qubits} qubits, got {pair.num_qubits}"
+            f"state-vector evolution is limited to {EVOLVE_MAX_QUBITS} qubits, got {pair.num_qubits}"
         )
     dim = pair.dim
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
@@ -184,7 +183,7 @@ def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
 
 
 def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int,
-                   callback=None, max_qubits: int = EVOLVE_MAX_QUBITS) -> np.ndarray:
+                   callback=None) -> np.ndarray:
     """Piecewise-constant evolution with a symmetric second-order splitting.
 
     The schedule is frozen on ``slices`` equal segments; each segment
@@ -194,9 +193,9 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int,
     """
     if slices < 1:
         raise ValueError(f"slices must be at least 1, got {slices}")
-    if pair.num_qubits > max_qubits:
+    if pair.num_qubits > EVOLVE_MAX_QUBITS:
         raise SizeCapError(
-            f"state-vector evolution is limited to {max_qubits} qubits, got {pair.num_qubits}"
+            f"state-vector evolution is limited to {EVOLVE_MAX_QUBITS} qubits, got {pair.num_qubits}"
         )
     m = pair.num_qubits
     dim = pair.dim

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,8 +59,6 @@ SOLVER_DEFAULTS = {
     "tau": 100.0, "steps": None, "shots": 500,  # schrodinger, trotter
     "slices": 256,  # trotter
 }
-
-WORKERS_ENV = "PERMQUBO_WORKERS"
 
 
 @dataclass
@@ -320,25 +316,13 @@ class BenchReport:
                     ])
 
 
-def run_experiment(spec: ExperimentSpec, workers: int | None = None) -> BenchReport:
-    """Run the configured suite and aggregate the results.
-
-    Instances are processed independently (optionally across worker
-    threads, controlled by the PERMQUBO_WORKERS environment variable)
-    and merged by instance index, so serial and parallel runs produce
-    identical reports.
-    """
+def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
+    """Run the configured suite, one instance after another, and aggregate."""
+    # ``workers`` stays only for perfbench/workloads.py; it goes with the next benchmark change.
+    if workers != 1:
+        raise ValueError(f"instances run serially; workers must be 1, got {workers!r}")
     _check_solver_size(spec.n, spec.formulations, spec.solver)
-    instances = generate_instances(spec)
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(lambda it: _run_instance(spec, it[0], it[1]), enumerate(instances))
-            )
-    else:
-        records = [_run_instance(spec, i, inst) for i, inst in enumerate(instances)]
+    records = [_run_instance(spec, i, inst) for i, inst in enumerate(generate_instances(spec))]
 
     aggregates = {}
     for formulation in spec.formulations:

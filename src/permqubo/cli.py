@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -60,9 +61,36 @@ def _write_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
+def _write_outputs(*outputs) -> None:
+    """Write all (path, write) outputs or none; a pair with no path is skipped.
+
+    ``write(tmp)`` fills a temporary file beside its target; the files are
+    renamed into place only after every write succeeded, and the temporary
+    files are deleted on any failure.
+    """
+    staged = []
+    try:
+        for path, write in outputs:
+            if not path:
+                continue
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{len(staged)}.tmp")
+            staged.append((tmp, path))
+            try:
+                write(tmp)
+            except OSError as exc:  # name the target, not the temporary file
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def _resolve_format(args, allowed: tuple, default: str) -> str:
     """Output format from --format, falling back to the --out extension."""
-    fmt = getattr(args, "format", "auto")
+    fmt = args.format
     if fmt == "auto":
         suffix = Path(args.out).suffix.lower().lstrip(".")
         fmt = suffix if suffix in allowed else default
@@ -89,9 +117,8 @@ def cmd_build(args) -> int:
     }
     payload["coupling_report"] = ranges.to_dict()
     payload["provenance"] = _provenance(args.seed, [args.instance])
-    _write_json(args.out, payload)
-    if args.sparse_out:
-        export_sparse(model, args.sparse_out)
+    _write_outputs((args.out, lambda p: _write_json(p, payload)),
+                   (args.sparse_out, lambda p: export_sparse(model, p)))
     if args.formulation == "baseline":
         lam_text = f"lambda={bounds.lambda_baseline:.6g}"
     elif args.formulation == "row_wise":
@@ -115,6 +142,7 @@ def cmd_gap(args) -> int:
     scales = [float(s) for s in args.scales.split(",")]
     out = Path(args.out)
     summaries = []
+    outputs = []
     for scale in scales:
         model = build_formulation(inst, args.formulation, scale)
         profile = gap_profile(model, num_samples=args.samples)
@@ -124,7 +152,7 @@ def cmd_gap(args) -> int:
                 csv_path = out
             else:
                 csv_path = out.with_name(f"{out.stem}_scale{scale:g}{out.suffix or '.csv'}")
-            profile.to_csv(csv_path)
+            outputs.append((csv_path, profile.to_csv))
             entry["csv"] = str(csv_path)
         else:
             entry.update({
@@ -137,9 +165,8 @@ def cmd_gap(args) -> int:
         print(f"scale={scale:g}: min_gap={profile.min_gap:.6g} at u={profile.argmin_t:.4g}")
     payload = {"profiles": summaries, "provenance": _provenance(args.seed, [args.instance])}
     if fmt == "json":
-        _write_json(out, payload)
-    if args.summary_out:
-        _write_json(args.summary_out, payload)
+        outputs.append((out, lambda p: _write_json(p, payload)))
+    _write_outputs(*outputs, (args.summary_out, lambda p: _write_json(p, payload)))
     return 0
 
 
@@ -181,9 +208,8 @@ def cmd_solve(args) -> int:
     summary["most_frequent"] = mf.to_dict()
     payload = samples.to_dict()
     payload["summary"] = summary
-    _write_json(args.out, payload)
-    if args.hist_out:
-        samples.histogram_csv(args.hist_out)
+    _write_outputs((args.out, lambda p: _write_json(p, payload)),
+                   (args.hist_out, samples.histogram_csv))
     return 0
 
 
@@ -199,9 +225,7 @@ def cmd_bench(args) -> int:
     if args.spec:
         report.provenance["inputs"] = {str(args.spec): sha256_of_file(args.spec)}
     report.provenance["version"] = __version__
-    report.save(args.out)
-    if args.csv_out:
-        report.to_csv(args.csv_out)
+    _write_outputs((args.out, report.save), (args.csv_out, report.to_csv))
     for key, agg in sorted(report.aggregates.items()):
         gap = agg["mean_min_gap"]
         gap_text = f" mean_min_gap={gap:.6g}" if gap is not None else ""
@@ -222,7 +246,7 @@ def cmd_report(args) -> int:
             spec=spec, instances=data["instances"], aggregates=data["aggregates"],
             provenance=data.get("provenance", {}),
         )
-        report.to_csv(args.out)
+        _write_outputs((args.out, report.to_csv))
         print(f"wrote {args.out}")
     for key, agg in sorted(data["aggregates"].items()):
         print(
@@ -294,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="render a benchmark report")
     p.add_argument("--report", required=True, help="report JSON produced by bench")
     p.add_argument("--out", help="CSV table output path")
-    common(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -94,23 +94,16 @@ def _flip_costs(W: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _constraint_groups(n: int) -> list[np.ndarray]:
-    """Index support of each constraint row of A, in A's block order."""
+    """Index support of each constraint row of A, in A's block order.
+
+    With n - 1 these are the row/column groups of the inserted model's
+    reduced grid.
+    """
     groups = []
     for i in range(n):
         groups.append(np.arange(i * n, (i + 1) * n))
     for i in range(n):
         groups.append(np.arange(i, n * n, n))
-    return groups
-
-
-def _reduced_groups(n: int) -> list[np.ndarray]:
-    """Row/column groups of the reduced (n-1)x(n-1) grid, block order as in A."""
-    r = n - 1
-    groups = []
-    for g in range(r):
-        groups.append(np.arange(g * r, (g + 1) * r))
-    for g in range(r):
-        groups.append(np.arange(g, r * r, r))
     return groups
 
 
@@ -181,7 +174,7 @@ def penalty_bounds(inst: QapInstance) -> PenaltyBounds:
         D_red = _flip_costs(W_red, c_red)
         D_red_all = float(D_red.max()) if D_red.size else 0.0
         lam1 = np.array(
-            [0.5 * float(D_red[g].max()) + 0.5 * D_red_all for g in _reduced_groups(n)]
+            [0.5 * float(D_red[g].max()) + 0.5 * D_red_all for g in _constraint_groups(n - 1)]
         )
         lam2 = 0.5 * D_red_all
     else:
@@ -258,11 +251,8 @@ class QuboModel:
             n=data["n"],
         )
 
-    def save(self, path, extra: dict | None = None) -> None:
-        payload = self.to_dict()
-        if extra:
-            payload.update(extra)
-        Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    def save(self, path) -> None:
+        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "QuboModel":
@@ -365,7 +355,7 @@ def build_inserted(inst: QapInstance, scale: float = 1.0) -> QuboModel:
     Q = W_red.copy()
     q = c_red.copy()
     offset = const
-    for g, idx in enumerate(_reduced_groups(n)):
+    for g, idx in enumerate(_constraint_groups(n - 1)):
         ind = np.zeros(dim)
         ind[idx] = 1.0
         Q += lam1[g] * np.outer(ind, ind)
@@ -419,11 +409,7 @@ def decode(model: QuboModel, bits) -> PermutationMatrix | None:
 
 def reduced_bits(perm: PermutationMatrix) -> np.ndarray:
     """Interior bits X[1:,1:] of a permutation, the inserted-model coordinates."""
-    return vec_interior(perm.matrix())
-
-
-def vec_interior(X: np.ndarray) -> np.ndarray:
-    return X[1:, 1:].flatten(order="F").astype(int)
+    return perm.matrix()[1:, 1:].flatten(order="F").astype(int)
 
 
 def to_spin(model: QuboModel) -> SpinModel:
@@ -584,6 +570,8 @@ def import_sparse(path, formulation: str, n: int) -> QuboModel:
                 offset = float(parts[1])
                 continue
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            if min(i, j) < 0:
+                raise ValueError("negative index")
         except (IndexError, ValueError) as exc:
             raise ValueError(
                 f"{path}:{lineno}: expected 'offset value' or 'i j value', got {line!r}"

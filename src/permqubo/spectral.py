@@ -82,16 +82,12 @@ class HamiltonianPair:
         indptr = m * np.arange(dim + 1, dtype=np.int32)
         return csr_array((np.full(dim * m, -1.0), cols, indptr), shape=(dim, dim))
 
-    def apply_mixer(self, v: np.ndarray) -> np.ndarray:
-        """Action of -sum_i sigma_x^(i) on v."""
-        return self.mixer @ v
-
     def apply(self, u: float, v: np.ndarray) -> np.ndarray:
         """Action of H(u) = u H_P + (1-u) H_B on v."""
         v = np.asarray(v)
         out = u * (self.problem_diagonal * v)
         if u != 1.0:
-            out = out + (1.0 - u) * self.apply_mixer(v)
+            out = out + (1.0 - u) * (self.mixer @ v)
         return out
 
     def norm_bound(self, u: float) -> float:
@@ -225,14 +221,12 @@ def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
     )
 
 
-def gap_profile(model: QuboModel, num_samples: int = 64, normalize: bool = True) -> GapProfile:
+def gap_profile(model: QuboModel, num_samples: int = 64) -> GapProfile:
     """Gap profile of a binary model's annealing Hamiltonian.
 
-    The spin form is coupling-normalised by default so that profiles of
-    differently scaled penalties are comparable (the raw spectrum would
-    simply grow with the penalty strength).
+    The spin form is coupling-normalised so that profiles of differently
+    scaled penalties are comparable (the raw spectrum would simply grow
+    with the penalty strength).
     """
-    spin = to_spin(model)
-    if normalize:
-        spin, _ = normalize_couplings(spin)
+    spin, _ = normalize_couplings(to_spin(model))
     return spectral_gap(build_hamiltonians(spin), num_samples=num_samples)

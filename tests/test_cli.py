@@ -225,6 +225,16 @@ class TestSolve:
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--solver", "brute", "--out", str(tmp_path / "s.json")]) == 2
 
+    def test_failed_side_output_leaves_no_files(self, tmp_path, capsys):
+        _, path = write_instance(tmp_path, 3, 14, name="inst3.json")
+        code = main(["solve", "--instance", str(path), "--solver", "brute",
+                     "--out", str(tmp_path / "zz.json"),
+                     "--hist-out", str(tmp_path / "nonexistent" / "h.csv")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst3.json"]
+        err = capsys.readouterr().err
+        assert "h.csv" in err and ".tmp" not in err
+
 
 class TestBenchAndReport:
     def test_bench_spec_file(self, tmp_path, capsys):

@@ -414,7 +414,7 @@ class TestEnumerationAndExports:
         assert np.allclose(model.energies(states), back.energies(states), rtol=1e-12, atol=1e-12)
 
     def test_sparse_import_rejects_malformed_lines(self, tmp_path):
-        for bad in ("offset", "0 1", "0 1 x"):
+        for bad in ("offset", "0 1", "0 1 x", "-1 0 2.5", "0 -1 2.5"):
             path = tmp_path / "short.qubo"
             path.write_text(f"# header\noffset 0.5\n0 0 1.0\n{bad}\n")
             with pytest.raises(ValueError, match=r"short\.qubo:4"):
