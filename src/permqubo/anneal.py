@@ -32,7 +32,11 @@ EVOLVE_MAX_QUBITS = 12
 ENERGY_RTOL = 1e-9
 
 _NORM_DRIFT = 1e-10
+# Hard cap on the Krylov basis of one propagator step.
 _KRYLOV_DIM = 24
+# A Krylov expansion stops once its error bound for a unit start vector
+# falls below this.
+_KRYLOV_TOL = 1e-13
 # Substep budget: keep ||H|| * dt below this so the Krylov exponential
 # converges far beyond the requested accuracy.
 _STEP_BUDGET = 4.0
@@ -91,8 +95,18 @@ class AnnealSchedule:
 def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) v for a Hermitian matrix-free action.
 
-    Lanczos with full reorthogonalisation; the caller keeps ||H|| dt
-    small enough that _KRYLOV_DIM vectors reach machine precision.
+    Lanczos with full reorthogonalisation and an adaptive basis size: the
+    expansion stops once est_m = prod_{i<=m} |dt| beta_i / i falls below
+    _KRYLOV_TOL, and at the latest after _KRYLOV_DIM vectors.  For a unit
+    start vector est_m bounds the error of the m-vector result.  From
+    H V_m = V_m T_m + beta_m v_{m+1} e_m^T, the error has norm at most
+    |dt| beta_m int_0^1 |e_m^T exp(-i s dt T_m) e_1| ds, and that entry is
+    prod_{i<m} beta_i times a divided difference of the exponential at the
+    real eigenvalues of T_m, so at most
+    prod_{i<m} beta_i (s |dt|)^(m-1) / (m-1)! (Hochbruck-Lubich 1997).
+    est_m also bounds Saad's (1992) a-posteriori estimate from above, so
+    that estimate could never overrule the stop.  The caller keeps
+    ||H|| dt small enough that the cap is accurate to machine precision.
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0:
@@ -103,6 +117,7 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     betas = np.zeros(max(k - 1, 0))
     V[0] = v / norm_v
     used = k
+    est = 1.0
     for j in range(k):
         w = apply_h(V[j])
         alphas[j] = np.vdot(V[j], w).real
@@ -114,18 +129,14 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
         if j == k - 1:
             break
         beta = np.linalg.norm(w)
-        if beta < 1e-14 * norm_v:
+        est *= abs(dt) * beta / (j + 1)
+        if beta < 1e-14 * norm_v or est < _KRYLOV_TOL:
             used = j + 1
             break
         betas[j] = beta
         V[j + 1] = w / beta
-    alphas = alphas[:used]
-    betas = betas[: used - 1] if used > 1 else np.zeros(0)
-    if used == 1:
-        coef = np.array([np.exp(-1j * dt * alphas[0])])
-    else:
-        evals, evecs = eigh_tridiagonal(alphas, betas)
-        coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
+    evals, evecs = eigh_tridiagonal(alphas[:used], betas[: used - 1])
+    coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
     return (coef * norm_v) @ V[:used]
 
 
@@ -140,9 +151,11 @@ def _propagate(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> n
 def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.ndarray:
     """Integrate the schedule and return the final state vector.
 
-    Each step applies the exact unitary exp(-i H(u_mid) dt) of the
-    Hamiltonian frozen at the step midpoint, evaluated through a Krylov
-    expansion built from sparse products with H(u); the stepping is
+    Each step applies the unitary exp(-i H(u_mid) dt) of the Hamiltonian
+    frozen at the step midpoint, split into substeps with ||H|| dt below
+    _STEP_BUDGET.  Each substep is a Krylov expansion built from sparse
+    products with H(u) that grows only until its error bound falls below
+    _KRYLOV_TOL (at most _KRYLOV_DIM vectors); the stepping is
     therefore norm-preserving by construction.
     ``callback(step, u, psi, norm)`` receives the post-step state and its
     pre-renormalisation norm.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -125,11 +125,10 @@ class ExperimentSpec:
         for key in ("n", "num_instances", "seed"):
             if key not in data:
                 raise ValueError(f"experiment spec is missing field {key!r}")
-        kwargs = {k: v for k, v in data.items() if k in {
-            "n", "num_instances", "seed", "formulations", "scales",
-            "sparsity", "solver", "solver_params", "gap_samples",
-        }}
-        return cls(**kwargs)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown experiment spec key(s) {unknown}")
+        return cls(**data)
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":

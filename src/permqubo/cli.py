@@ -88,6 +88,18 @@ def _write_outputs(*outputs) -> None:
         raise
 
 
+def _check_output_paths(args) -> None:
+    """Refuse, before any work, an output path in a missing directory or naming one."""
+    for name in ("out", "sparse_out", "summary_out", "hist_out", "csv_out"):
+        path = getattr(args, name, None)
+        if not path:
+            continue
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"directory of output {path} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"output {path} is a directory")
+
+
 def _resolve_format(args, allowed: tuple, default: str) -> str:
     """Output format from --format, falling back to the --out extension."""
     fmt = args.format
@@ -327,6 +339,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_paths(args)
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,6 @@ dense matrix exponentials.
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 
 def energy_loops(W, c, x):
@@ -67,15 +66,19 @@ def enumerate_qubo_loops(model):
 
 
 def dense_propagator(pair, sched):
-    """Reference integrator: dense expm of the frozen-midpoint Hamiltonian."""
+    """Reference integrator: exact exponential of the frozen-midpoint Hamiltonian.
+
+    Each step applies exp(-i H dt) = U exp(-i Lambda dt) U^T from the full
+    eigendecomposition of the real symmetric dense H.
+    """
     dim = pair.dim
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     steps = sched.effective_steps()
     dt = sched.tau / steps
     for k in range(steps):
         u = sched.path_value((k + 0.5) / steps)
-        H = dense_hamiltonian(pair, u)
-        psi = scipy.linalg.expm(-1j * H * dt) @ psi
+        evals, U = np.linalg.eigh(dense_hamiltonian(pair, u))
+        psi = U @ (np.exp(-1j * evals * dt) * (U.T @ psi))
     return psi
 
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from permqubo import (
@@ -28,6 +30,7 @@ from permqubo import (
     to_spin,
     vectorize,
 )
+from permqubo import anneal
 from permqubo.errors import SizeCapError
 from permqubo.qubo import QuboModel, enumerate_states, normalize_couplings
 
@@ -88,6 +91,31 @@ class TestEvolve:
         ref = oracles.dense_propagator(pair, sched)
         assert np.abs(psi - ref).max() < 1e-10
 
+    @pytest.mark.parametrize("num_qubits", [6, 8])
+    @pytest.mark.parametrize("spread", [1.0, 30.0])
+    def test_multi_qubit_matches_dense_reference(self, num_qubits, spread):
+        # 200 small steps run one Krylov expansion each; 5 steps and a
+        # single step split into many substeps
+        rng = np.random.default_rng([num_qubits, int(spread)])
+        pair = HamiltonianPair(num_qubits, rng.uniform(-spread, spread, 2**num_qubits))
+        for sched in (AnnealSchedule(tau=10.0, steps=200), AnnealSchedule(tau=10.0, steps=5),
+                      AnnealSchedule(tau=10.0, steps=1)):
+            ref = oracles.dense_propagator(pair, sched)
+            assert np.abs(evolve(pair, sched) - ref).max() < 1e-10
+
+    def test_matvecs_per_step(self, monkeypatch):
+        # about 11 products with H(u) per step on this pair; a fixed
+        # 24-vector basis takes 28 (24 per substep)
+        spin, _ = normalize_couplings(to_spin(build_baseline(random_instance(3, 82))))
+        pair = build_hamiltonians(spin)
+        calls = []
+        apply = HamiltonianPair.apply
+        monkeypatch.setattr(HamiltonianPair, "apply",
+                            lambda self, u, v: calls.append(u) or apply(self, u, v))
+        sched = AnnealSchedule(tau=20.0)
+        evolve(pair, sched)
+        assert len(calls) < 16 * sched.effective_steps()
+
     def test_norm_conservation(self):
         inst = random_instance(3, 70)
         spin, _ = normalize_couplings(to_spin(build_inserted(inst)))
@@ -112,6 +140,22 @@ class TestEvolve:
             probs.append(abs(psi[gs]) ** 2)
         assert probs[0] <= probs[1] + 1e-12
         assert probs[1] <= probs[2] + 1e-12
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       diag_spread=st.sampled_from([0.0, 1.0, 30.0]), dt_frac=st.floats(-1.0, 1.0))
+def test_lanczos_expm_matches_expm(dim, seed, diag_spread, dt_frac):
+    # random Hermitian H plus a diagonal of the given spread, and a step
+    # with |dt| ||H|| up to the propagator's substep budget
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    H = (A + A.conj().T) / 2 + np.diag(rng.uniform(-diag_spread, diag_spread, dim))
+    dt = dt_frac * anneal._STEP_BUDGET / np.linalg.norm(H, 2)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= np.linalg.norm(v)
+    got = anneal._lanczos_expm(lambda w: H @ w, v, dt)
+    assert np.abs(got - scipy.linalg.expm(-1j * dt * H) @ v).max() < 1e-10
 
 
 class TestTrotter:

@@ -212,6 +212,21 @@ class TestSpecIoAndPresets:
         spec = preset_spec("gap-scan", n=2)
         assert spec.n == 2 and spec.gap_samples > 0
 
+    def test_unknown_spec_key_rejected(self):
+        data = {"n": 2, "num_instances": 1, "seed": 0, "gap_sample": 5, "solvr": "sa"}
+        with pytest.raises(ValueError, match=r"\['gap_sample', 'solvr'\]"):
+            ExperimentSpec.from_dict(data)
+
+    def test_bench_spec_with_unknown_key_exits_2(self, tmp_path, capsys):
+        from permqubo.cli import main
+
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0, "solvr": "sa"}))
+        out = tmp_path / "report.json"
+        assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "solvr" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset_spec("fig-unknown")

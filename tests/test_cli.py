@@ -235,6 +235,28 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "h.csv" in err and ".tmp" not in err
 
+    def test_missing_output_dir_refused_before_solving(self, tmp_path, capsys):
+        _, path = write_instance(tmp_path, 3, 14, name="inst3.json")
+        (tmp_path / "adir").mkdir()
+        for hist in (tmp_path / "missing" / "h.csv", tmp_path / "adir"):
+            with mock.patch("permqubo.bench._solve") as solve:
+                code = main(["solve", "--instance", str(path), "--solver", "brute",
+                             "--out", str(tmp_path / "zz.json"), "--hist-out", str(hist)])
+            assert code == 2
+            solve.assert_not_called()
+            assert str(hist) in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "inst3.json"]
+
+    def test_failed_side_write_rolls_back(self, tmp_path):
+        _, path = write_instance(tmp_path, 3, 14, name="inst3.json")
+        with mock.patch("permqubo.anneal.SampleSet.histogram_csv",
+                        side_effect=OSError(28, "No space left on device")):
+            code = main(["solve", "--instance", str(path), "--solver", "brute",
+                         "--out", str(tmp_path / "zz.json"),
+                         "--hist-out", str(tmp_path / "h.csv")])
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst3.json"]
+
 
 class TestBenchAndReport:
     def test_bench_spec_file(self, tmp_path, capsys):
