@@ -61,6 +61,21 @@ SOLVER_DEFAULTS = {
 }
 
 
+# JSON type of each spec field; a one-element list means a list of that type.
+_SPEC_TYPES = {
+    "n": int, "num_instances": int, "seed": int, "formulations": [str], "scales": [float],
+    "sparsity": float, "solver": str, "solver_params": dict, "gap_samples": int,
+}
+
+
+def _has_json_type(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_has_json_type(v, kind[0]) for v in value)
+    if isinstance(value, bool):  # a JSON true/false is no number
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 @dataclass
 class ExperimentSpec:
     """Configuration of one benchmark run."""
@@ -122,12 +137,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
+        if not isinstance(data, dict):
+            raise ValueError(f"experiment spec must be a JSON object, got {data!r}")
         for key in ("n", "num_instances", "seed"):
             if key not in data:
                 raise ValueError(f"experiment spec is missing field {key!r}")
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown experiment spec key(s) {unknown}")
+        for key, value in data.items():
+            if not _has_json_type(value, _SPEC_TYPES[key]):
+                raise ValueError(f"experiment spec field {key!r} has the wrong type: {value!r}")
         return cls(**data)
 
     @classmethod

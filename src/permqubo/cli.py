@@ -65,10 +65,12 @@ def _write_outputs(*outputs) -> None:
     """Write all (path, write) outputs or none; a pair with no path is skipped.
 
     ``write(tmp)`` fills a temporary file beside its target; the files are
-    renamed into place only after every write succeeded, and the temporary
-    files are deleted on any failure.
+    renamed into place in order only after every write succeeded.  On any
+    failure the temporary files are deleted, and so are the targets this
+    call already renamed into place.
     """
     staged = []
+    placed = []
     try:
         for path, write in outputs:
             if not path:
@@ -81,8 +83,14 @@ def _write_outputs(*outputs) -> None:
             except OSError as exc:  # name the target, not the temporary file
                 raise OSError(exc.errno, exc.strerror, str(path)) from None
         for tmp, path in staged:
-            os.replace(tmp, path)
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            placed.append(path)
     except BaseException:
+        for path in placed:
+            path.unlink(missing_ok=True)
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
         raise

@@ -217,6 +217,21 @@ class TestSpecIoAndPresets:
         with pytest.raises(ValueError, match=r"\['gap_sample', 'solvr'\]"):
             ExperimentSpec.from_dict(data)
 
+    @pytest.mark.parametrize("data", [
+        5,
+        ["n", 2],
+        {"n": None, "num_instances": 1, "seed": 0},
+        {"n": 2.5, "num_instances": 1, "seed": 0},
+        {"n": 2, "num_instances": True, "seed": 0},
+        {"n": 2, "num_instances": 1, "seed": 0, "scales": "1.0"},
+        {"n": 2, "num_instances": 1, "seed": 0, "scales": [1.0, None]},
+        {"n": 2, "num_instances": 1, "seed": 0, "formulations": "baseline"},
+        {"n": 2, "num_instances": 1, "seed": 0, "gap_samples": "9"},
+    ])
+    def test_mistyped_spec_rejected(self, data):
+        with pytest.raises(ValueError, match="experiment spec"):
+            ExperimentSpec.from_dict(data)
+
     def test_bench_spec_with_unknown_key_exits_2(self, tmp_path, capsys):
         from permqubo.cli import main
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -125,6 +128,16 @@ class TestGap:
         data = json.loads(out.read_text())
         assert len(data["profiles"]) == 2
         assert len(data["profiles"][0]["u"]) == 7
+
+    def test_reruns_write_identical_csv(self, tmp_path):
+        # One run in this process and one in a fresh interpreter.
+        _, path = write_instance(tmp_path, 3, 63)
+        args = ["gap", "--instance", str(path), "--formulation", "baseline", "--samples", "9"]
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(args + ["--out", str(first)]) == 0
+        subprocess.run([sys.executable, "-m", "permqubo.cli", *args, "--out", str(second)],
+                       check=True, capture_output=True, timeout=120)
+        assert first.read_bytes() == second.read_bytes()
 
     def test_format_mismatch_exit_2(self, tmp_path):
         _, path = write_instance(tmp_path, 2, 62)
@@ -257,6 +270,26 @@ class TestSolve:
         assert code == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst3.json"]
 
+    def test_failed_rename_removes_placed_outputs(self, tmp_path, capsys):
+        _, path = write_instance(tmp_path, 2, 15)
+        replace = os.replace
+        calls = []
+
+        def flaky_replace(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(13, "Permission denied")
+            replace(src, dst)
+
+        with mock.patch("permqubo.cli.os.replace", side_effect=flaky_replace):
+            code = main(["build", "--instance", str(path), "--formulation", "baseline",
+                         "--out", str(tmp_path / "m.json"), "--sparse-out", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert len(calls) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+        err = capsys.readouterr().err
+        assert "m.txt" in err and ".tmp" not in err
+
 
 class TestBenchAndReport:
     def test_bench_spec_file(self, tmp_path, capsys):
@@ -287,6 +320,13 @@ class TestBenchAndReport:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"n": 3, "num_instances": 0, "seed": 0}))
         assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("text", ['{"n": null, "num_instances": 1, "seed": 0}', "5"])
+    def test_bench_mistyped_spec_exit_2(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")]) == 2
+        assert "experiment spec" in capsys.readouterr().err
 
     def test_bench_missing_spec_exit_2(self, tmp_path):
         assert main(["bench", "--out", str(tmp_path / "r.json")]) == 2
