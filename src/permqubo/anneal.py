@@ -88,9 +88,6 @@ class AnnealSchedule:
             return self.steps
         return max(100, ceil(10.0 * self.tau))
 
-    def params(self) -> dict:
-        return {"tau": self.tau, "path": [list(p) for p in self.path], "steps": self.effective_steps()}
-
 
 def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     """exp(-i dt H) v for a Hermitian matrix-free action.

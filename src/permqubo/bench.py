@@ -33,7 +33,7 @@ from .anneal import (
     simulated_annealing,
     success_probability,
 )
-from .errors import SizeCapError
+from .errors import SizeCapError, _check_json_types
 from .qap import (
     BRUTE_FORCE_MAX_N,
     DistanceData,
@@ -46,34 +46,27 @@ from .qap import (
     worst_permutation,
 )
 from .qubo import build_formulation, decode, normalize_couplings, to_spin, exhaustive_minimum
-from .qubo import EXHAUSTIVE_MAX_BITS, FORMULATIONS
-from .spectral import build_hamiltonians, gap_profile
+from .qubo import EXHAUSTIVE_MAX_BITS, FORMULATIONS, _model_dim
+from .spectral import MAX_QUBITS, build_hamiltonians, gap_profile
 from .provenance import sha256_of_text
 
 SOLVERS = ("brute", "sa", "schrodinger", "trotter")
 
-# Every solver parameter and its default; a solver reads the keys it
-# uses and ignores the others.
+# Every solver parameter: its default and its JSON type (see
+# errors._has_json_type).  A solver reads the keys it uses and ignores
+# the others.
 SOLVER_DEFAULTS = {
-    "sweeps": 100, "runs": 500, "schedule": None,  # sa
-    "tau": 100.0, "steps": None, "shots": 500,  # schrodinger, trotter
-    "slices": 256,  # trotter
+    "sweeps": (100, int), "runs": (500, int), "schedule": (None, (None, [float])),  # sa
+    "tau": (100.0, float), "steps": (None, (None, int)), "shots": (500, int),  # schrodinger, trotter
+    "slices": (256, int),  # trotter
 }
 
 
-# JSON type of each spec field; a one-element list means a list of that type.
+# JSON type of each spec field.
 _SPEC_TYPES = {
     "n": int, "num_instances": int, "seed": int, "formulations": [str], "scales": [float],
     "sparsity": float, "solver": str, "solver_params": dict, "gap_samples": int,
 }
-
-
-def _has_json_type(value, kind) -> bool:
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_json_type(v, kind[0]) for v in value)
-    if isinstance(value, bool):  # a JSON true/false is no number
-        return False
-    return isinstance(value, (int, float) if kind is float else kind)
 
 
 @dataclass
@@ -121,6 +114,11 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
             )
+        schedule = self.solver_params.get("schedule")
+        if schedule is not None and not (
+            len(schedule) == 2 and all(np.isfinite(t) and t > 0 for t in schedule)
+        ):
+            raise ValueError(f"solver_params schedule must be null or two positive numbers, got {schedule!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -145,9 +143,10 @@ class ExperimentSpec:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown experiment spec key(s) {unknown}")
-        for key, value in data.items():
-            if not _has_json_type(value, _SPEC_TYPES[key]):
-                raise ValueError(f"experiment spec field {key!r} has the wrong type: {value!r}")
+        _check_json_types(data, _SPEC_TYPES, "experiment spec")
+        _check_json_types(data.get("solver_params", {}),
+                          {k: kind for k, (_, kind) in SOLVER_DEFAULTS.items()},
+                          "experiment spec solver_params")
         return cls(**data)
 
     @classmethod
@@ -190,20 +189,22 @@ def _instance_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _check_solver_size(n: int, formulations, solver: str) -> None:
-    """Refuse, before any work, a run that would hit a size cap."""
+def _check_solver_size(n: int, formulations, solver: str, gaps: bool = False) -> None:
+    """Refuse, before any work, a run that would hit a size cap; ``gaps`` adds the gap profiles'."""
     if n > BRUTE_FORCE_MAX_N:
         raise SizeCapError(f"pricing needs the exact oracle, limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    top = max((n - 1) ** 2 if f == "inserted" else n**2 for f in formulations)
+    top = max(_model_dim(f, n) for f in formulations)
     if solver == "brute" and top > EXHAUSTIVE_MAX_BITS:
         raise SizeCapError(f"brute enumeration needs {top} bits, over its {EXHAUSTIVE_MAX_BITS}-bit cap")
     if solver in ("schrodinger", "trotter") and top > EVOLVE_MAX_QUBITS:
         raise SizeCapError(f"state vectors need {top} qubits, over the {EVOLVE_MAX_QUBITS}-qubit cap")
+    if gaps and top > MAX_QUBITS:
+        raise SizeCapError(f"gap profiles need {top} qubits, over the {MAX_QUBITS}-qubit cap")
 
 
 def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     """Run ``solver`` on ``model``; ``params`` overrides SOLVER_DEFAULTS."""
-    params = {**SOLVER_DEFAULTS, **params}
+    params = {k: params.get(k, default) for k, (default, _) in SOLVER_DEFAULTS.items()}
     if solver == "brute":
         bits, energy = exhaustive_minimum(model)
         perm = decode(model, bits)
@@ -228,11 +229,14 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     pair = build_hamiltonians(spin)
     if solver == "schrodinger":
         state = evolve(pair, sched)
+        resolution = {"steps": sched.effective_steps()}
     else:
-        state = evolve_trotter(pair, sched, slices=int(params["slices"]))
+        slices = int(params["slices"])
+        state = evolve_trotter(pair, sched, slices=slices)
+        resolution = {"slices": slices}
     samples = measure(state, shots=int(params["shots"]), seed=seed, model=model)
     samples.metadata["solver"] = solver
-    samples.metadata["schedule"] = sched.params()
+    samples.metadata["schedule"] = {"tau": sched.tau, "path": [list(p) for p in sched.path], **resolution}
     return samples
 
 
@@ -340,7 +344,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     # ``workers`` stays only for perfbench/workloads.py; it goes with the next benchmark change.
     if workers != 1:
         raise ValueError(f"instances run serially; workers must be 1, got {workers!r}")
-    _check_solver_size(spec.n, spec.formulations, spec.solver)
+    _check_solver_size(spec.n, spec.formulations, spec.solver, gaps=spec.gap_samples > 0)
     records = [_run_instance(spec, i, inst) for i, inst in enumerate(generate_instances(spec))]
 
     aggregates = {}

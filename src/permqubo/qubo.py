@@ -2,17 +2,22 @@
 
 Three formulations are provided, each with a provable penalty bound such
 that (strictly above the bound) the unconstrained minimisers coincide
-with the constrained ones:
+with the constrained ones.  Every penalty has one shape,
 
-* baseline  -- one global penalty lam * ||A x - b||^2 on the row/column
-  sum constraints, with lam > lam0 = (sum|W_ij| + sum|c_i|) / 2.
-* row_wise  -- a separate penalty lam_i per constraint row of A, with
+    lam_i * (s_i - lo_i) * (s_i - hi_i),   s_i = the bit sum of row i,
+
+which vanishes exactly when s_i takes one of its two roots lo_i, hi_i:
+
+* baseline  -- the rows of A (the row/column sum constraints) with
+  (lo, hi) = (1, 1) and one global lam > lam0 = (sum|W_ij| + sum|c_i|) / 2.
+* row_wise  -- the same rows and roots with a separate lam_i per row,
   lam_i > D_Ji + D/2 where D_J bounds the largest energy change a single
   bit flip inside constraint J can cause.
 * inserted  -- the first row and column of X are eliminated through the
-  sum-to-one constraints, leaving (n-1)^2 variables plus an exclusion
-  penalty (no two ones in a reduced row/column) and a cardinality
-  penalty keeping the reduced sum in {n-2, n-1}.
+  sum-to-one constraints, leaving (n-1)^2 variables.  The rows of the
+  reduced A carry the exclusion penalty, (lo, hi) = (0, 1): no two ones
+  in a reduced row/column.  One all-ones row carries the cardinality
+  penalty, (lo, hi) = (n-2, n-1).
 
 Energies always include the constant offset, so a model's minimum is
 directly comparable to the optimal constrained energy.
@@ -28,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import SizeCapError, _check_json_types
 from .qap import PermutationMatrix, QapInstance
 
 FORMULATIONS = ("baseline", "row_wise", "inserted")
@@ -59,10 +64,16 @@ def build_constraints(n: int) -> ConstraintSystem:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    eye = np.eye(n)
-    ones_row = np.ones((1, n))
-    A = np.vstack([np.kron(eye, ones_row), np.kron(ones_row, eye)])
+    k = np.arange(n * n)  # bit k is X[k % n, k // n]
+    A = np.zeros((2 * n, n * n))
+    A[k // n, k] = 1.0
+    A[n + k % n, k] = 1.0
     return ConstraintSystem(n=n, A=A, b=np.ones(2 * n))
+
+
+def _model_dim(formulation: str, n: int) -> int:
+    """Number of binary variables of a formulation over an n x n assignment."""
+    return (n - 1) ** 2 if formulation == "inserted" else n * n
 
 
 @dataclass
@@ -88,23 +99,7 @@ def _flip_costs(W: np.ndarray, c: np.ndarray) -> np.ndarray:
     (the i = k term of the sum is included), which can only overestimate
     the true flip cost and therefore stays a valid bound.
     """
-    if W.size == 0:
-        return np.zeros(0)
     return np.abs(W + W.T).sum(axis=1) + np.abs(np.diag(W)) + np.abs(c)
-
-
-def _constraint_groups(n: int) -> list[np.ndarray]:
-    """Index support of each constraint row of A, in A's block order.
-
-    With n - 1 these are the row/column groups of the inserted model's
-    reduced grid.
-    """
-    groups = []
-    for i in range(n):
-        groups.append(np.arange(i * n, (i + 1) * n))
-    for i in range(n):
-        groups.append(np.arange(i, n * n, n))
-    return groups
 
 
 def _elimination_map(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,23 +130,24 @@ def _elimination_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     return T, t
 
 
-def _reduced_objective(inst: QapInstance) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exact polynomial f(T y + t) collected as (W_red, c_red, constant).
+def _data_part(formulation: str, inst: QapInstance) -> tuple[np.ndarray, np.ndarray, float]:
+    """The objective part (Q, q, constant) of a formulation, before any penalty.
 
-    Squares are reduced through y_i^2 = y_i, so W_red has a zero
-    diagonal; W is symmetrised first, which leaves all energies
-    untouched and makes W_red symmetric.
+    baseline and row_wise keep f(x) with W symmetrised.  inserted takes
+    the exact polynomial f(T y + t), with squares reduced through
+    y_i^2 = y_i, so its Q has a zero diagonal; W is symmetrised first,
+    which leaves all energies untouched and makes that Q symmetric.
     """
     Wsym = (inst.W + inst.W.T) / 2.0
+    if formulation != "inserted":
+        return Wsym, inst.c.copy(), 0.0
     T, t = _elimination_map(inst.n)
     Q_full = T.T @ Wsym @ T
     Q_full = (Q_full + Q_full.T) / 2.0
     lin = (2.0 * (Wsym @ t) + inst.c) @ T
     const = float(t @ Wsym @ t + inst.c @ t)
     d = np.diag(Q_full).copy()
-    W_red = Q_full - np.diag(d)
-    c_red = lin + d
-    return W_red, c_red, const
+    return Q_full - np.diag(d), lin + d, const
 
 
 def penalty_bounds(inst: QapInstance) -> PenaltyBounds:
@@ -165,24 +161,22 @@ def penalty_bounds(inst: QapInstance) -> PenaltyBounds:
     n = inst.n
     lam0 = 0.5 * (np.abs(inst.W).sum() + np.abs(inst.c).sum())
 
+    # A row's largest flip cost is max(A * D) over that row, since D >= 0.
     D = _flip_costs(inst.W, inst.c)
-    D_all = float(D.max()) if D.size else 0.0
-    lam_rows = np.array([float(D[g].max()) + 0.5 * D_all for g in _constraint_groups(n)])
+    lam_rows = (build_constraints(n).A * D).max(axis=1) + 0.5 * float(D.max())
 
     if n >= 2:
-        W_red, c_red, _ = _reduced_objective(inst)
+        W_red, c_red, _ = _data_part("inserted", inst)
         D_red = _flip_costs(W_red, c_red)
-        D_red_all = float(D_red.max()) if D_red.size else 0.0
-        lam1 = np.array(
-            [0.5 * float(D_red[g].max()) + 0.5 * D_red_all for g in _constraint_groups(n - 1)]
-        )
-        lam2 = 0.5 * D_red_all
+        lam2 = 0.5 * float(D_red.max())
+        lam1 = 0.5 * (build_constraints(n - 1).A * D_red).max(axis=1) + lam2
     else:
-        lam1 = np.zeros(0)
-        lam2 = 0.0
-    return PenaltyBounds(
-        lambda_baseline=float(lam0), lambda_rows=lam_rows, lambda1=lam1, lambda2=lam2
-    )
+        lam1, lam2 = np.zeros(0), 0.0
+    return PenaltyBounds(float(lam0), lam_rows, lam1, lam2)
+
+
+# JSON type of each model field; other fields (bounds, provenance) may ride along.
+_MODEL_TYPES = {"dim": int, "formulation": str, "n": int, "Q": [[float]], "q": [float], "offset": float}
 
 
 @dataclass
@@ -204,7 +198,7 @@ class QuboModel:
         self.offset = float(self.offset)
         if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
-        expected = (self.n - 1) ** 2 if self.formulation == "inserted" else self.n**2
+        expected = _model_dim(self.formulation, self.n)
         if self.dim != expected:
             raise ValueError(
                 f"{self.formulation} models over n={self.n} need dim={expected}, got {self.dim}"
@@ -239,17 +233,13 @@ class QuboModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuboModel":
-        for key in ("dim", "formulation", "n", "Q", "q", "offset"):
+        if not isinstance(data, dict):
+            raise ValueError(f"model JSON must be an object, got {data!r}")
+        for key in _MODEL_TYPES:
             if key not in data:
                 raise ValueError(f"model JSON is missing field {key!r}")
-        return cls(
-            dim=data["dim"],
-            Q=np.asarray(data["Q"]),
-            q=np.asarray(data["q"]),
-            offset=data["offset"],
-            formulation=data["formulation"],
-            n=data["n"],
-        )
+        _check_json_types(data, _MODEL_TYPES, "model JSON")
+        return cls(**{key: data[key] for key in _MODEL_TYPES})
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8")
@@ -305,32 +295,35 @@ def _effective_penalties(bounds: np.ndarray | float, scale: float):
     return scale * (1.0 + BOUND_MARGIN) * bounds
 
 
-def build_baseline(inst: QapInstance, scale: float = 1.0) -> QuboModel:
-    """Single-penalty model: Q = W_sym + lam A^T A, q = c - 2 lam A^T b.
+def _penalised(inst: QapInstance, formulation: str, rows: np.ndarray, lams: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray) -> QuboModel:
+    """The objective part plus sum_i lams_i (s_i - lo_i)(s_i - hi_i), s = rows @ x.
 
-    lam = scale * lam0 * (1 + margin); the offset lam * b^T b makes the
-    penalty term exactly ||A x - b||^2 scaled by lam.
+    Expanded, Q gains rows^T diag(lams) rows, q loses rows^T (lams (lo + hi))
+    and the offset gains sum_i lams_i lo_i hi_i.
     """
-    n = inst.n
-    cs = build_constraints(n)
+    Q, q, const = _data_part(formulation, inst)
+    Q = Q + rows.T @ (lams[:, None] * rows)
+    q = q - rows.T @ (lams * (lo + hi))
+    offset = const + float(lams @ (lo * hi))
+    return QuboModel(rows.shape[1], Q, q, offset, formulation, inst.n)
+
+
+def build_baseline(inst: QapInstance, scale: float = 1.0) -> QuboModel:
+    """Single-penalty model f(x) + lam ||A x - b||^2.
+
+    lam = scale * lam0 * (1 + margin) on every row of A, roots (1, 1).
+    """
+    cs = build_constraints(inst.n)
     lam = _effective_penalties(penalty_bounds(inst).lambda_baseline, scale)
-    Wsym = (inst.W + inst.W.T) / 2.0
-    Q = Wsym + lam * (cs.A.T @ cs.A)
-    q = inst.c - 2.0 * lam * (cs.A.T @ cs.b)
-    offset = lam * float(cs.b @ cs.b)
-    return QuboModel(dim=n * n, Q=Q, q=q, offset=offset, formulation="baseline", n=n)
+    return _penalised(inst, "baseline", cs.A, np.full(len(cs.b), lam), cs.b, cs.b)
 
 
 def build_row_wise(inst: QapInstance, scale: float = 1.0) -> QuboModel:
-    """Per-constraint penalties: Q = W_sym + sum_i lam_i a_i a_i^T."""
-    n = inst.n
-    cs = build_constraints(n)
+    """Per-constraint penalties f(x) + sum_i lam_i (a_i x - 1)^2."""
+    cs = build_constraints(inst.n)
     lams = _effective_penalties(penalty_bounds(inst).lambda_rows, scale)
-    Wsym = (inst.W + inst.W.T) / 2.0
-    Q = Wsym + cs.A.T @ (lams[:, None] * cs.A)
-    q = inst.c - 2.0 * cs.A.T @ (lams * cs.b)
-    offset = float(lams @ (cs.b**2))
-    return QuboModel(dim=n * n, Q=Q, q=q, offset=offset, formulation="row_wise", n=n)
+    return _penalised(inst, "row_wise", cs.A, lams, cs.b, cs.b)
 
 
 def build_inserted(inst: QapInstance, scale: float = 1.0) -> QuboModel:
@@ -345,25 +338,13 @@ def build_inserted(inst: QapInstance, scale: float = 1.0) -> QuboModel:
     n = inst.n
     if n < 2:
         raise ValueError("the inserted formulation requires n >= 2")
-    r = n - 1
-    dim = r * r
-    W_red, c_red, const = _reduced_objective(inst)
     bounds = penalty_bounds(inst)
-    lam1 = _effective_penalties(bounds.lambda1, scale)
-    lam2 = _effective_penalties(bounds.lambda2, scale)
-
-    Q = W_red.copy()
-    q = c_red.copy()
-    offset = const
-    for g, idx in enumerate(_constraint_groups(n - 1)):
-        ind = np.zeros(dim)
-        ind[idx] = 1.0
-        Q += lam1[g] * np.outer(ind, ind)
-        q -= lam1[g] * ind
-    Q += lam2 * np.ones((dim, dim))
-    q -= lam2 * (2 * n - 3) * np.ones(dim)
-    offset += lam2 * (n - 1) * (n - 2)
-    return QuboModel(dim=dim, Q=Q, q=q, offset=offset, formulation="inserted", n=n)
+    groups = build_constraints(n - 1).A
+    rows = np.vstack([groups, np.ones((1, groups.shape[1]))])
+    lams = _effective_penalties(np.append(bounds.lambda1, bounds.lambda2), scale)
+    lo = np.append(np.zeros(len(groups)), n - 2.0)
+    hi = np.append(np.ones(len(groups)), n - 1.0)
+    return _penalised(inst, "inserted", rows, lams, lo, hi)
 
 
 def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -> QuboModel:
@@ -473,14 +454,6 @@ class CouplingReport:
         }
 
 
-def _data_part(model: QuboModel, inst: QapInstance) -> tuple[np.ndarray, np.ndarray]:
-    if model.formulation == "inserted":
-        W_red, c_red, _ = _reduced_objective(inst)
-        return W_red, c_red
-    Wsym = (inst.W + inst.W.T) / 2.0
-    return Wsym, inst.c.copy()
-
-
 def coupling_report(model: QuboModel, inst: QapInstance) -> CouplingReport:
     """Split coefficients into data and penalty contributions and report ranges.
 
@@ -489,7 +462,7 @@ def coupling_report(model: QuboModel, inst: QapInstance) -> CouplingReport:
     permutations apart.  Large penalty-to-data ratios mean most of the
     representable coupling range is spent on enforcing feasibility.
     """
-    Q_prob, q_prob = _data_part(model, inst)
+    Q_prob, q_prob, _ = _data_part(model.formulation, inst)
     Q_reg = model.Q - Q_prob
     q_reg = model.q - q_prob
     r = max(float(np.abs(model.Q).max(initial=0.0)), float(np.abs(model.q).max(initial=0.0)) / 2.0)
@@ -578,11 +551,7 @@ def import_sparse(path, formulation: str, n: int) -> QuboModel:
             ) from exc
         entries.append((i, j, v))
         max_idx = max(max_idx, i, j)
-    dim = max_idx + 1
-    if formulation == "inserted":
-        dim = max(dim, (n - 1) ** 2)
-    else:
-        dim = max(dim, n * n)
+    dim = max(max_idx + 1, _model_dim(formulation, n))
     Q = np.zeros((dim, dim))
     q = np.zeros(dim)
     for i, j, v in entries:

@@ -73,6 +73,14 @@ class TestGeneration:
         # a key another solver reads is accepted
         ExperimentSpec(n=3, num_instances=1, seed=0, solver="schrodinger", solver_params={"runs": 2})
 
+    def test_typed_solver_params_accepted(self):
+        params = {"runs": 2, "sweeps": 3, "shots": 4, "slices": 5, "steps": None, "tau": 5,
+                  "schedule": [2, 0.5]}
+        spec = ExperimentSpec.from_dict({"n": 2, "num_instances": 1, "seed": 0, "solver_params": params})
+        assert spec.solver_params == params
+        ExperimentSpec.from_dict({"n": 2, "num_instances": 1, "seed": 0,
+                                  "solver_params": {"steps": 7, "schedule": None, "tau": 0.5}})
+
 
 class TestRunExperiment:
     def test_brute_solver_is_exact(self):

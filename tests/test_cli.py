@@ -235,6 +235,32 @@ class TestSolve:
         assert summary["most_frequent_normalized_energy"] == pytest.approx(f_worst - f_opt, rel=1e-12)
         assert summary["success"]["probability"] == 0.0
 
+    @pytest.mark.parametrize("field, value", [
+        ("dim", None), ("n", 2.0), ("formulation", 3), ("Q", "0"), ("q", [None]), ("offset", "1"),
+    ])
+    def test_mistyped_model_exit_2(self, tmp_path, capsys, field, value):
+        _, path = write_instance(tmp_path, 2, 14)
+        model_path = tmp_path / "model.json"
+        main(["build", "--instance", str(path), "--formulation", "baseline", "--out", str(model_path)])
+        data = json.loads(model_path.read_text())
+        data[field] = value
+        model_path.write_text(json.dumps(data))
+        out = tmp_path / "s.json"
+        assert main(["solve", "--qubo", str(model_path), "--solver", "brute", "--out", str(out)]) == 2
+        assert f"model JSON field '{field}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_trotter_records_slices_not_steps(self, tmp_path):
+        _, path = write_instance(tmp_path, 2, 15)
+        schedules = {}
+        for solver in ("schrodinger", "trotter"):
+            out = tmp_path / f"{solver}.json"
+            assert main(["solve", "--instance", str(path), "--solver", solver, "--tau", "5",
+                         "--slices", "40", "--shots", "10", "--out", str(out)]) == 0
+            schedules[solver] = json.loads(out.read_text())["metadata"]["schedule"]
+        assert schedules["schrodinger"]["steps"] == 100 and "slices" not in schedules["schrodinger"]
+        assert schedules["trotter"]["slices"] == 40 and "steps" not in schedules["trotter"]
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--solver", "brute", "--out", str(tmp_path / "s.json")]) == 2
 
@@ -327,6 +353,34 @@ class TestBenchAndReport:
         spec_path.write_text(text)
         assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")]) == 2
         assert "experiment spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params", [
+        {"runs": None}, {"runs": 2.7}, {"sweeps": True}, {"shots": "5"}, {"slices": 2.0},
+        {"steps": 1.5}, {"tau": None}, {"schedule": 5}, {"schedule": [1.0]},
+        {"schedule": [1.0, 0.0]}, {"schedule": [1.0, None]},
+    ])
+    def test_bench_mistyped_solver_params_exit_2(self, tmp_path, capsys, params):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"n": 2, "num_instances": 1, "seed": 0, "solver": "sa", "solver_params": params}
+        ))
+        out = tmp_path / "r.json"
+        assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+        assert "solver_params" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bench_gap_qubit_cap_refused_before_work(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n": 5, "num_instances": 1, "seed": 0, "solver": "sa", "gap_samples": 3,
+            "solver_params": {"runs": 2, "sweeps": 1},
+        }))
+        out = tmp_path / "r.json"
+        with mock.patch("permqubo.bench.brute_force_qap", wraps=brute_force_qap) as oracle:
+            assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 4
+        oracle.assert_not_called()
+        assert "16-qubit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_missing_spec_exit_2(self, tmp_path):
         assert main(["bench", "--out", str(tmp_path / "r.json")]) == 2

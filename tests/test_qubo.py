@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from permqubo import (
@@ -114,6 +115,52 @@ class TestPenaltyBounds:
                 assert qap_energy(inst, vectorize(perm)) <= f_opt + tol
 
 
+def _reduced_bits_loops(n, assignment):
+    """Interior bits X[1:,1:] column-major, with X[assignment[j], j] = 1."""
+    y = [0] * ((n - 1) ** 2)
+    for j in range(1, n):
+        if assignment[j] >= 1:
+            y[(j - 1) * (n - 1) + assignment[j] - 1] = 1
+    return y
+
+
+@st.composite
+def adversarial_instances(draw):
+    """W and c with exact integer ties or twelve decades of range, mostly zeros and asymmetric."""
+    n = draw(st.sampled_from((2, 3)))
+    m = n * n
+    if draw(st.booleans()):
+        value = st.integers(-2, 2).map(float)
+    else:
+        value = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.integers(-6, 6))
+    zero_share = draw(st.sampled_from((0.0, 0.5, 0.9)))
+    entries = draw(st.lists(st.tuples(value, st.floats(0.0, 1.0)), min_size=m * m + m, max_size=m * m + m))
+    flat = np.array([v if keep >= zero_share else 0.0 for v, keep in entries])
+    W, c = flat[: m * m].reshape(m, m), flat[m * m:]
+    if draw(st.booleans()):
+        W = np.triu(W)  # all couplings on one side of the diagonal
+    return QapInstance(n, W, c)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(inst=adversarial_instances(), scale=st.floats(1.0, 20.0))
+def test_penalty_bound_theorems(inst, scale):
+    # at every scale >= 1 each formulation's hypercube minimum is the
+    # constrained optimum, and every permutation pays zero penalty
+    n = inst.n
+    _, f_opt = oracles.brute_force_loops(inst.W, inst.c, n)
+    for form in ALL_FORMULATIONS:
+        model = build_formulation(inst, form, scale)
+        tol = 1e-9 * (np.abs(model.Q).sum() + np.abs(model.q).sum() + abs(model.offset) + 1.0)
+        e_min = min(e for _, e in oracles.enumerate_qubo_loops(model))
+        assert abs(e_min - f_opt) <= tol, form
+        for a in itertools.permutations(range(n)):
+            x = oracles.vec_assignment(n, a)
+            bits = _reduced_bits_loops(n, a) if form == "inserted" else x
+            model_energy = oracles.energy_loops(model.Q, model.q, bits) + model.offset
+            assert abs(model_energy - oracles.energy_loops(inst.W, inst.c, x)) <= tol, (form, a)
+
+
 class TestBuilders:
     def test_baseline_zero_instance(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
@@ -195,9 +242,9 @@ class TestBuilders:
         inst = random_instance(3, 45)
         model = build_inserted(inst, 1.0)
         assert model.dim == 4
-        from permqubo.qubo import _reduced_objective
+        from permqubo.qubo import _data_part
 
-        W_red, _, _ = _reduced_objective(inst)
+        W_red, _, _ = _data_part("inserted", inst)
         penalty = model.Q - W_red
         bounds = penalty_bounds(inst)
         lam2 = bounds.lambda2 * (1 + 1e-6)
