@@ -39,11 +39,10 @@ from .qap import (
     DistanceData,
     PermutationMatrix,
     QapInstance,
-    brute_force_qap,
     isometric_cost,
+    permutation_extremes,
     qap_energy,
     vectorize,
-    worst_permutation,
 )
 from .qubo import build_formulation, decode, normalize_couplings, to_spin, exhaustive_minimum
 from .qubo import EXHAUSTIVE_MAX_BITS, FORMULATIONS, _model_dim
@@ -67,6 +66,16 @@ _SPEC_TYPES = {
     "n": int, "num_instances": int, "seed": int, "formulations": [str], "scales": [float],
     "sparsity": float, "solver": str, "solver_params": dict, "gap_samples": int,
 }
+
+
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer >= 1 (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
+def _is_number(value) -> bool:
+    """Whether ``value`` is a number (a bool is not)."""
+    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -114,7 +123,15 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
             )
-        schedule = self.solver_params.get("schedule")
+        params = self.solver_params
+        for key in ("runs", "sweeps", "shots", "slices", "steps"):
+            value = params.get(key)
+            if key in params and not (_is_count(value) or key == "steps" and value is None):
+                raise ValueError(f"solver_params {key} must be an integer >= 1, got {value!r}")
+        tau = params.get("tau")
+        if "tau" in params and not (_is_number(tau) and np.isfinite(tau) and tau > 0):
+            raise ValueError(f"solver_params tau must be finite and positive, got {tau!r}")
+        schedule = params.get("schedule")
         if schedule is not None and not (
             len(schedule) == 2 and all(np.isfinite(t) and t > 0 for t in schedule)
         ):
@@ -266,8 +283,7 @@ def price(samples: SampleSet, inst: QapInstance, f_opt: float, f_worst: float) -
 
 
 def _run_instance(spec: ExperimentSpec, index: int, inst: QapInstance) -> dict:
-    _, f_opt = brute_force_qap(inst)
-    _, f_worst = worst_permutation(inst)
+    _, f_opt, _, f_worst = permutation_extremes(inst)
     run_seed = _instance_seed(spec.seed, index)
     record = {"instance": index, "f_opt": f_opt, "f_worst": f_worst, "results": []}
     for formulation in spec.formulations:

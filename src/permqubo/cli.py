@@ -33,7 +33,7 @@ from .bench import (
 )
 from .errors import SizeCapError, SolverError
 from .provenance import make_provenance, sha256_of_file
-from .qap import QapInstance, brute_force_qap, worst_permutation
+from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
     QuboModel,
@@ -210,8 +210,7 @@ def cmd_solve(args) -> int:
 
     summary = {"total": samples.total}
     if inst is not None:
-        _, f_opt = brute_force_qap(inst)
-        _, f_worst = worst_permutation(inst)
+        _, f_opt, _, f_worst = permutation_extremes(inst)
         priced = price(samples, inst, f_opt, f_worst)
         mf, report = priced.most_frequent, priced.report
         summary["success"] = report.to_dict()

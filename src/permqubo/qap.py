@@ -8,21 +8,28 @@ where vec stacks columns: column j of X occupies positions j*n .. j*n+n-1
 of x.  Every module in this package shares that single vectorisation
 convention.  Binary vectors are plain integer numpy arrays; validation
 happens at the boundaries rather than through a wrapper class.
+
+The exact oracle, :func:`permutation_extremes`, prices all n! permutations
+in one prefix-tree pass and returns both extremes: the optimum f_opt and
+the worst permutation's energy f_worst, which is charged to solver
+outputs that are no permutation.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import _check_json_types
+
 # Factorial enumeration guard for the exact solver (8! = 40320 candidates).
 BRUTE_FORCE_MAX_N = 8
 
-_PERM_CHUNK = 5040  # permutations per vectorised energy batch
+# JSON type of each instance field (see errors._has_json_type).
+_INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
 
 
 def _as_square(a, size, name):
@@ -72,9 +79,12 @@ class QapInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QapInstance":
-        for key in ("n", "W", "c"):
+        if not isinstance(data, dict):
+            raise ValueError(f"instance JSON must be an object, got {data!r}")
+        for key in _INSTANCE_TYPES:
             if key not in data:
                 raise ValueError(f"instance JSON is missing field {key!r}")
+        _check_json_types(data, _INSTANCE_TYPES, "instance JSON")
         return cls(n=data["n"], W=np.asarray(data["W"]), c=np.asarray(data["c"]))
 
     def save(self, path) -> None:
@@ -187,53 +197,61 @@ def qap_energy(inst: QapInstance, x) -> float:
     return float(x @ inst.W @ x + inst.c @ x)
 
 
-def _assignment_energies(inst: QapInstance, assignments: np.ndarray) -> np.ndarray:
-    """Energies of a batch of permutations given as (k, n) assignment arrays."""
-    k, n = assignments.shape
-    X = np.zeros((k, n * n))
-    X[np.arange(k)[:, None], np.arange(n) * n + assignments] = 1.0
-    return ((X @ inst.W) * X).sum(axis=1) + X @ inst.c
+def permutation_extremes(
+    inst: QapInstance,
+) -> tuple[PermutationMatrix, float, PermutationMatrix, float]:
+    """Exact minimiser and maximiser over all n! permutations, from one pass.
 
-
-def _scan_permutations(inst: QapInstance, want_max: bool):
+    Returns (best, f_opt, worst, f_worst).  The n! energies come from one
+    walk down the prefix tree of assignments: column d of every prefix
+    takes each of its unused rows in increasing order, so the leaves are
+    in lexicographic order.  Each step adds only column d's own cost and
+    its couplings with the d columns already placed, O(n) per leaf.
+    np.argmin/np.argmax return the first extreme, so ties go to the
+    lexicographically smallest assignment.  Guarded at n <= 8.
+    """
     n = inst.n
-    best_energy = None
-    best_assignment = None
-    perms = itertools.permutations(range(n))
-    while True:
-        chunk = np.array(list(itertools.islice(perms, _PERM_CHUNK)), dtype=int)
-        if chunk.size == 0:
-            break
-        energies = _assignment_energies(inst, chunk)
-        idx = int(np.argmax(energies)) if want_max else int(np.argmin(energies))
-        # Strict comparison keeps the earliest (lexicographically smallest)
-        # assignment on ties.
-        if best_energy is None or (energies[idx] > best_energy if want_max else energies[idx] < best_energy):
-            best_energy = float(energies[idx])
-            best_assignment = chunk[idx].copy()
-    return PermutationMatrix(n, best_assignment), best_energy
+    if n > BRUTE_FORCE_MAX_N:
+        raise ValueError(
+            f"brute force enumeration is limited to n <= {BRUTE_FORCE_MAX_N}, got n={n}"
+        )
+    W4 = inst.W.reshape(n, n, n, n)  # W4[j, i, l, k] couples X[i, j] with X[k, l]
+    pair = W4 + W4.transpose(2, 3, 0, 1)
+    own = np.einsum("jiji->ji", W4) + inst.c.reshape(n, n)
+    columns = []  # columns[l][p]: the row that prefix p puts in column l
+    free = np.arange(n)[None, :]  # free[p]: the rows prefix p leaves unused, increasing
+    energies = np.zeros(1)
+    for d in range(n):
+        r = n - d
+        parent = np.repeat(np.arange(len(free)), r)
+        rows = free.ravel()
+        # The child that takes a prefix's i-th free row keeps the others in order.
+        drop = np.array([np.delete(np.arange(r), i) for i in range(r)], dtype=np.intp)
+        free = free[:, drop].reshape(len(rows), r - 1)
+        columns = [col[parent] for col in columns]
+        energies = energies[parent] + own[d, rows]
+        coupling = pair[:, :, d, :].reshape(n, n * n)
+        for l, col in enumerate(columns):
+            energies += coupling[l][col * n + rows]
+        columns.append(rows)
+    lo, hi = int(np.argmin(energies)), int(np.argmax(energies))
+
+    def leaf(k):
+        return PermutationMatrix(n, np.array([col[k] for col in columns]))
+
+    return leaf(lo), float(energies[lo]), leaf(hi), float(energies[hi])
 
 
 def brute_force_qap(inst: QapInstance) -> tuple[PermutationMatrix, float]:
-    """Exact minimiser over all n! permutations.
-
-    Ties are broken by the lexicographically smallest assignment array so
-    the result is deterministic.  Guarded at n <= 8.
-    """
-    if inst.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"brute force enumeration is limited to n <= {BRUTE_FORCE_MAX_N}, got n={inst.n}"
-        )
-    return _scan_permutations(inst, want_max=False)
+    """Exact minimiser over all n! permutations (see :func:`permutation_extremes`)."""
+    best, f_opt, _, _ = permutation_extremes(inst)
+    return best, f_opt
 
 
 def worst_permutation(inst: QapInstance) -> tuple[PermutationMatrix, float]:
     """Exact maximiser over all n! permutations (used to price invalid outputs)."""
-    if inst.n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"brute force enumeration is limited to n <= {BRUTE_FORCE_MAX_N}, got n={inst.n}"
-        )
-    return _scan_permutations(inst, want_max=True)
+    _, _, worst, f_worst = permutation_extremes(inst)
+    return worst, f_worst
 
 
 def isometric_cost(dist: DistanceData) -> QapInstance:

@@ -42,6 +42,18 @@ def brute_force_loops(W, c, n):
     return best_assignment, best
 
 
+def worst_loops(W, c, n):
+    """Maximum over all permutations in lexicographic assignment order."""
+    worst = None
+    worst_assignment = None
+    for assignment in itertools.permutations(range(n)):
+        e = energy_loops(W, c, vec_assignment(n, assignment))
+        if worst is None or e > worst:
+            worst = e
+            worst_assignment = assignment
+    return worst_assignment, worst
+
+
 def isometric_energy_loops(d1, d2, assignment):
     """Four-index distortion sum of a permutation (row[j] = assignment[j])."""
     n = len(assignment)

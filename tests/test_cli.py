@@ -14,6 +14,7 @@ from permqubo import (
     SampleSet,
     brute_force_qap,
     build_formulation,
+    permutation_extremes,
     worst_permutation,
 )
 from permqubo.cli import main
@@ -235,6 +236,27 @@ class TestSolve:
         assert summary["most_frequent_normalized_energy"] == pytest.approx(f_worst - f_opt, rel=1e-12)
         assert summary["success"]["probability"] == 0.0
 
+    def test_one_oracle_pass_per_solve(self, tmp_path):
+        # f_opt and f_worst come from one n! pass, never from the two wrappers
+        _, path = write_instance(tmp_path, 4, 14)
+        with mock.patch("permqubo.cli.permutation_extremes", wraps=permutation_extremes) as one_pass, \
+                mock.patch("permqubo.qap.permutation_extremes", wraps=permutation_extremes) as wrapped:
+            assert main(["solve", "--instance", str(path), "--solver", "sa", "--runs", "5",
+                         "--sweeps", "2", "--out", str(tmp_path / "s.json")]) == 0
+        assert one_pass.call_count == 1
+        wrapped.assert_not_called()
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 1, "W": [["2.5"]], "c": ["1"]}', '{"n": 1, "W": [[true]], "c": [1.0]}', "[1]",
+    ])
+    def test_mistyped_instance_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        out = tmp_path / "s.json"
+        assert main(["solve", "--instance", str(path), "--solver", "brute", "--out", str(out)]) == 2
+        assert "instance JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("dim", None), ("n", 2.0), ("formulation", 3), ("Q", "0"), ("q", [None]), ("offset", "1"),
     ])
@@ -376,11 +398,38 @@ class TestBenchAndReport:
             "solver_params": {"runs": 2, "sweeps": 1},
         }))
         out = tmp_path / "r.json"
-        with mock.patch("permqubo.bench.brute_force_qap", wraps=brute_force_qap) as oracle:
+        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle:
             assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 4
         oracle.assert_not_called()
         assert "16-qubit" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("params", [
+        {"runs": 0}, {"sweeps": 0}, {"shots": 0}, {"slices": 0}, {"steps": 0}, {"runs": -3},
+        {"tau": -1.0}, {"tau": 0}, {"tau": float("inf")},
+    ])
+    def test_bench_solver_param_out_of_range_refused_before_work(self, tmp_path, capsys, params):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(
+            {"n": 2, "num_instances": 1, "seed": 0, "solver": "sa", "solver_params": params}
+        ))
+        out = tmp_path / "r.json"
+        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle:
+            assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+        oracle.assert_not_called()
+        assert "solver_params" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_oracle_pass_per_instance(self, tmp_path):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({
+            "n": 3, "num_instances": 3, "seed": 2, "formulations": ["baseline"], "solver": "brute",
+        }))
+        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as one_pass, \
+                mock.patch("permqubo.qap.permutation_extremes", wraps=permutation_extremes) as wrapped:
+            assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")]) == 0
+        assert one_pass.call_count == 3
+        wrapped.assert_not_called()
 
     def test_bench_missing_spec_exit_2(self, tmp_path):
         assert main(["bench", "--out", str(tmp_path / "r.json")]) == 2

@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from strategies import adversarial_instances
 from permqubo import (
     DistanceData,
     PermutationMatrix,
     QapInstance,
     brute_force_qap,
     isometric_cost,
+    permutation_extremes,
     qap_energy,
     symmetrize,
     vectorize,
@@ -119,6 +122,29 @@ class TestBruteForce:
         inst = QapInstance(9, np.zeros((81, 81)), np.zeros(81))
         with pytest.raises(ValueError):
             brute_force_qap(inst)
+        with pytest.raises(ValueError):
+            permutation_extremes(inst)
+
+
+_DEGENERATE = st.integers(1, 5).map(lambda n: QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(inst=st.one_of(adversarial_instances(sizes=(1, 2, 3, 4, 5)), _DEGENERATE))
+def test_permutation_extremes_match_loop_oracles(inst):
+    # both extremes of one pass against the loop enumerators; on integer
+    # data every sum is exact, so the lexicographic tie order must match too
+    n = inst.n
+    best, f_opt, worst, f_worst = permutation_extremes(inst)
+    best_loops, f_opt_loops = oracles.brute_force_loops(inst.W, inst.c, n)
+    worst_loops, f_worst_loops = oracles.worst_loops(inst.W, inst.c, n)
+    tol = 1e-12 * (np.abs(inst.W).sum() + np.abs(inst.c).sum())
+    assert abs(f_opt - f_opt_loops) <= tol
+    assert abs(f_worst - f_worst_loops) <= tol
+    if np.all(inst.W % 1 == 0) and np.all(inst.c % 1 == 0):
+        assert tuple(best.assignment) == best_loops
+        assert tuple(worst.assignment) == worst_loops
+        assert (f_opt, f_worst) == (f_opt_loops, f_worst_loops)
 
 
 def random_metric(n, seed):
@@ -228,3 +254,15 @@ class TestValidationAndIo:
     def test_instance_json_missing_field(self):
         with pytest.raises(ValueError):
             QapInstance.from_dict({"n": 2, "W": [[0]]})
+
+    @pytest.mark.parametrize("data", [
+        {"n": 1, "W": [["2.5"]], "c": ["1"]},
+        {"n": 1, "W": [[True]], "c": [1.0]},
+        {"n": 1, "W": [[1.0]], "c": [None]},
+        {"n": 1.0, "W": [[1.0]], "c": [1.0]},
+        {"n": 1, "W": [1.0], "c": [1.0]},
+        [1, [[1.0]], [1.0]],
+    ])
+    def test_instance_json_wrong_types_rejected(self, data):
+        with pytest.raises(ValueError, match="instance JSON"):
+            QapInstance.from_dict(data)

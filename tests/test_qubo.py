@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from strategies import adversarial_instances
 from permqubo import (
     PermutationMatrix,
     QapInstance,
@@ -122,24 +123,6 @@ def _reduced_bits_loops(n, assignment):
         if assignment[j] >= 1:
             y[(j - 1) * (n - 1) + assignment[j] - 1] = 1
     return y
-
-
-@st.composite
-def adversarial_instances(draw):
-    """W and c with exact integer ties or twelve decades of range, mostly zeros and asymmetric."""
-    n = draw(st.sampled_from((2, 3)))
-    m = n * n
-    if draw(st.booleans()):
-        value = st.integers(-2, 2).map(float)
-    else:
-        value = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.integers(-6, 6))
-    zero_share = draw(st.sampled_from((0.0, 0.5, 0.9)))
-    entries = draw(st.lists(st.tuples(value, st.floats(0.0, 1.0)), min_size=m * m + m, max_size=m * m + m))
-    flat = np.array([v if keep >= zero_share else 0.0 for v, keep in entries])
-    W, c = flat[: m * m].reshape(m, m), flat[m * m:]
-    if draw(st.booleans()):
-        W = np.triu(W)  # all couplings on one side of the diagonal
-    return QapInstance(n, W, c)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
