@@ -20,10 +20,11 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.blas import dger
 
 from .errors import SizeCapError, SolverError
 from .qap import PermutationMatrix, QapInstance, brute_force_qap, qap_energy, vectorize
-from .qubo import QuboModel, decode
+from .qubo import QuboModel, decode_states
 from .spectral import HamiltonianPair
 
 EVOLVE_MAX_QUBITS = 12
@@ -299,20 +300,19 @@ class SampleSet:
 
 
 def _make_entries(states: np.ndarray, counts: np.ndarray, model: QuboModel) -> list:
-    entries = []
-    for bits, count in zip(states, counts):
-        bits = np.asarray(bits, dtype=int)
-        perm = decode(model, bits)
-        entries.append(
-            SampleEntry(
-                bits=tuple(int(b) for b in bits),
-                energy=model.energy(bits),
-                count=int(count),
-                valid=perm is not None,
-                assignment=None if perm is None else tuple(int(a) for a in perm.assignment),
-            )
+    valid, assignments = decode_states(model, states)
+    return [
+        SampleEntry(
+            bits=tuple(bits),
+            energy=model.energy(row),
+            count=count,
+            valid=ok,
+            assignment=tuple(assignment) if ok else None,
         )
-    return entries
+        for row, bits, count, ok, assignment in zip(
+            states, states.tolist(), counts.tolist(), valid.tolist(), assignments.tolist()
+        )
+    ]
 
 
 def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> SampleSet:
@@ -361,6 +361,12 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     sweep attempts one flip per variable in index order.  ``schedule``
     overrides the (T_hi, T_lo) pair; by default T_hi is the sampled
     maximum |energy change| of a flip and T_lo = 1e-3 * T_hi.
+
+    Runs are batched in chunks.  A chunk's states X and local fields
+    G = X Q are (runs, dim) arrays in Fortran order, so the column a flip
+    attempt reads and writes is contiguous; an accepted flip updates G in
+    place with one BLAS rank-1 update (dger).  The uniforms stay
+    (runs, sweeps, dim), filled run by run from each run's generator.
     """
     if runs < 1 or sweeps < 1:
         raise ValueError("runs and sweeps must be at least 1")
@@ -386,10 +392,15 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     final_states = np.empty((runs, dim), dtype=np.int8)
     for start in range(0, runs, chunk):
         stop = min(runs, start + chunk)
-        rngs = [np.random.default_rng([seed, 1 + r]) for r in range(start, stop)]
-        X = np.stack([rng.integers(0, 2, size=dim) for rng in rngs]).astype(float)
-        U = np.stack([rng.random((sweeps, dim)) for rng in rngs])
-        G = X @ Q
+        X = np.empty((stop - start, dim), order="F")
+        U = np.empty((stop - start, sweeps, dim))
+        for i, r in enumerate(range(start, stop)):
+            rng = np.random.default_rng([seed, 1 + r])
+            X[i] = rng.integers(0, 2, size=dim)
+            rng.random(out=U[i])
+        # BLAS rounds X @ Q differently for a Fortran-order X; the product
+        # takes a row-major copy so G does not depend on the layout.
+        G = np.asfortranarray(np.ascontiguousarray(X) @ Q)
         for s in range(sweeps):
             T = temps[s]
             for k in range(dim):
@@ -399,7 +410,9 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
                 if np.any(accept):
                     step = delta * accept
                     X[:, k] += step
-                    G += step[:, None] * Q[k][None, :]
+                    # In place G += outer(step, Q[k]); step is in {-1, 0, 1},
+                    # so each product is exact and each sum rounds once.
+                    G = dger(1.0, step, Q[k], a=G, overwrite_a=True)
         final_states[start:stop] = X.astype(np.int8)
 
     # Deterministic aggregation: group identical final states.

@@ -274,7 +274,8 @@ def price(samples: SampleSet, inst: QapInstance, f_opt: float, f_worst: float) -
     valid = mf.assignment is not None
     if valid:
         perm = PermutationMatrix(inst.n, np.asarray(mf.assignment, dtype=int))
-        normalized = qap_energy(inst, vectorize(perm)) - f_opt
+        # f_opt is the exact minimum, so a few ulps below it are rounding.
+        normalized = max(0.0, qap_energy(inst, vectorize(perm)) - f_opt)
         success = normalized <= ENERGY_RTOL * max(1.0, abs(f_opt))
     else:
         normalized = f_worst - f_opt

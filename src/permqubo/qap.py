@@ -30,6 +30,7 @@ BRUTE_FORCE_MAX_N = 8
 
 # JSON type of each instance field (see errors._has_json_type).
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
+_DISTANCE_TYPES = {"n": int, "d1": [[float]], "d2": [[float]], "linear_bias": (None, [[float]])}
 
 
 def _as_square(a, size, name):
@@ -167,9 +168,12 @@ class DistanceData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistanceData":
+        if not isinstance(data, dict):
+            raise ValueError(f"distance JSON must be an object, got {data!r}")
         for key in ("n", "d1", "d2"):
             if key not in data:
                 raise ValueError(f"distance JSON is missing field {key!r}")
+        _check_json_types(data, _DISTANCE_TYPES, "distance JSON")
         d1 = np.asarray(data["d1"], dtype=float)
         if d1.shape != (data["n"], data["n"]):
             raise ValueError("d1 shape disagrees with declared n")

@@ -359,33 +359,49 @@ def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -
     return builders[formulation](inst, scale)
 
 
-def decode(model: QuboModel, bits) -> PermutationMatrix | None:
-    """Map a model state back to a permutation matrix, or None if infeasible.
+def decode_states(model: QuboModel, states) -> tuple[np.ndarray, np.ndarray]:
+    """Map a (k, dim) batch of model states back to permutations.
 
-    baseline/row_wise states are reshaped column-major and checked for
-    unit row/column sums.  inserted states reconstruct the eliminated
-    first row and column; any reconstructed entry outside {0, 1} marks
-    the state invalid.
+    Returns a boolean mask of the states that encode a permutation and a
+    (k, n) array whose row s is the assignment of state s (-1 throughout
+    when state s is infeasible).  baseline/row_wise states are reshaped
+    column-major and checked for 0/1 entries with unit row/column sums.
+    inserted states first rebuild the eliminated first row and column;
+    any rebuilt entry outside {0, 1} marks the state infeasible.
+    """
+    S = np.asarray(states)
+    if S.ndim != 2 or S.shape[1] != model.dim:
+        raise ValueError(f"states must have shape (k, {model.dim}), got {S.shape}")
+    n, k = model.n, S.shape[0]
+    if model.formulation in ("baseline", "row_wise"):
+        X = S.reshape(k, n, n).transpose(0, 2, 1)  # X[s, i, j] = bit j*n + i of state s
+    else:
+        r = n - 1
+        Y = S.reshape(k, r, r).transpose(0, 2, 1)
+        X = np.zeros((k, n, n))
+        X[:, 1:, 1:] = Y
+        X[:, 0, 0] = 2 - n + Y.sum(axis=(1, 2))
+        X[:, 0, 1:] = 1 - Y.sum(axis=1)
+        X[:, 1:, 0] = 1 - Y.sum(axis=2)
+    valid = (
+        np.all((X == 0) | (X == 1), axis=(1, 2))
+        & np.all(X.sum(axis=1) == 1, axis=1)
+        & np.all(X.sum(axis=2) == 1, axis=1)
+    )
+    assignments = np.where(valid[:, None], np.argmax(X, axis=1), -1)
+    return valid, assignments
+
+
+def decode(model: QuboModel, bits) -> PermutationMatrix | None:
+    """Map one model state back to a permutation matrix, or None if infeasible.
+
+    A single-state view of ``decode_states``, which holds the rules.
     """
     bits = np.asarray(bits)
     if bits.shape != (model.dim,):
         raise ValueError(f"state must have length {model.dim}, got shape {bits.shape}")
-    n = model.n
-    if model.formulation in ("baseline", "row_wise"):
-        X = bits.reshape(n, n, order="F")
-    else:
-        r = n - 1
-        Y = bits.reshape(r, r, order="F")
-        X = np.zeros((n, n))
-        X[1:, 1:] = Y
-        X[0, 0] = 2 - n + Y.sum()
-        X[0, 1:] = 1 - Y.sum(axis=0)
-        X[1:, 0] = 1 - Y.sum(axis=1)
-    if not np.all((X == 0) | (X == 1)):
-        return None
-    if np.any(X.sum(axis=0) != 1) or np.any(X.sum(axis=1) != 1):
-        return None
-    return PermutationMatrix(n, np.argmax(X, axis=0))
+    valid, assignments = decode_states(model, bits[None, :])
+    return PermutationMatrix(model.n, assignments[0]) if valid[0] else None
 
 
 def reduced_bits(perm: PermutationMatrix) -> np.ndarray:

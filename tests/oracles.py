@@ -6,6 +6,7 @@ dense matrix exponentials.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -111,3 +112,81 @@ def dense_hamiltonian(pair, u):
 
 def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+
+
+def decode_loops(formulation, n, bits):
+    """Assignment tuple encoded by a model state, or None when infeasible.
+
+    baseline/row_wise bit j*n + i is X[i][j]; an inserted state holds the
+    interior X[1:, 1:] column-major, and the first row and column follow
+    from the sum-to-one constraints.
+    """
+    X = [[0] * n for _ in range(n)]
+    if formulation == "inserted":
+        r = n - 1
+        for i in range(r):
+            for j in range(r):
+                X[i + 1][j + 1] = bits[j * r + i]
+        X[0][0] = 2 - n + sum(bits)
+        for j in range(r):
+            X[0][j + 1] = 1 - sum(bits[j * r + i] for i in range(r))
+        for i in range(r):
+            X[i + 1][0] = 1 - sum(bits[j * r + i] for j in range(r))
+    else:
+        for i in range(n):
+            for j in range(n):
+                X[i][j] = bits[j * n + i]
+    for i in range(n):
+        for j in range(n):
+            if X[i][j] not in (0, 1):
+                return None
+    for i in range(n):
+        if sum(X[i][j] for j in range(n)) != 1 or sum(X[j][i] for j in range(n)) != 1:
+            return None
+    return tuple(next(i for i in range(n) if X[i][j] == 1) for j in range(n))
+
+
+def _flip_delta_loops(Q, q, x, k):
+    """Energy change of flipping bit k of x, from two full loop energies."""
+    y = list(x)
+    y[k] = 1 - y[k]
+    return energy_loops(Q, q, y) - energy_loops(Q, q, x)
+
+
+def sa_loops(model, sweeps, runs, seed, schedule=None):
+    """Final states of scalar single-flip Metropolis runs, one run at a time.
+
+    Run r draws from the generator seeded by (seed, 1 + r): its initial
+    state with one ``integers(0, 2, size=dim)`` call, then one uniform per
+    flip attempt, in sweep order and variable order within a sweep.  A
+    flip is accepted when dE <= 0 or u < exp(-dE / T) (exponent clipped to
+    [-700, 50]); T cools geometrically from T_hi to T_lo.  By default T_hi
+    is the largest |dE| of a flip over 64 states drawn from (seed, 0) and
+    T_lo = 1e-3 T_hi.  Returns the final states as tuples, run by run.
+    """
+    dim = model.dim
+    Q, q = model.Q.tolist(), model.q.tolist()
+    if schedule is None:
+        rng = np.random.default_rng([seed, 0])
+        sample = rng.integers(0, 2, size=(64, dim)).tolist()
+        t_hi = max(abs(_flip_delta_loops(Q, q, x, k)) for x in sample for k in range(dim))
+        t_hi = t_hi if t_hi > 0 else 1.0
+        t_lo = 1e-3 * t_hi
+    else:
+        t_hi, t_lo = schedule
+    if sweeps == 1:
+        temps = [t_hi]
+    else:
+        temps = [t_hi * (t_lo / t_hi) ** (s / (sweeps - 1)) for s in range(sweeps)]
+    finals = []
+    for r in range(runs):
+        rng = np.random.default_rng([seed, 1 + r])
+        x = [int(b) for b in rng.integers(0, 2, size=dim)]
+        for T in temps:
+            for k in range(dim):
+                u = rng.random()
+                dE = _flip_delta_loops(Q, q, x, k)
+                if dE <= 0.0 or u < math.exp(min(50.0, max(-700.0, -dE / T))):
+                    x[k] = 1 - x[k]
+        finals.append(tuple(x))
+    return finals

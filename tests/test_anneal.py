@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,20 @@ class TestMeasure:
         assert sum(e.count for e in samples.entries) == 500
 
 
+def integer_model(dim, formulation, n, seed):
+    """Non-symmetric Q and q with integer entries in [-3, 3]."""
+    rng = np.random.default_rng(seed)
+    return QuboModel(dim=dim, Q=rng.integers(-3, 4, size=(dim, dim)), q=rng.integers(-3, 4, size=dim),
+                     offset=1.0, formulation=formulation, n=n)
+
+
+def float_model(dim, formulation, n, seed):
+    """Non-symmetric Q and q with standard normal entries."""
+    rng = np.random.default_rng(seed)
+    return QuboModel(dim=dim, Q=rng.normal(size=(dim, dim)), q=rng.normal(size=dim),
+                     offset=0.0, formulation=formulation, n=n)
+
+
 class TestSimulatedAnnealing:
     def test_flat_landscape_reaches_zero(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
@@ -288,6 +303,22 @@ class TestSimulatedAnnealing:
             observed[idx] = e.count
         chi2 = scipy.stats.chisquare(observed, expected)
         assert chi2.pvalue > 0.01
+
+    @pytest.mark.parametrize("make_model, sweeps, runs, schedule", [
+        (lambda: integer_model(9, "baseline", 3, 81), 6, 20, (4.0, 0.2)),
+        (lambda: integer_model(9, "inserted", 4, 82), 1, 20, None),
+        (lambda: float_model(4, "baseline", 2, 83), 1, 17, (1.5, 0.1)),
+        (lambda: float_model(9, "row_wise", 3, 84), 5, 20, (2.0, 0.05)),
+        (lambda: build_formulation(random_instance(3, 85), "inserted"), 8, 20, None),
+        (lambda: build_formulation(random_instance(3, 86), "baseline"), 3, 11, None),
+    ], ids=["int-baseline", "int-inserted-1-sweep", "float-baseline-1-sweep", "float-row_wise",
+            "built-inserted", "built-baseline"])
+    def test_final_states_match_scalar_loop_oracle(self, make_model, sweeps, runs, schedule):
+        # same per-run draws, one flip decision at a time with loop energies
+        model = make_model()
+        samples = simulated_annealing(model, sweeps=sweeps, runs=runs, seed=5, schedule=schedule)
+        expected = Counter(oracles.sa_loops(model, sweeps=sweeps, runs=runs, seed=5, schedule=schedule))
+        assert {e.bits: e.count for e in samples.entries} == dict(expected)
 
     def test_validation(self):
         model = build_baseline(random_instance(2, 77))

@@ -99,6 +99,15 @@ class TestRunExperiment:
                 if res["success"]:
                     assert res["normalized_energy"] <= 1e-9
 
+    def test_optimal_result_priced_exactly_zero(self):
+        # f_opt and the result's own energy sum in different orders; on this
+        # instance the difference is -4.44e-16 unless pricing clamps it
+        spec = small_spec(num_instances=1, seed=2)
+        report = run_experiment(spec)
+        for res in report.instances[0]["results"]:
+            assert res["success"]
+            assert res["normalized_energy"] == 0.0
+
     def test_worst_permutation_pricing(self):
         # an all-invalid sample set must be charged the worst permutation
         spec = small_spec(num_instances=1)

@@ -18,6 +18,7 @@ from permqubo import (
     build_row_wise,
     coupling_report,
     decode,
+    decode_states,
     enumerate_states,
     exhaustive_minimum,
     export_sparse,
@@ -328,6 +329,56 @@ class TestDecode:
         model = build_baseline(inst)
         with pytest.raises(ValueError):
             decode(model, np.array([1, 0, 0]))
+
+
+@st.composite
+def decode_batches(draw):
+    """A formulation, n and a (k, dim) batch of states to decode.
+
+    Each state is random bits, a vectorized permutation, or a vectorized
+    permutation with one bit flipped.
+    """
+    formulation = draw(st.sampled_from(ALL_FORMULATIONS))
+    n = draw(st.integers(2, 5))
+    r = n - 1
+    dim = r * r if formulation == "inserted" else n * n
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("bits", "permutation", "flipped")))
+        if kind == "bits":
+            states.append(draw(st.lists(st.integers(0, 1), min_size=dim, max_size=dim)))
+            continue
+        x = oracles.vec_assignment(n, draw(st.permutations(range(n))))
+        if formulation == "inserted":
+            x = [x[(j + 1) * n + i + 1] for j in range(r) for i in range(r)]
+        if kind == "flipped":
+            x[draw(st.integers(0, dim - 1))] ^= 1
+        states.append(x)
+    return formulation, n, np.array(states, dtype=np.int8)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(decode_batches())
+def test_decode_states_matches_loop_decoder(batch):
+    formulation, n, states = batch
+    dim = states.shape[1]
+    model = QuboModel(dim=dim, Q=np.zeros((dim, dim)), q=np.zeros(dim), offset=0.0,
+                      formulation=formulation, n=n)
+    valid, assignments = decode_states(model, states)
+    assert valid.shape == (len(states),) and assignments.shape == (len(states), n)
+    for s, bits in enumerate(states.tolist()):
+        expected = oracles.decode_loops(formulation, n, bits)
+        assert bool(valid[s]) == (expected is not None)
+        assert tuple(assignments[s]) == (expected if expected is not None else (-1,) * n)
+        perm = decode(model, states[s])
+        assert (None if perm is None else tuple(perm.assignment)) == expected
+
+
+def test_decode_states_rejects_wrong_shapes():
+    model = build_baseline(random_instance(2, 52))
+    for states in (np.zeros(4), np.zeros((3, 5)), np.zeros((3, 3)), np.zeros((2, 2, 4))):
+        with pytest.raises(ValueError, match="states must have shape"):
+            decode_states(model, states)
 
 
 class TestSpin:
