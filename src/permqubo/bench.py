@@ -78,6 +78,29 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
 
 
+def _check_solver_params(params) -> None:
+    """Refuse a solver_params mapping with an unknown key or an out-of-range value."""
+    if not isinstance(params, dict):
+        raise ValueError(f"solver_params must be a mapping, got {params!r}")
+    unknown = sorted(set(params) - set(SOLVER_DEFAULTS))
+    if unknown:
+        raise ValueError(
+            f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
+        )
+    for key in ("runs", "sweeps", "shots", "slices", "steps"):
+        value = params.get(key)
+        if key in params and not (_is_count(value) or key == "steps" and value is None):
+            raise ValueError(f"solver_params {key} must be an integer >= 1, got {value!r}")
+    tau = params.get("tau")
+    if "tau" in params and not (_is_number(tau) and np.isfinite(tau) and tau > 0):
+        raise ValueError(f"solver_params tau must be finite and positive, got {tau!r}")
+    schedule = params.get("schedule")
+    if schedule is not None and not (
+        len(schedule) == 2 and all(np.isfinite(t) and t > 0 for t in schedule)
+    ):
+        raise ValueError(f"solver_params schedule must be null or two positive numbers, got {schedule!r}")
+
+
 @dataclass
 class ExperimentSpec:
     """Configuration of one benchmark run."""
@@ -116,26 +139,7 @@ class ExperimentSpec:
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
-        if not isinstance(self.solver_params, dict):
-            raise ValueError(f"solver_params must be a mapping, got {self.solver_params!r}")
-        unknown = sorted(set(self.solver_params) - set(SOLVER_DEFAULTS))
-        if unknown:
-            raise ValueError(
-                f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
-            )
-        params = self.solver_params
-        for key in ("runs", "sweeps", "shots", "slices", "steps"):
-            value = params.get(key)
-            if key in params and not (_is_count(value) or key == "steps" and value is None):
-                raise ValueError(f"solver_params {key} must be an integer >= 1, got {value!r}")
-        tau = params.get("tau")
-        if "tau" in params and not (_is_number(tau) and np.isfinite(tau) and tau > 0):
-            raise ValueError(f"solver_params tau must be finite and positive, got {tau!r}")
-        schedule = params.get("schedule")
-        if schedule is not None and not (
-            len(schedule) == 2 and all(np.isfinite(t) and t > 0 for t in schedule)
-        ):
-            raise ValueError(f"solver_params schedule must be null or two positive numbers, got {schedule!r}")
+        _check_solver_params(self.solver_params)
 
     def to_dict(self) -> dict:
         return {

@@ -108,21 +108,7 @@ def _check_output_paths(args) -> None:
             raise ValueError(f"output {path} is a directory")
 
 
-def _resolve_format(args, allowed: tuple, default: str) -> str:
-    """Output format from --format, falling back to the --out extension."""
-    fmt = args.format
-    if fmt == "auto":
-        suffix = Path(args.out).suffix.lower().lstrip(".")
-        fmt = suffix if suffix in allowed else default
-    if fmt not in allowed:
-        raise ValueError(
-            f"{args.command} writes {' or '.join(allowed)} output, not {fmt!r}"
-        )
-    return fmt
-
-
 def cmd_build(args) -> int:
-    _resolve_format(args, ("json",), "json")
     inst = _load_instance(args.instance)
     model = build_formulation(inst, args.formulation, args.scale)
     bounds = penalty_bounds(inst)
@@ -157,10 +143,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    fmt = _resolve_format(args, ("csv", "json"), "csv")
     inst = _load_instance(args.instance)
     scales = [float(s) for s in args.scales.split(",")]
     out = Path(args.out)
+    fmt = "json" if out.suffix.lower() == ".json" else "csv"
     summaries = []
     outputs = []
     for scale in scales:
@@ -191,7 +177,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _resolve_format(args, ("json",), "json")
+    params = {k: v for k, v in vars(args).items() if k in SOLVER_DEFAULTS and v is not None}
+    bench._check_solver_params(params)
     if not (args.qubo or args.instance):
         raise ValueError("solve needs --instance (or --qubo)")
     inst = _load_instance(args.instance) if args.instance else None
@@ -200,9 +187,10 @@ def cmd_solve(args) -> int:
     else:
         model = build_formulation(inst, args.formulation, args.scale)
     if inst is not None:
+        if model.n != inst.n:
+            raise ValueError(f"model {args.qubo} has n={model.n}, but the instance has n={inst.n}")
         bench._check_solver_size(inst.n, (model.formulation,), args.solver)
 
-    params = {k: v for k, v in vars(args).items() if k in SOLVER_DEFAULTS and v is not None}
     samples = bench._solve(model, args.solver, params, args.seed)
     samples.metadata["provenance"] = _provenance(
         args.seed, [p for p in (args.qubo, args.instance) if p]
@@ -233,7 +221,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _resolve_format(args, ("json",), "json")
+    if args.spec and args.preset:
+        raise ValueError("bench takes --spec or --preset, not both")
+    if args.n is not None and not args.preset:
+        raise ValueError("--n sets a preset's instance size; it needs --preset")
     if args.preset:
         spec = preset_spec(args.preset, n=args.n, seed=args.seed)
     else:
@@ -285,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
-        p.add_argument("--format", choices=("auto", "json", "csv"), default="auto",
-                       help="output format (default: inferred from --out extension)")
 
     p = sub.add_parser("build", help="build an unconstrained model from an instance file")
     p.add_argument("--instance", required=True)
@@ -302,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", required=True, choices=FORMULATIONS)
     p.add_argument("--scales", default="1.0", help="comma-separated penalty scales")
     p.add_argument("--samples", type=int, default=64)
-    p.add_argument("--out", required=True, help="CSV output path (suffixed per scale)")
+    p.add_argument("--out", required=True,
+                   help="CSV output path (suffixed per scale); a .json path gets one JSON file")
     p.add_argument("--summary-out", help="optional JSON summary path")
     common(p)
     p.set_defaults(func=cmd_gap)

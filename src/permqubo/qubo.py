@@ -46,21 +46,12 @@ BOUND_MARGIN = 1e-6
 EXHAUSTIVE_MAX_BITS = 20
 
 
-@dataclass
-class ConstraintSystem:
-    """Row/column sum constraints A x = b characterising vec'd permutations."""
-
-    n: int
-    A: np.ndarray
-    b: np.ndarray
-
-
-def build_constraints(n: int) -> ConstraintSystem:
-    """Constraint matrix A = [Id (x) 1^T ; 1^T (x) Id] and b = 1.
+def build_constraints(n: int) -> np.ndarray:
+    """Constraint matrix A = [Id (x) 1^T ; 1^T (x) Id] of A x = 1.
 
     Under the column-major vec convention the first n rows sum the
     columns of X and the last n rows sum the rows of X; a binary vector
-    satisfies A x = b exactly when it encodes a permutation matrix.
+    satisfies A x = 1 exactly when it encodes a permutation matrix.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -68,7 +59,7 @@ def build_constraints(n: int) -> ConstraintSystem:
     A = np.zeros((2 * n, n * n))
     A[k // n, k] = 1.0
     A[n + k % n, k] = 1.0
-    return ConstraintSystem(n=n, A=A, b=np.ones(2 * n))
+    return A
 
 
 def _model_dim(formulation: str, n: int) -> int:
@@ -163,13 +154,13 @@ def penalty_bounds(inst: QapInstance) -> PenaltyBounds:
 
     # A row's largest flip cost is max(A * D) over that row, since D >= 0.
     D = _flip_costs(inst.W, inst.c)
-    lam_rows = (build_constraints(n).A * D).max(axis=1) + 0.5 * float(D.max())
+    lam_rows = (build_constraints(n) * D).max(axis=1) + 0.5 * float(D.max())
 
     if n >= 2:
         W_red, c_red, _ = _data_part("inserted", inst)
         D_red = _flip_costs(W_red, c_red)
         lam2 = 0.5 * float(D_red.max())
-        lam1 = 0.5 * (build_constraints(n - 1).A * D_red).max(axis=1) + lam2
+        lam1 = 0.5 * (build_constraints(n - 1) * D_red).max(axis=1) + lam2
     else:
         lam1, lam2 = np.zeros(0), 0.0
     return PenaltyBounds(float(lam0), lam_rows, lam1, lam2)
@@ -295,68 +286,44 @@ def _effective_penalties(bounds: np.ndarray | float, scale: float):
     return scale * (1.0 + BOUND_MARGIN) * bounds
 
 
-def _penalised(inst: QapInstance, formulation: str, rows: np.ndarray, lams: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray) -> QuboModel:
-    """The objective part plus sum_i lams_i (s_i - lo_i)(s_i - hi_i), s = rows @ x.
+def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -> QuboModel:
+    """The objective part plus sum_i lam_i (s_i - lo_i)(s_i - hi_i), s = rows @ x.
 
-    Expanded, Q gains rows^T diag(lams) rows, q loses rows^T (lams (lo + hi))
-    and the offset gains sum_i lams_i lo_i hi_i.
+    baseline and row_wise penalise the rows of A with roots (1, 1): one
+    global lam = scale * lam0 * (1 + margin), or one lam_i per row.
+    inserted works over the (n-1)^2 interior bits; the objective is the
+    exact polynomial f(T y + t), each reduced row/column group g is
+    charged lam1_g * S_g (S_g - 1) and the total bit sum S is charged
+    lam2 * (S - (n-1)) (S - (n-2)).  Every penalty vanishes exactly on
+    encodings of permutations.
+
+    Expanded, Q gains rows^T diag(lam) rows, q loses rows^T (lam (lo + hi))
+    and the offset gains sum_i lam_i lo_i hi_i.
     """
+    n = inst.n
+    if formulation not in FORMULATIONS:
+        raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
+    if formulation == "inserted" and n < 2:
+        raise ValueError("the inserted formulation requires n >= 2")
+    bounds = penalty_bounds(inst)
+    if formulation == "inserted":
+        groups = build_constraints(n - 1)
+        rows = np.vstack([groups, np.ones((1, groups.shape[1]))])
+        lams = _effective_penalties(np.append(bounds.lambda1, bounds.lambda2), scale)
+        lo = np.append(np.zeros(len(groups)), n - 2.0)
+        hi = np.append(np.ones(len(groups)), n - 1.0)
+    else:
+        rows = build_constraints(n)
+        lo = hi = np.ones(2 * n)
+        if formulation == "baseline":
+            lams = np.full(2 * n, _effective_penalties(bounds.lambda_baseline, scale))
+        else:
+            lams = _effective_penalties(bounds.lambda_rows, scale)
     Q, q, const = _data_part(formulation, inst)
     Q = Q + rows.T @ (lams[:, None] * rows)
     q = q - rows.T @ (lams * (lo + hi))
     offset = const + float(lams @ (lo * hi))
-    return QuboModel(rows.shape[1], Q, q, offset, formulation, inst.n)
-
-
-def build_baseline(inst: QapInstance, scale: float = 1.0) -> QuboModel:
-    """Single-penalty model f(x) + lam ||A x - b||^2.
-
-    lam = scale * lam0 * (1 + margin) on every row of A, roots (1, 1).
-    """
-    cs = build_constraints(inst.n)
-    lam = _effective_penalties(penalty_bounds(inst).lambda_baseline, scale)
-    return _penalised(inst, "baseline", cs.A, np.full(len(cs.b), lam), cs.b, cs.b)
-
-
-def build_row_wise(inst: QapInstance, scale: float = 1.0) -> QuboModel:
-    """Per-constraint penalties f(x) + sum_i lam_i (a_i x - 1)^2."""
-    cs = build_constraints(inst.n)
-    lams = _effective_penalties(penalty_bounds(inst).lambda_rows, scale)
-    return _penalised(inst, "row_wise", cs.A, lams, cs.b, cs.b)
-
-
-def build_inserted(inst: QapInstance, scale: float = 1.0) -> QuboModel:
-    """Eliminated-variable model over the (n-1)^2 interior bits.
-
-    The objective is the exact polynomial f(T y + t); the exclusion
-    penalty charges lam1_g * S_g (S_g - 1) for the bit sum S_g of each
-    reduced row/column group g, and the cardinality penalty charges
-    lam2 * (S - (n-1)) (S - (n-2)) for the total bit sum S.  Both vanish
-    exactly on encodings of permutations.
-    """
-    n = inst.n
-    if n < 2:
-        raise ValueError("the inserted formulation requires n >= 2")
-    bounds = penalty_bounds(inst)
-    groups = build_constraints(n - 1).A
-    rows = np.vstack([groups, np.ones((1, groups.shape[1]))])
-    lams = _effective_penalties(np.append(bounds.lambda1, bounds.lambda2), scale)
-    lo = np.append(np.zeros(len(groups)), n - 2.0)
-    hi = np.append(np.ones(len(groups)), n - 1.0)
-    return _penalised(inst, "inserted", rows, lams, lo, hi)
-
-
-def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -> QuboModel:
-    """Dispatch to one of the three builders by name."""
-    builders = {
-        "baseline": build_baseline,
-        "row_wise": build_row_wise,
-        "inserted": build_inserted,
-    }
-    if formulation not in builders:
-        raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
-    return builders[formulation](inst, scale)
+    return QuboModel(rows.shape[1], Q, q, offset, formulation, n)
 
 
 def decode_states(model: QuboModel, states) -> tuple[np.ndarray, np.ndarray]:
@@ -366,23 +333,17 @@ def decode_states(model: QuboModel, states) -> tuple[np.ndarray, np.ndarray]:
     (k, n) array whose row s is the assignment of state s (-1 throughout
     when state s is infeasible).  baseline/row_wise states are reshaped
     column-major and checked for 0/1 entries with unit row/column sums.
-    inserted states first rebuild the eliminated first row and column;
-    any rebuilt entry outside {0, 1} marks the state infeasible.
+    inserted states are first lifted to full coordinates, x = T y + t;
+    any lifted entry outside {0, 1} marks the state infeasible.
     """
     S = np.asarray(states)
     if S.ndim != 2 or S.shape[1] != model.dim:
         raise ValueError(f"states must have shape (k, {model.dim}), got {S.shape}")
     n, k = model.n, S.shape[0]
-    if model.formulation in ("baseline", "row_wise"):
-        X = S.reshape(k, n, n).transpose(0, 2, 1)  # X[s, i, j] = bit j*n + i of state s
-    else:
-        r = n - 1
-        Y = S.reshape(k, r, r).transpose(0, 2, 1)
-        X = np.zeros((k, n, n))
-        X[:, 1:, 1:] = Y
-        X[:, 0, 0] = 2 - n + Y.sum(axis=(1, 2))
-        X[:, 0, 1:] = 1 - Y.sum(axis=1)
-        X[:, 1:, 0] = 1 - Y.sum(axis=2)
+    if model.formulation == "inserted":
+        T, t = _elimination_map(n)
+        S = S @ T.T + t
+    X = S.reshape(k, n, n).transpose(0, 2, 1)  # X[s, i, j] = bit j*n + i of state s
     valid = (
         np.all((X == 0) | (X == 1), axis=(1, 2))
         & np.all(X.sum(axis=1) == 1, axis=1)

@@ -3,7 +3,17 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from permqubo import QapInstance
+from permqubo import QapInstance, QuboModel
+
+
+def _coefficients(draw, k, integer, zero_share):
+    """k values from {-2, ..., 2} or +-10^e (|e| <= 6), each zeroed with probability zero_share."""
+    if integer:
+        value = st.integers(-2, 2).map(float)
+    else:
+        value = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.integers(-6, 6))
+    entries = draw(st.lists(st.tuples(value, st.floats(0.0, 1.0)), min_size=k, max_size=k))
+    return np.array([v if keep >= zero_share else 0.0 for v, keep in entries])
 
 
 @st.composite
@@ -12,15 +22,10 @@ def adversarial_instances(draw, sizes=(2, 3)):
     n = draw(st.sampled_from(sizes))
     m = n * n
     integer = draw(st.booleans())
-    if integer:
-        value = st.integers(-2, 2).map(float)
-    else:
-        value = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from((-1.0, 1.0)), st.integers(-6, 6))
     zero_share = draw(st.sampled_from((0.0, 0.5, 0.9)))
     k = m * m + m
     if n <= 3:
-        entries = draw(st.lists(st.tuples(value, st.floats(0.0, 1.0)), min_size=k, max_size=k))
-        flat = np.array([v if keep >= zero_share else 0.0 for v, keep in entries])
+        flat = _coefficients(draw, k, integer, zero_share)
     else:
         # Drawn one by one, n >= 4 overruns hypothesis's input buffer; the
         # same distribution comes from a drawn seed instead.
@@ -34,3 +39,27 @@ def adversarial_instances(draw, sizes=(2, 3)):
     if draw(st.booleans()):
         W = np.triu(W)  # all couplings on one side of the diagonal
     return QapInstance(n, W, c)
+
+
+# (formulation, n, dim) of every model shape with at most 9 variables.
+SMALL_MODELS = (
+    ("baseline", 1, 1), ("inserted", 2, 1), ("baseline", 2, 4),
+    ("inserted", 3, 4), ("row_wise", 3, 9), ("inserted", 4, 9),
+)
+
+
+@st.composite
+def adversarial_models(draw, symmetric=True):
+    """A (QuboModel, integer) pair: Q, q and offset drawn like adversarial_instances' W and c.
+
+    ``integer`` tells whether every coefficient is drawn from {-2, ..., 2},
+    so that exact arithmetic can be demanded.
+    """
+    formulation, n, dim = draw(st.sampled_from(SMALL_MODELS))
+    integer = draw(st.booleans())
+    zero_share = draw(st.sampled_from((0.0, 0.5, 0.9)))
+    flat = _coefficients(draw, dim * dim + dim + 1, integer, zero_share)
+    Q = flat[: dim * dim].reshape(dim, dim)
+    if symmetric:
+        Q = np.triu(Q) + np.triu(Q, 1).T
+    return QuboModel(dim, Q, flat[dim * dim:-1], flat[-1], formulation, n), integer

@@ -17,10 +17,8 @@ from permqubo import (
     SampleSet,
     SpinModel,
     brute_force_qap,
-    build_baseline,
     build_formulation,
     build_hamiltonians,
-    build_inserted,
     decode,
     evolve,
     evolve_trotter,
@@ -107,7 +105,7 @@ class TestEvolve:
     def test_matvecs_per_step(self, monkeypatch):
         # about 11 products with H(u) per step on this pair; a fixed
         # 24-vector basis takes 28 (24 per substep)
-        spin, _ = normalize_couplings(to_spin(build_baseline(random_instance(3, 82))))
+        spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 82), "baseline")))
         pair = build_hamiltonians(spin)
         calls = []
         apply = HamiltonianPair.apply
@@ -119,7 +117,7 @@ class TestEvolve:
 
     def test_norm_conservation(self):
         inst = random_instance(3, 70)
-        spin, _ = normalize_couplings(to_spin(build_inserted(inst)))
+        spin, _ = normalize_couplings(to_spin(build_formulation(inst, "inserted")))
         pair = build_hamiltonians(spin)
         norms = []
         evolve(pair, AnnealSchedule(tau=20.0), callback=lambda k, u, p, nm: norms.append(nm))
@@ -131,7 +129,7 @@ class TestEvolve:
 
     def test_ground_state_probability_grows_with_tau(self):
         inst = random_instance(2, 71)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         spin, _ = normalize_couplings(to_spin(model))
         pair = build_hamiltonians(spin)
         gs = int(np.argmin(pair.problem_diagonal))
@@ -227,7 +225,7 @@ class TestMeasure:
 
     def test_energy_bookkeeping(self):
         inst = random_instance(2, 72)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         rng = np.random.default_rng(6)
         state = rng.normal(size=16) + 1j * rng.normal(size=16)
         state /= np.linalg.norm(state)
@@ -241,7 +239,7 @@ class TestMeasure:
         rng = np.random.default_rng(7)
         state = rng.normal(size=16)
         state = state / np.linalg.norm(state)
-        model = build_baseline(random_instance(2, 73))
+        model = build_formulation(random_instance(2, 73), "baseline")
         samples = measure(state, shots=500, seed=11, model=model)
         energies = [e.energy for e in samples.entries]
         assert energies == sorted(energies)
@@ -265,7 +263,7 @@ def float_model(dim, formulation, n, seed):
 class TestSimulatedAnnealing:
     def test_flat_landscape_reaches_zero(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         samples = simulated_annealing(model, sweeps=10, runs=20, seed=1)
         assert all(e.energy == 0.0 for e in samples.entries)
 
@@ -321,7 +319,7 @@ class TestSimulatedAnnealing:
         assert {e.bits: e.count for e in samples.entries} == dict(expected)
 
     def test_validation(self):
-        model = build_baseline(random_instance(2, 77))
+        model = build_formulation(random_instance(2, 77), "baseline")
         with pytest.raises(ValueError):
             simulated_annealing(model, sweeps=0, runs=1, seed=0)
         with pytest.raises(ValueError):
@@ -331,7 +329,7 @@ class TestSimulatedAnnealing:
 class TestSuccessAndSampleSet:
     def test_random_guess_reference_exact(self):
         inst3 = random_instance(3, 78)
-        model = build_baseline(inst3)
+        model = build_formulation(inst3, "baseline")
         bits, _ = np.zeros(9, dtype=int), None
         entry = SampleEntry(bits=tuple(bits), energy=0.0, count=1, valid=False, assignment=None)
         samples = SampleSet(entries=[entry], total=1)
@@ -346,7 +344,7 @@ class TestSuccessAndSampleSet:
     def test_all_optimal_sample_set(self):
         inst = random_instance(3, 80)
         best, _ = brute_force_qap(inst)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         bits = vectorize(best)
         entry = SampleEntry(
             bits=tuple(int(b) for b in bits), energy=model.energy(bits), count=7,
@@ -366,7 +364,7 @@ class TestSuccessAndSampleSet:
 
     def test_sampleset_json_and_histogram(self, tmp_path):
         inst = random_instance(2, 81)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         samples = simulated_annealing(model, sweeps=20, runs=30, seed=5)
         path = tmp_path / "samples.json"
         samples.save(path)

@@ -11,7 +11,7 @@ from permqubo import (
     SampleSet,
     SizeCapError,
     brute_force_qap,
-    build_baseline,
+    build_formulation,
     generate_instances,
     mean_color_sorting_instance,
     preset_spec,
@@ -136,7 +136,7 @@ class TestRunExperiment:
     def test_sparsity_keeps_penalty_connectivity(self):
         dense = generate_instances(small_spec(num_instances=1))[0]
         sparse = generate_instances(small_spec(num_instances=1, sparsity=0.5))[0]
-        md, ms = build_baseline(dense), build_baseline(sparse)
+        md, ms = build_formulation(dense, "baseline"), build_formulation(sparse, "baseline")
         pattern_d = (md.Q - (dense.W + dense.W.T) / 2) != 0
         pattern_s = (ms.Q - (sparse.W + sparse.W.T) / 2) != 0
         assert np.array_equal(pattern_d, pattern_s)

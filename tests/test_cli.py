@@ -140,11 +140,6 @@ class TestGap:
                        check=True, capture_output=True, timeout=120)
         assert first.read_bytes() == second.read_bytes()
 
-    def test_format_mismatch_exit_2(self, tmp_path):
-        _, path = write_instance(tmp_path, 2, 62)
-        assert main(["build", "--instance", str(path), "--formulation", "baseline",
-                     "--out", str(tmp_path / "m.json"), "--format", "csv"]) == 2
-
     def test_qubit_cap_exit_4(self, tmp_path, capsys):
         _, path = write_zero_instance(tmp_path, 5)
         assert main(["gap", "--instance", str(path), "--formulation", "baseline",
@@ -218,6 +213,33 @@ class TestSolve:
                          "--runs", "2", "--sweeps", "1", "--out", str(out)])
         assert code == 4
         sa.assert_not_called()
+        assert not out.exists()
+
+    def test_solver_param_out_of_range_refused_before_solving(self, tmp_path, capsys):
+        _, path = write_instance(tmp_path, 2, 16)
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.bench.evolve") as evolve:
+            code = main(["solve", "--instance", str(path), "--solver", "schrodinger",
+                         "--shots", "0", "--out", str(out)])
+        assert code == 2
+        evolve.assert_not_called()
+        assert "shots" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_size_mismatch_refused_before_solving(self, tmp_path, capsys):
+        _, path3 = write_instance(tmp_path, 3, 17, name="i3.json")
+        _, path4 = write_instance(tmp_path, 4, 18, name="i4.json")
+        model_path = tmp_path / "m3.json"
+        assert main(["build", "--instance", str(path3), "--formulation", "baseline",
+                     "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.bench.simulated_annealing") as sa:
+            code = main(["solve", "--qubo", str(model_path), "--instance", str(path4),
+                         "--solver", "sa", "--out", str(out)])
+        assert code == 2
+        sa.assert_not_called()
+        assert "n=3" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_result_priced_at_worst_permutation(self, tmp_path):
@@ -433,6 +455,22 @@ class TestBenchAndReport:
 
     def test_bench_missing_spec_exit_2(self, tmp_path):
         assert main(["bench", "--out", str(tmp_path / "r.json")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--spec", "spec.json", "--preset", "gap-scan", "--n", "2"],
+        ["--spec", "spec.json", "--preset", "gap-scan"],
+        ["--spec", "spec.json", "--n", "2"],
+    ])
+    def test_bench_conflicting_inputs_refused_before_work(self, tmp_path, capsys, flags):
+        (tmp_path / "spec.json").write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0}))
+        flags = [str(tmp_path / f) if f == "spec.json" else f for f in flags]
+        out = tmp_path / "r.json"
+        with mock.patch("permqubo.cli.run_experiment") as run:
+            assert main(["bench", *flags, "--out", str(out)]) == 2
+        run.assert_not_called()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
 
     def test_report_renders_csv(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -5,17 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from strategies import adversarial_instances
+from strategies import adversarial_instances, adversarial_models
 from permqubo import (
     PermutationMatrix,
     QapInstance,
     QuboModel,
     brute_force_qap,
-    build_baseline,
     build_constraints,
     build_formulation,
-    build_inserted,
-    build_row_wise,
     coupling_report,
     decode,
     decode_states,
@@ -43,28 +40,26 @@ ALL_FORMULATIONS = ("baseline", "row_wise", "inserted")
 
 class TestConstraints:
     def test_n2_known_matrix(self):
-        cs = build_constraints(2)
+        A = build_constraints(2)
         expected = [[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]
-        assert cs.A.astype(int).tolist() == expected
-        assert cs.b.tolist() == [1.0, 1.0, 1.0, 1.0]
+        assert A.astype(int).tolist() == expected
 
     def test_n1_degenerate(self):
-        cs = build_constraints(1)
-        assert cs.A.tolist() == [[1.0], [1.0]]
-        assert cs.b.tolist() == [1.0, 1.0]
+        A = build_constraints(1)
+        assert A.tolist() == [[1.0], [1.0]]
 
     def test_structure_counts(self):
         for n in (2, 3, 4):
-            cs = build_constraints(n)
-            assert np.all(cs.A.sum(axis=0) == 2)  # each variable in two constraints
-            assert np.all(cs.A.sum(axis=1) == n)  # each constraint covers n variables
+            A = build_constraints(n)
+            assert np.all(A.sum(axis=0) == 2)  # each variable in two constraints
+            assert np.all(A.sum(axis=1) == n)  # each constraint covers n variables
 
     def test_feasible_set_is_exactly_the_permutations(self):
         n = 3
-        cs = build_constraints(n)
+        A = build_constraints(n)
         feasible = set()
         for bits in itertools.product((0, 1), repeat=9):
-            if np.array_equal(cs.A @ np.array(bits), cs.b):
+            if np.array_equal(A @ np.array(bits), np.ones(2 * n)):
                 feasible.add(bits)
         perms = {
             tuple(vectorize(PermutationMatrix(n, list(a))))
@@ -74,10 +69,10 @@ class TestConstraints:
 
     def test_permutations_satisfy_constraints(self):
         for n in (2, 3, 4):
-            cs = build_constraints(n)
+            A = build_constraints(n)
             for a in itertools.permutations(range(n)):
                 x = vectorize(PermutationMatrix(n, list(a)))
-                assert np.array_equal(cs.A @ x, cs.b)
+                assert np.array_equal(A @ x, np.ones(2 * n))
 
 
 class TestPenaltyBounds:
@@ -148,14 +143,14 @@ def test_penalty_bound_theorems(inst, scale):
 class TestBuilders:
     def test_baseline_zero_instance(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
-        model = build_baseline(inst, 1.0)
+        model = build_formulation(inst, "baseline", 1.0)
         assert np.all(model.Q == 0) and np.all(model.q == 0) and model.offset == 0
         states = enumerate_states(4)
         assert np.all(model.energies(states) == 0)
 
     def test_baseline_linear_minimizer(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.array([0.0, 1.0, 1.0, 0.0]))
-        model = build_baseline(inst, 1.0)
+        model = build_formulation(inst, "baseline", 1.0)
         bits, energy = exhaustive_minimum(model)
         assert bits.tolist() == [1, 0, 0, 1]
         assert energy == pytest.approx(0.0, abs=1e-12)
@@ -163,22 +158,22 @@ class TestBuilders:
     def test_baseline_matches_penalized_objective(self):
         # energy must equal f(x) + lam * ||A x - b||^2 for all binary x
         inst = random_instance(2, 42)
-        model = build_baseline(inst, 1.0)
-        cs = build_constraints(2)
+        model = build_formulation(inst, "baseline", 1.0)
+        A = build_constraints(2)
         lam = penalty_bounds(inst).lambda_baseline * (1 + 1e-6)
         sym = (inst.W + inst.W.T) / 2
         for bits in itertools.product((0, 1), repeat=4):
             x = np.array(bits, dtype=float)
-            expected = x @ sym @ x + inst.c @ x + lam * np.sum((cs.A @ x - cs.b) ** 2)
+            expected = x @ sym @ x + inst.c @ x + lam * np.sum((A @ x - np.ones(4)) ** 2)
             assert model.energy(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_row_wise_penalty_only_minimum_on_permutations(self):
         inst = QapInstance(3, np.zeros((9, 9)), np.zeros(9))
         # zero costs give zero bounds; use explicit unit penalties instead
-        cs = build_constraints(3)
-        Q = cs.A.T @ cs.A
-        q = -2.0 * cs.A.T @ cs.b
-        model = QuboModel(dim=9, Q=Q, q=q, offset=float(cs.b @ cs.b),
+        A, b = build_constraints(3), np.ones(6)
+        Q = A.T @ A
+        q = -2.0 * A.T @ b
+        model = QuboModel(dim=9, Q=Q, q=q, offset=float(b @ b),
                           formulation="row_wise", n=3)
         states = enumerate_states(9)
         energies = model.energies(states)
@@ -190,8 +185,8 @@ class TestBuilders:
 
     def test_row_wise_uniform_costs_same_argmin_as_baseline(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.ones(4))
-        base = build_baseline(inst, 1.0)
-        rows = build_row_wise(inst, 1.0)
+        base = build_formulation(inst, "baseline", 1.0)
+        rows = build_formulation(inst, "row_wise", 1.0)
         states = enumerate_states(4)
         eb = base.energies(states)
         er = rows.energies(states)
@@ -201,18 +196,18 @@ class TestBuilders:
 
     def test_row_wise_matches_penalized_objective(self):
         inst = random_instance(2, 43)
-        model = build_row_wise(inst, 1.0)
-        cs = build_constraints(2)
+        model = build_formulation(inst, "row_wise", 1.0)
+        A = build_constraints(2)
         lams = penalty_bounds(inst).lambda_rows * (1 + 1e-6)
         sym = (inst.W + inst.W.T) / 2
         for bits in itertools.product((0, 1), repeat=4):
             x = np.array(bits, dtype=float)
-            expected = x @ sym @ x + inst.c @ x + lams @ (cs.A @ x - cs.b) ** 2
+            expected = x @ sym @ x + inst.c @ x + lams @ (A @ x - np.ones(4)) ** 2
             assert model.energy(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_inserted_n2_single_variable(self):
         inst = random_instance(2, 44)
-        model = build_inserted(inst, 1.0)
+        model = build_formulation(inst, "inserted", 1.0)
         assert model.dim == 1
         for y in (0, 1):
             perm = decode(model, np.array([y]))
@@ -224,7 +219,7 @@ class TestBuilders:
 
     def test_inserted_exclusion_support_n3(self):
         inst = random_instance(3, 45)
-        model = build_inserted(inst, 1.0)
+        model = build_formulation(inst, "inserted", 1.0)
         assert model.dim == 4
         from permqubo.qubo import _data_part
 
@@ -245,17 +240,17 @@ class TestBuilders:
     def test_inserted_requires_n_at_least_2(self):
         inst = QapInstance(1, np.zeros((1, 1)), np.zeros(1))
         with pytest.raises(ValueError):
-            build_inserted(inst, 1.0)
+            build_formulation(inst, "inserted", 1.0)
 
     def test_scale_must_be_positive(self):
         inst = random_instance(2, 46)
         with pytest.raises(ValueError):
-            build_baseline(inst, 0.0)
+            build_formulation(inst, "baseline", 0.0)
 
     def test_scale_below_one_warns(self):
         inst = random_instance(2, 47)
         with pytest.warns(UserWarning):
-            build_baseline(inst, 0.5)
+            build_formulation(inst, "baseline", 0.5)
 
     def test_feasible_states_pay_no_penalty(self):
         for seed in range(5):
@@ -295,19 +290,19 @@ class TestBuilders:
 class TestDecode:
     def test_baseline_identity(self):
         inst = random_instance(2, 48)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         perm = decode(model, np.array([1, 0, 0, 1]))
         assert perm.assignment.tolist() == [0, 1]
 
     def test_inserted_all_zero_invalid(self):
         inst = random_instance(3, 49)
-        model = build_inserted(inst)
+        model = build_formulation(inst, "inserted")
         # reconstructed top-left entry is 2 - 3 + 0 = -1
         assert decode(model, np.zeros(4, dtype=int)) is None
 
     def test_inserted_exactly_six_valid_states(self):
         inst = random_instance(3, 50)
-        model = build_inserted(inst)
+        model = build_formulation(inst, "inserted")
         states = enumerate_states(4)
         valid = [s for s in states if decode(model, s) is not None]
         assert len(valid) == 6
@@ -315,9 +310,9 @@ class TestDecode:
     def test_decode_vectorize_roundtrip(self):
         for n in (2, 3, 4):
             inst = QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n))
-            base = build_baseline(inst)
-            rows = build_row_wise(inst)
-            ins = build_inserted(inst)
+            base = build_formulation(inst, "baseline")
+            rows = build_formulation(inst, "row_wise")
+            ins = build_formulation(inst, "inserted")
             for a in itertools.permutations(range(n)):
                 perm = PermutationMatrix(n, list(a))
                 assert decode(base, vectorize(perm)).assignment.tolist() == list(a)
@@ -326,7 +321,7 @@ class TestDecode:
 
     def test_length_mismatch(self):
         inst = random_instance(2, 51)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         with pytest.raises(ValueError):
             decode(model, np.array([1, 0, 0]))
 
@@ -375,7 +370,7 @@ def test_decode_states_matches_loop_decoder(batch):
 
 
 def test_decode_states_rejects_wrong_shapes():
-    model = build_baseline(random_instance(2, 52))
+    model = build_formulation(random_instance(2, 52), "baseline")
     for states in (np.zeros(4), np.zeros((3, 5)), np.zeros((3, 3)), np.zeros((2, 2, 4))):
         with pytest.raises(ValueError, match="states must have shape"):
             decode_states(model, states)
@@ -397,7 +392,7 @@ class TestSpin:
 
     def test_exhaustive_correspondence_row_wise_n3(self):
         inst = random_instance(3, 52)
-        model = build_row_wise(inst)
+        model = build_formulation(inst, "row_wise")
         spin = to_spin(model)
         states = enumerate_states(9)
         eb = model.energies(states)
@@ -413,7 +408,7 @@ class TestSpin:
 
     def test_normalize_couplings_ranges(self):
         inst = random_instance(3, 53)
-        spin = to_spin(build_baseline(inst))
+        spin = to_spin(build_formulation(inst, "baseline"))
         normed, factor = normalize_couplings(spin)
         assert factor > 0
         assert np.abs(normed.Q_s).max() <= 1.0 + 1e-12
@@ -428,29 +423,64 @@ class TestSpin:
         assert factor == 1.0 and np.all(normed.Q_s == 0)
 
 
+def _coefficient_mass(model):
+    return np.abs(model.Q).sum() + np.abs(model.q).sum() + abs(model.offset)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(drawn=adversarial_models())
+def test_binary_spin_energy_identity(drawn):
+    # s = 2x - 1 carries every binary energy over, offset included;
+    # exactly so when all coefficients are small integers
+    model, integer = drawn
+    pairs = oracles.enumerate_qubo_loops(model)
+    bits = np.array([b for b, _ in pairs], dtype=float)
+    spin_energies = to_spin(model).energies(2.0 * bits - 1.0)
+    tol = 0.0 if integer else 1e-12 * _coefficient_mass(model)
+    for e_spin, (b, e_loop) in zip(spin_energies, pairs):
+        assert abs(e_spin - e_loop) <= tol, b
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(drawn=adversarial_models(symmetric=False), offset=st.floats(-1e12, 1e12))
+def test_sparse_export_import_round_trip(drawn, offset, tmp_path_factory):
+    # the text export keeps every binary energy and the exact offset
+    model, integer = drawn
+    model.offset = offset
+    path = tmp_path_factory.getbasetemp() / "round_trip.qubo"
+    export_sparse(model, path)
+    back = import_sparse(path, model.formulation, model.n)
+    assert back.offset == model.offset
+    assert back.dim == model.dim
+    tol = 0.0 if integer else 1e-12 * _coefficient_mass(model)
+    for (b, e), (_, e_back) in zip(oracles.enumerate_qubo_loops(model),
+                                   oracles.enumerate_qubo_loops(back)):
+        assert abs(e_back - e) <= tol, b
+
+
 class TestCouplingReport:
     def test_zero_instance_not_applicable(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
-        report = coupling_report(build_baseline(inst), inst)
+        report = coupling_report(build_formulation(inst, "baseline"), inst)
         assert report.ratio_quadratic is None
         assert report.ratio_linear is None
         assert report.quadratic_problem == (0.0, 0.0)
 
     def test_baseline_linear_ratio_is_large_n4(self):
         inst = random_instance(4, 54)
-        report = coupling_report(build_baseline(inst), inst)
+        report = coupling_report(build_formulation(inst, "baseline"), inst)
         assert report.ratio_linear is not None and report.ratio_linear > 100
 
     def test_row_wise_ratio_below_baseline(self):
         inst = random_instance(3, 55)
-        rb = coupling_report(build_baseline(inst), inst)
-        rr = coupling_report(build_row_wise(inst), inst)
+        rb = coupling_report(build_formulation(inst, "baseline"), inst)
+        rr = coupling_report(build_formulation(inst, "row_wise"), inst)
         assert rr.ratio_linear < rb.ratio_linear
         assert rr.ratio_quadratic < rb.ratio_quadratic
 
     def test_scaled_ranges_within_hardware_window(self):
         inst = random_instance(3, 56)
-        report = coupling_report(build_row_wise(inst), inst)
+        report = coupling_report(build_formulation(inst, "row_wise"), inst)
         total_q = max(abs(report.quadratic_problem[0] + report.quadratic_penalty[0]),
                       abs(report.quadratic_problem[1] + report.quadratic_penalty[1]))
         assert report.scale_factor > 0
@@ -466,7 +496,7 @@ class TestEnumerationAndExports:
 
     def test_exhaustive_matches_loop_oracle(self):
         inst = random_instance(2, 57)
-        model = build_baseline(inst)
+        model = build_formulation(inst, "baseline")
         bits, emin = exhaustive_minimum(model)
         pairs = oracles.enumerate_qubo_loops(model)
         oracle_min = min(e for _, e in pairs)
@@ -474,7 +504,7 @@ class TestEnumerationAndExports:
 
     def test_model_json_roundtrip_exact(self, tmp_path):
         inst = random_instance(3, 58)
-        model = build_row_wise(inst)
+        model = build_formulation(inst, "row_wise")
         path = tmp_path / "model.json"
         model.save(path)
         back = QuboModel.load(path)
@@ -485,7 +515,7 @@ class TestEnumerationAndExports:
 
     def test_sparse_export_energy_equivalent(self, tmp_path):
         inst = random_instance(2, 59)
-        model = build_inserted(inst)
+        model = build_formulation(inst, "inserted")
         path = tmp_path / "model.qubo"
         export_sparse(model, path)
         text = path.read_text()
@@ -503,6 +533,6 @@ class TestEnumerationAndExports:
 
     def test_model_hash_stable(self):
         inst = random_instance(2, 60)
-        m1 = build_baseline(inst)
-        m2 = build_baseline(inst)
+        m1 = build_formulation(inst, "baseline")
+        m2 = build_formulation(inst, "baseline")
         assert m1.content_hash() == m2.content_hash()

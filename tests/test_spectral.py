@@ -8,10 +8,8 @@ from permqubo import (
     QapInstance,
     SizeCapError,
     SpinModel,
-    build_baseline,
     build_formulation,
     build_hamiltonians,
-    build_row_wise,
     gap_profile,
     spectral_gap,
     to_spin,
@@ -47,7 +45,7 @@ class TestProblemHamiltonian:
 
     def test_diagonal_matches_spin_enumeration(self):
         inst = random_instance(3, 61)
-        spin = to_spin(build_row_wise(inst))
+        spin = to_spin(build_formulation(inst, "row_wise"))
         pair = build_hamiltonians(spin)
         spins = 2.0 * enumerate_states(9) - 1.0
         energies = np.array([spin.energy(s) for s in spins[:64]])
@@ -122,7 +120,7 @@ class TestTwoLowest:
             assert e1 == pytest.approx(dense[1], abs=1e-8)
 
     def test_reruns_are_bit_identical(self):
-        pair = build_hamiltonians(to_spin(build_baseline(random_instance(3, 66))))
+        pair = build_hamiltonians(to_spin(build_formulation(random_instance(3, 66), "baseline")))
         assert pair.num_qubits == 9
         first = spectral_gap(pair, num_samples=9)
         second = spectral_gap(pair, num_samples=9)
@@ -179,7 +177,7 @@ class TestGapProfile:
 
     def test_degenerate_optimum_reports_zero_gap(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
-        pair = build_hamiltonians(to_spin(build_baseline(inst)))
+        pair = build_hamiltonians(to_spin(build_formulation(inst, "baseline")))
         with pytest.warns(UserWarning):
             profile = spectral_gap(pair, num_samples=5)
         assert profile.gaps()[-1] == 0.0  # both permutations share the ground energy
@@ -213,7 +211,7 @@ class TestGapProfile:
 
     def test_csv_and_summary_outputs(self, tmp_path):
         inst = random_instance(2, 65)
-        profile = gap_profile(build_baseline(inst), num_samples=9)
+        profile = gap_profile(build_formulation(inst, "baseline"), num_samples=9)
         csv_path = tmp_path / "profile.csv"
         profile.to_csv(csv_path)
         lines = csv_path.read_text().strip().splitlines()
