@@ -7,6 +7,11 @@ tau is the total evolution time and u(t) follows a piecewise-linear
 schedule path.  Both simulators and the classical sampler produce
 SampleSets: multisets of binary states with energies, counts and
 permutation-validity flags.
+
+Pricing lives here too: ``price`` and ``success_probability`` score a
+SampleSet against the exact optimum f_opt, all valid entries in one batch.
+An entry is optimal when its energy is at most f_opt + ENERGY_RTOL *
+max(1, |f_opt|); ``price`` charges an invalid modal entry f_worst.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dger
 
 from .errors import SizeCapError, SolverError
-from .qap import PermutationMatrix, QapInstance, brute_force_qap, qap_energy, vectorize
+from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
 from .spectral import HamiltonianPair
 
@@ -387,8 +392,8 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     else:
         temps = t_hi * (t_lo / t_hi) ** (np.arange(sweeps) / (sweeps - 1))
 
-    # Batch runs, bounded by the memory of the pregenerated uniforms.
-    chunk = max(1, min(runs, int(2**24 // max(1, sweeps * dim))))
+    # Batch runs, bounded by the memory of the pregenerated uniforms (2^21 doubles, 16 MB).
+    chunk = max(1, min(runs, int(2**21 // max(1, sweeps * dim))))
     final_states = np.empty((runs, dim), dtype=np.int8)
     for start in range(0, runs, chunk):
         stop = min(runs, start + chunk)
@@ -463,25 +468,61 @@ class SuccessReport:
         }
 
 
+@dataclass
+class Pricing:
+    """One solver run priced against the instance's exact optimum."""
+
+    most_frequent: SampleEntry
+    normalized_energy: float  # 0 = optimal; the worst permutation's when invalid
+    success: bool
+    valid: bool
+    report: SuccessReport
+
+
+def _above_optimum(inst: QapInstance, assignments, f_opt: float) -> np.ndarray:
+    """Energy minus f_opt of each row of a (k, n) batch of column assignments, clamped at 0.
+
+    Row r puts the ones of x at positions j*n + assignments[r, j], so its
+    energy x^T W x + c^T x is one gather of W and c.  f_opt is the exact
+    minimum, so a few ulps below it are rounding.
+    """
+    n = inst.n
+    A = np.asarray(assignments, dtype=int)
+    if A.ndim != 2 or A.shape[1] != n:
+        raise ValueError(f"assignments must have shape (k, {n}), got {A.shape}")
+    if np.any(np.sort(A, axis=1) != np.arange(n)):
+        raise ValueError("assignment must be a bijection on {0,...,n-1}")
+    idx = np.arange(n) * n + A
+    energies = inst.W[idx[:, :, None], idx[:, None, :]].sum(axis=(1, 2)) + inst.c[idx].sum(axis=1)
+    return np.maximum(energies - f_opt, 0.0)
+
+
+def _score(samples: SampleSet, inst: QapInstance, f_opt: float):
+    """Valid entries, their energies above f_opt (one batch), their optimality, and the report."""
+    valid = [e for e in samples.entries if e.assignment is not None]
+    above = _above_optimum(inst, [e.assignment for e in valid], f_opt) if valid else np.zeros(0)
+    optimal = above <= ENERGY_RTOL * max(1.0, abs(f_opt))  # the one optimality rule
+    hits = sum(e.count for e, ok in zip(valid, optimal.tolist()) if ok)
+    report = SuccessReport(hits / samples.total, Fraction(1, factorial(inst.n)), inst.n, f_opt)
+    return valid, above, optimal, report
+
+
 def success_probability(samples: SampleSet, inst: QapInstance,
                         f_opt: float | None = None) -> SuccessReport:
     """Score a SampleSet against the exact optimum f_opt of the instance.
 
-    f_opt is computed by brute force when the caller does not pass it.
+    f_opt comes from the exact oracle when the caller does not pass it.
     """
     if f_opt is None:
-        _, f_opt = brute_force_qap(inst)
-    tol = ENERGY_RTOL * max(1.0, abs(f_opt))
-    hits = 0
-    for entry in samples.entries:
-        if entry.assignment is None:
-            continue
-        perm = PermutationMatrix(inst.n, np.asarray(entry.assignment, dtype=int))
-        if qap_energy(inst, vectorize(perm)) <= f_opt + tol:
-            hits += entry.count
-    return SuccessReport(
-        probability=hits / samples.total,
-        reference=Fraction(1, factorial(inst.n)),
-        n=inst.n,
-        f_opt=f_opt,
-    )
+        _, f_opt, _, _ = permutation_extremes(inst)
+    return _score(samples, inst, f_opt)[3]
+
+
+def price(samples: SampleSet, inst: QapInstance, f_opt: float, f_worst: float) -> Pricing:
+    """Price the most frequent entry of ``samples``, charging f_worst when invalid."""
+    valid, above, optimal, report = _score(samples, inst, f_opt)
+    mf = most_frequent(samples)
+    k = next((k for k, e in enumerate(valid) if e is mf), None)
+    if k is None:
+        return Pricing(mf, f_worst - f_opt, False, False, report)
+    return Pricing(mf, float(above[k]), bool(optimal[k]), True, report)

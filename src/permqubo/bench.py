@@ -3,10 +3,10 @@
 A spec fixes the instance distribution (size, count, sparsity, seed),
 the formulations and penalty scales to compare, and the solver; the
 report collects per-instance normalised energies (0 = optimal), success
-flags and optional spectral-gap minima, plus their aggregates.  When a
-solver returns a state that does not decode to a permutation, the
-energy of the worst permutation is charged instead, so invalid outputs
-are priced rather than dropped.
+flags and optional spectral-gap minima, plus their aggregates.  Each
+solver run is priced by ``anneal.price``, which holds the one optimality
+rule; an invalid output is charged the worst permutation's energy
+f_worst, so invalid outputs are priced rather than dropped.
 """
 
 from __future__ import annotations
@@ -20,31 +20,19 @@ import numpy as np
 
 from . import __version__
 from .anneal import (
-    ENERGY_RTOL,
     EVOLVE_MAX_QUBITS,
     AnnealSchedule,
-    SampleEntry,
     SampleSet,
-    SuccessReport,
+    _make_entries,
     evolve,
     evolve_trotter,
     measure,
-    most_frequent,
+    price,
     simulated_annealing,
-    success_probability,
 )
 from .errors import SizeCapError, _check_json_types
-from .qap import (
-    BRUTE_FORCE_MAX_N,
-    DistanceData,
-    PermutationMatrix,
-    QapInstance,
-    isometric_cost,
-    permutation_extremes,
-    qap_energy,
-    vectorize,
-)
-from .qubo import build_formulation, decode, normalize_couplings, to_spin, exhaustive_minimum
+from .qap import BRUTE_FORCE_MAX_N, DistanceData, QapInstance, isometric_cost, permutation_extremes
+from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_minimum
 from .qubo import EXHAUSTIVE_MAX_BITS, FORMULATIONS, _model_dim
 from .spectral import MAX_QUBITS, build_hamiltonians, gap_profile
 from .provenance import sha256_of_text
@@ -227,16 +215,9 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     """Run ``solver`` on ``model``; ``params`` overrides SOLVER_DEFAULTS."""
     params = {k: params.get(k, default) for k, (default, _) in SOLVER_DEFAULTS.items()}
     if solver == "brute":
-        bits, energy = exhaustive_minimum(model)
-        perm = decode(model, bits)
-        entry = SampleEntry(
-            bits=tuple(int(b) for b in bits),
-            energy=energy,
-            count=1,
-            valid=perm is not None,
-            assignment=None if perm is None else tuple(int(a) for a in perm.assignment),
-        )
-        return SampleSet(entries=[entry], total=1, metadata={"solver": "brute"})
+        bits, _ = exhaustive_minimum(model)
+        entries = _make_entries(bits[None, :], np.ones(1, dtype=int), model)
+        return SampleSet(entries=entries, total=1, metadata={"solver": "brute"})
     if solver == "sa":
         return simulated_annealing(
             model,
@@ -259,32 +240,6 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     samples.metadata["solver"] = solver
     samples.metadata["schedule"] = {"tau": sched.tau, "path": [list(p) for p in sched.path], **resolution}
     return samples
-
-
-@dataclass
-class Pricing:
-    """One solver run priced against the instance's exact optimum."""
-
-    most_frequent: SampleEntry
-    normalized_energy: float  # 0 = optimal; the worst permutation's when invalid
-    success: bool
-    valid: bool
-    report: SuccessReport
-
-
-def price(samples: SampleSet, inst: QapInstance, f_opt: float, f_worst: float) -> Pricing:
-    """Price the most frequent entry of ``samples``, charging f_worst when invalid."""
-    mf = most_frequent(samples)
-    valid = mf.assignment is not None
-    if valid:
-        perm = PermutationMatrix(inst.n, np.asarray(mf.assignment, dtype=int))
-        # f_opt is the exact minimum, so a few ulps below it are rounding.
-        normalized = max(0.0, qap_energy(inst, vectorize(perm)) - f_opt)
-        success = normalized <= ENERGY_RTOL * max(1.0, abs(f_opt))
-    else:
-        normalized = f_worst - f_opt
-        success = False
-    return Pricing(mf, normalized, bool(success), valid, success_probability(samples, inst, f_opt))
 
 
 def _run_instance(spec: ExperimentSpec, index: int, inst: QapInstance) -> dict:

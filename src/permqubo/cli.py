@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, bench
-from .anneal import most_frequent
+from .anneal import most_frequent, price
 from .bench import (
     PRESETS,
     SOLVER_DEFAULTS,
@@ -28,7 +28,6 @@ from .bench import (
     BenchReport,
     ExperimentSpec,
     preset_spec,
-    price,
     run_experiment,
 )
 from .errors import SizeCapError, SolverError
@@ -181,11 +180,14 @@ def cmd_solve(args) -> int:
     bench._check_solver_params(params)
     if not (args.qubo or args.instance):
         raise ValueError("solve needs --instance (or --qubo)")
+    if args.qubo and (args.formulation is not None or args.scale is not None):
+        raise ValueError("--qubo fixes the formulation and scale; drop --formulation and --scale")
     inst = _load_instance(args.instance) if args.instance else None
     if args.qubo:
         model = QuboModel.load(args.qubo)
     else:
-        model = build_formulation(inst, args.formulation, args.scale)
+        model = build_formulation(inst, args.formulation or "baseline",
+                                  1.0 if args.scale is None else args.scale)
     if inst is not None:
         if model.n != inst.n:
             raise ValueError(f"model {args.qubo} has n={model.n}, but the instance has n={inst.n}")
@@ -300,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a solver and report the sample distribution")
     p.add_argument("--instance", help="instance JSON (enables success statistics)")
     p.add_argument("--qubo", help="prebuilt model JSON (instead of building)")
-    p.add_argument("--formulation", default="baseline", choices=FORMULATIONS)
-    p.add_argument("--scale", type=float, default=1.0)
+    # Unset, they mean baseline at scale 1; a --qubo model fixes both.
+    p.add_argument("--formulation", choices=FORMULATIONS)
+    p.add_argument("--scale", type=float)
     p.add_argument("--solver", required=True, choices=SOLVERS)
     # Solver flags left unset take bench.SOLVER_DEFAULTS.
     p.add_argument("--tau", type=float)

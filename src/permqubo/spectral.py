@@ -31,11 +31,9 @@ basis index is the i-th least significant bit and maps to spin -1 when
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -132,9 +130,6 @@ class GapProfile:
         out = {"min_gap": self.min_gap, "argmin_t": self.argmin_t}
         out.update(extra)
         return out
-
-    def save_summary(self, path, **extra) -> None:
-        Path(path).write_text(json.dumps(self.summary(**extra), sort_keys=True), encoding="utf-8")
 
 
 def build_hamiltonians(model: SpinModel) -> HamiltonianPair:

@@ -190,3 +190,31 @@ def sa_loops(model, sweeps, runs, seed, schedule=None):
                     x[k] = 1 - x[k]
         finals.append(tuple(x))
     return finals
+
+
+def price_per_entry(samples, inst, f_opt, f_worst):
+    """Per-entry pricing: each valid entry through PermutationMatrix, vectorize and qap_energy.
+
+    An entry is optimal when its energy is at most f_opt + 1e-9 * max(1, |f_opt|).
+    Returns (modal entry, normalized energy, success, valid, success
+    probability); the modal entry has the highest count, ties going to
+    lower energy and then to lexicographically smaller bits, and an
+    invalid one is charged f_worst.
+    """
+    from permqubo import PermutationMatrix, qap_energy, vectorize
+
+    tol = 1e-9 * max(1.0, abs(f_opt))
+
+    def energy(entry):
+        perm = PermutationMatrix(inst.n, np.asarray(entry.assignment, dtype=int))
+        return qap_energy(inst, vectorize(perm))
+
+    hits = 0
+    for entry in samples.entries:
+        if entry.assignment is not None and energy(entry) <= f_opt + tol:
+            hits += entry.count
+    modal = min(samples.entries, key=lambda e: (-e.count, e.energy, e.bits))
+    if modal.assignment is None:
+        return modal, f_worst - f_opt, False, False, hits / samples.total
+    normalized = max(0.0, energy(modal) - f_opt)
+    return modal, normalized, normalized <= tol, True, hits / samples.total

@@ -29,9 +29,10 @@ from permqubo import (
     to_spin,
     vectorize,
 )
-from permqubo import anneal
+from permqubo import anneal, permutation_extremes
 from permqubo.errors import SizeCapError
 from permqubo.qubo import QuboModel, enumerate_states, normalize_couplings
+from strategies import adversarial_instances
 
 
 def random_instance(n, seed):
@@ -384,3 +385,70 @@ class TestSuccessAndSampleSet:
         entry = SampleEntry(bits=(0,), energy=0.0, count=2, valid=True, assignment=(0,))
         with pytest.raises(ValueError):
             SampleSet(entries=[entry], total=3)
+
+
+@st.composite
+def priced_sample_sets(draw):
+    """(instance, f_opt, f_worst, sample set) for n = 1..5.
+
+    The entries mix invalid states, repeated optima, the worst permutation
+    and arbitrary permutations.  Counts and energies come from small
+    ranges, so the modal entry is often decided by a tie-break.
+    """
+    inst = draw(adversarial_instances(sizes=(1, 2, 3, 4, 5)))
+    best, f_opt, worst, f_worst = permutation_extremes(inst)
+    kinds = draw(st.lists(st.sampled_from(("invalid", "optimum", "worst", "any")), min_size=1, max_size=8))
+    entries = []
+    for k, kind in enumerate(kinds):
+        if kind == "any":
+            assignment = tuple(draw(st.permutations(range(inst.n))))
+        else:
+            assignment = {"invalid": None, "optimum": tuple(best.assignment.tolist()),
+                          "worst": tuple(worst.assignment.tolist())}[kind]
+        entries.append(SampleEntry(
+            bits=(k,), energy=draw(st.sampled_from((-1.0, 0.0, 1.0))), count=draw(st.integers(1, 3)),
+            valid=assignment is not None, assignment=assignment,
+        ))
+    return inst, f_opt, f_worst, SampleSet(entries=entries, total=sum(e.count for e in entries))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(drawn=priced_sample_sets())
+def test_batched_pricing_matches_per_entry_oracle(drawn):
+    inst, f_opt, f_worst, samples = drawn
+    modal, normalized, success, valid, probability = oracles.price_per_entry(samples, inst, f_opt, f_worst)
+    priced = anneal.price(samples, inst, f_opt, f_worst)
+    assert priced.most_frequent is modal
+    assert (priced.success, priced.valid, priced.report.probability) == (success, valid, probability)
+    # Relative to the largest |energy| any state can have.
+    scale = float(np.abs(inst.W).sum() + np.abs(inst.c).sum())
+    assert abs(priced.normalized_energy - normalized) <= 1e-12 * scale
+    assert priced.normalized_energy >= 0.0  # f_opt is the minimum; ulps below it are clamped
+    assert success_probability(samples, inst, f_opt).probability == probability
+    assert success_probability(samples, inst).probability == probability
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(1, 5), data=st.data())
+def test_pricing_refuses_assignment_that_is_no_permutation(n, data):
+    inst = random_instance(n, 90)
+    _, f_opt, _, f_worst = permutation_extremes(inst)
+    perm = list(data.draw(st.permutations(range(n))))
+    bad = data.draw(st.sampled_from(("long", "short", "out_of_range", "repeated")))
+    if bad == "long":
+        perm.append(0)
+    elif bad == "short":
+        perm.pop()
+    else:
+        p = data.draw(st.integers(0, n - 1))
+        choices = (-1, n) if bad == "out_of_range" or n == 1 else (perm[(p + 1) % n],)
+        perm[p] = data.draw(st.sampled_from(choices))
+    entries = [SampleEntry(bits=(0,), energy=0.0, count=1, valid=True, assignment=tuple(perm))]
+    if data.draw(st.booleans()):
+        entries.append(SampleEntry(bits=(1,), energy=0.0, count=1, valid=True,
+                                   assignment=tuple(range(n))))
+    samples = SampleSet(entries=entries, total=len(entries))
+    with pytest.raises(ValueError):
+        anneal.price(samples, inst, f_opt, f_worst)
+    with pytest.raises(ValueError):
+        success_probability(samples, inst, f_opt)

@@ -242,6 +242,22 @@ class TestSolve:
         assert "n=3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [["--formulation", "row_wise"], ["--scale", "2"]])
+    def test_qubo_with_formulation_or_scale_refused_before_loading(self, tmp_path, capsys, flag):
+        _, path = write_instance(tmp_path, 3, 19)
+        model_path = tmp_path / "model.json"
+        assert main(["build", "--instance", str(path), "--formulation", "baseline",
+                     "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "s.json"
+        with mock.patch.object(QuboModel, "load") as load:
+            code = main(["solve", "--qubo", str(model_path), *flag, "--solver", "sa",
+                         "--runs", "5", "--sweeps", "2", "--out", str(out)])
+        assert code == 2
+        load.assert_not_called()
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_result_priced_at_worst_permutation(self, tmp_path):
         inst, path = write_instance(tmp_path, 3, 13)
         _, f_opt = brute_force_qap(inst)

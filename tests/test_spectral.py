@@ -220,10 +220,7 @@ class TestGapProfile:
         first = lines[1].split(",")
         assert float(first[0]) == 0.0
         assert float(first[3]) == pytest.approx(2.0, abs=1e-8)
-        summary_path = tmp_path / "summary.json"
-        profile.save_summary(summary_path, formulation="baseline", scale=1.0)
-        import json
-
-        data = json.loads(summary_path.read_text())
-        assert data["min_gap"] == profile.min_gap
-        assert data["formulation"] == "baseline"
+        summary = profile.summary(formulation="baseline", scale=1.0)
+        assert summary["min_gap"] == profile.min_gap
+        assert summary["formulation"] == "baseline"
+        assert summary["scale"] == 1.0
