@@ -20,6 +20,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import ceil, factorial, isfinite
 from pathlib import Path
 
@@ -27,16 +28,15 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dger
 
-from .errors import SizeCapError, SolverError
+from .errors import SolverError, check_size
 from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
 from .spectral import HamiltonianPair
 
-EVOLVE_MAX_QUBITS = 12
-
 # Optimality comparisons between recomputed permutation energies.
 ENERGY_RTOL = 1e-9
 
+# A state whose norm drifted further than this from 1 is renormalised.
 _NORM_DRIFT = 1e-10
 # Hard cap on the Krylov basis of one propagator step.
 _KRYLOV_DIM = 24
@@ -70,6 +70,8 @@ class AnnealSchedule:
         pts = [(float(s), float(u)) for s, u in self.path]
         if len(pts) < 2:
             raise ValueError("path needs at least two breakpoints")
+        if not all(isfinite(v) for p in pts for v in p):
+            raise ValueError(f"path breakpoints must be finite, got {pts}")
         ss = [p[0] for p in pts]
         us = [p[1] for p in pts]
         if ss != sorted(ss):
@@ -143,6 +145,34 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     return (coef * norm_v) @ V[:used]
 
 
+def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, steps: int, step,
+                  callback=None) -> np.ndarray:
+    """The stepping loop shared by the state-vector simulators.
+
+    Starts from the uniform superposition (the mixer ground state) and
+    cuts the schedule into ``steps`` equal segments; segment k maps psi
+    to ``step(u, psi, dt)`` with u the path at the segment's midpoint.
+    Non-finite amplitudes raise SolverError, and a norm that drifted more
+    than _NORM_DRIFT from 1 is renormalised.  ``callback(k, u, psi, norm)``
+    receives the post-step state and its pre-renormalisation norm.
+    """
+    check_size("evolution", pair.num_qubits)
+    dim = pair.dim
+    psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
+    dt = sched.tau / steps
+    for k in range(steps):
+        u = sched.path_value((k + 0.5) / steps)
+        psi = step(u, psi, dt)
+        if not np.all(np.isfinite(psi.view(float))):
+            raise SolverError(f"non-finite amplitudes at step {k}")
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) > _NORM_DRIFT:
+            psi = psi / norm
+        if callback is not None:
+            callback(k, u, psi, norm)
+    return psi
+
+
 def _propagate(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> np.ndarray:
     nsub = max(1, ceil(abs(dt) * pair.norm_bound(u) / _STEP_BUDGET))
     sub = dt / nsub
@@ -163,27 +193,8 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.nd
     ``callback(step, u, psi, norm)`` receives the post-step state and its
     pre-renormalisation norm.
     """
-    if pair.num_qubits > EVOLVE_MAX_QUBITS:
-        raise SizeCapError(
-            f"state-vector evolution is limited to {EVOLVE_MAX_QUBITS} qubits, got {pair.num_qubits}"
-        )
-    dim = pair.dim
-    psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    steps = sched.effective_steps()
-    dt = sched.tau / steps
-    for k in range(steps):
-        u = sched.path_value((k + 0.5) / steps)
-        psi = _propagate(pair, u, psi, dt)
-        if not np.all(np.isfinite(psi.view(float))):
-            raise SolverError(
-                f"non-finite amplitudes at step {k}: integration step too large"
-            )
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > _NORM_DRIFT:
-            psi = psi / norm
-        if callback is not None:
-            callback(k, u, psi, norm)
-    return psi
+    return _step_through(pair, sched, sched.effective_steps(), partial(_propagate, pair),
+                         callback)
 
 
 def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
@@ -198,8 +209,14 @@ def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
     return t.reshape(-1)
 
 
-def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int,
-                   callback=None) -> np.ndarray:
+def _trotter_slice(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> np.ndarray:
+    theta = (1.0 - u) * dt / 2.0
+    psi = _mixer_rotation(psi, theta, pair.num_qubits)
+    psi = psi * np.exp(-1j * u * dt * pair.problem_diagonal)
+    return _mixer_rotation(psi, theta, pair.num_qubits)
+
+
+def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) -> np.ndarray:
     """Piecewise-constant evolution with a symmetric second-order splitting.
 
     The schedule is frozen on ``slices`` equal segments; each segment
@@ -209,28 +226,7 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int,
     """
     if slices < 1:
         raise ValueError(f"slices must be at least 1, got {slices}")
-    if pair.num_qubits > EVOLVE_MAX_QUBITS:
-        raise SizeCapError(
-            f"state-vector evolution is limited to {EVOLVE_MAX_QUBITS} qubits, got {pair.num_qubits}"
-        )
-    m = pair.num_qubits
-    dim = pair.dim
-    psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    dt = sched.tau / slices
-    for ell in range(slices):
-        u = sched.path_value((ell + 0.5) / slices)
-        theta = (1.0 - u) * dt / 2.0
-        psi = _mixer_rotation(psi, theta, m)
-        psi = psi * np.exp(-1j * u * dt * pair.problem_diagonal)
-        psi = _mixer_rotation(psi, theta, m)
-        if not np.all(np.isfinite(psi.view(float))):
-            raise SolverError(f"non-finite amplitudes in slice {ell}")
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > _NORM_DRIFT:
-            psi = psi / norm
-        if callback is not None:
-            callback(ell, u, psi, norm)
-    return psi
+    return _step_through(pair, sched, slices, partial(_trotter_slice, pair))
 
 
 @dataclass
@@ -385,8 +381,8 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
         t_lo = 1e-3 * t_hi
     else:
         t_hi, t_lo = float(schedule[0]), float(schedule[1])
-        if t_hi <= 0 or t_lo <= 0:
-            raise ValueError("temperatures must be positive")
+        if not all(isfinite(t) and t > 0 for t in (t_hi, t_lo)):
+            raise ValueError(f"temperatures must be finite and positive, got {schedule!r}")
     if sweeps == 1:
         temps = np.array([t_hi])
     else:

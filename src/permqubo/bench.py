@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .anneal import (
-    EVOLVE_MAX_QUBITS,
     AnnealSchedule,
     SampleSet,
     _make_entries,
@@ -30,14 +29,17 @@ from .anneal import (
     price,
     simulated_annealing,
 )
-from .errors import SizeCapError, _check_json_types
-from .qap import BRUTE_FORCE_MAX_N, DistanceData, QapInstance, isometric_cost, permutation_extremes
+from .errors import SIZE_CAPS, _check_json_types, check_size
+from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_minimum
-from .qubo import EXHAUSTIVE_MAX_BITS, FORMULATIONS, _model_dim
-from .spectral import MAX_QUBITS, build_hamiltonians, gap_profile
+from .qubo import FORMULATIONS, _model_dim
+from .spectral import build_hamiltonians, gap_profile
 from .provenance import sha256_of_text
 
 SOLVERS = ("brute", "sa", "schrodinger", "trotter")
+# The tightest cap of errors.SIZE_CAPS that each solver meets on the model's size.
+_SOLVER_CAPS = {"brute": ("enumeration",), "sa": (),
+                "schrodinger": ("evolution",), "trotter": ("evolution",)}
 
 # Every solver parameter: its default and its JSON type (see
 # errors._has_json_type).  A solver reads the keys it uses and ignores
@@ -199,16 +201,14 @@ def _instance_seed(seed: int, index: int) -> int:
 
 
 def _check_solver_size(n: int, formulations, solver: str, gaps: bool = False) -> None:
-    """Refuse, before any work, a run that would hit a size cap; ``gaps`` adds the gap profiles'."""
-    if n > BRUTE_FORCE_MAX_N:
-        raise SizeCapError(f"pricing needs the exact oracle, limited to n <= {BRUTE_FORCE_MAX_N}, got {n}")
+    """Refuse, before any work, a run that would hit a size cap: the oracle's on n, and
+    the solver's and (with ``gaps``) the gap profiles' on the largest model."""
     top = max(_model_dim(f, n) for f in formulations)
-    if solver == "brute" and top > EXHAUSTIVE_MAX_BITS:
-        raise SizeCapError(f"brute enumeration needs {top} bits, over its {EXHAUSTIVE_MAX_BITS}-bit cap")
-    if solver in ("schrodinger", "trotter") and top > EVOLVE_MAX_QUBITS:
-        raise SizeCapError(f"state vectors need {top} qubits, over the {EVOLVE_MAX_QUBITS}-qubit cap")
-    if gaps and top > MAX_QUBITS:
-        raise SizeCapError(f"gap profiles need {top} qubits, over the {MAX_QUBITS}-qubit cap")
+    sizes = dict.fromkeys(_SOLVER_CAPS[solver] + (("hamiltonian",) if gaps else ()), top)
+    sizes["oracle"] = n
+    for what in SIZE_CAPS:
+        if what in sizes:
+            check_size(what, sizes[what])
 
 
 def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:

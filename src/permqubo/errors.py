@@ -1,8 +1,24 @@
-"""Exception types and the JSON field check shared across the package."""
+"""Exception types, the size caps and the JSON field check shared across the package."""
 
 
 class SizeCapError(Exception):
     """A requested computation exceeds a hard size guard (qubit/state caps)."""
+
+
+# Every hard size guard: what -> (largest size allowed, its unit, what it limits).
+SIZE_CAPS = {
+    "oracle": (8, "element", "the exact oracle"),  # n! permutations of n elements
+    "enumeration": (20, "bit", "hypercube enumeration"),  # 2^20 states
+    "evolution": (12, "qubit", "state-vector evolution"),
+    "hamiltonian": (16, "qubit", "the annealing Hamiltonian"),  # gap profiles too
+}
+
+
+def check_size(what: str, size: int) -> None:
+    """Raise SizeCapError when ``size`` exceeds the cap SIZE_CAPS[what]."""
+    limit, unit, label = SIZE_CAPS[what]
+    if size > limit:
+        raise SizeCapError(f"{label} needs {size} {unit}s, over its {limit}-{unit} cap")
 
 
 class SolverError(RuntimeError):

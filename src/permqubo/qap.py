@@ -23,10 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types
-
-# Factorial enumeration guard for the exact solver (8! = 40320 candidates).
-BRUTE_FORCE_MAX_N = 8
+from .errors import _check_json_types, check_size
 
 # JSON type of each instance field (see errors._has_json_type).
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
@@ -212,13 +209,10 @@ def permutation_extremes(
     in lexicographic order.  Each step adds only column d's own cost and
     its couplings with the d columns already placed, O(n) per leaf.
     np.argmin/np.argmax return the first extreme, so ties go to the
-    lexicographically smallest assignment.  Guarded at n <= 8.
+    lexicographically smallest assignment.  n is capped (errors.SIZE_CAPS).
     """
     n = inst.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(
-            f"brute force enumeration is limited to n <= {BRUTE_FORCE_MAX_N}, got n={n}"
-        )
+    check_size("oracle", n)
     W4 = inst.W.reshape(n, n, n, n)  # W4[j, i, l, k] couples X[i, j] with X[k, l]
     pair = W4 + W4.transpose(2, 3, 0, 1)
     own = np.einsum("jiji->ji", W4) + inst.c.reshape(n, n)

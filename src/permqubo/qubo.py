@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SizeCapError, _check_json_types
+from .errors import _check_json_types, check_size
 from .qap import PermutationMatrix, QapInstance
 
 FORMULATIONS = ("baseline", "row_wise", "inserted")
@@ -41,9 +41,6 @@ FORMULATIONS = ("baseline", "row_wise", "inserted")
 # Relative inflation above the provable bounds: the guarantees require a
 # strict inequality, and a fixed margin makes "at the bound" testable.
 BOUND_MARGIN = 1e-6
-
-# Hypercube enumeration guard (2^20 states).
-EXHAUSTIVE_MAX_BITS = 20
 
 
 def build_constraints(n: int) -> np.ndarray:
@@ -374,11 +371,9 @@ def to_spin(model: QuboModel) -> SpinModel:
     """Change of variables s = 2x - 1.
 
     Q_s = Q/4 and q_s = (Q 1 + q)/2; the offset absorbs every constant
-    so binary and spin energies agree exactly on all states.  Requires a
-    symmetric Q (symmetrise first).
+    so binary and spin energies agree exactly on all states.  Q is
+    symmetrised first, which leaves x^T Q x unchanged for every Q.
     """
-    if not np.allclose(model.Q, model.Q.T, rtol=1e-12, atol=1e-12):
-        raise ValueError("to_spin requires a symmetric Q; symmetrize the model first")
     Q = (model.Q + model.Q.T) / 2.0
     Q_s = Q / 4.0
     q_s = 0.5 * (Q @ np.ones(model.dim) + model.q)
@@ -466,8 +461,7 @@ def coupling_report(model: QuboModel, inst: QapInstance) -> CouplingReport:
 
 def enumerate_states(dim: int) -> np.ndarray:
     """All binary states as a (2^dim, dim) array; bit i of index z is column i."""
-    if dim > EXHAUSTIVE_MAX_BITS:
-        raise SizeCapError(f"exhaustive enumeration is limited to {EXHAUSTIVE_MAX_BITS} bits")
+    check_size("enumeration", dim)
     z = np.arange(2**dim, dtype=np.int64)
     return ((z[:, None] >> np.arange(dim)) & 1).astype(np.int8)
 

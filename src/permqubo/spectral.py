@@ -39,10 +39,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_array
 
-from .errors import SizeCapError
+from .errors import check_size
 from .qubo import QuboModel, SpinModel, enumerate_states, normalize_couplings, to_spin
-
-MAX_QUBITS = 16
 
 # Two eigenvalues closer than this are treated as one degenerate level.
 DEGENERACY_TOL = 1e-10
@@ -104,6 +102,13 @@ class HamiltonianPair:
         return u * float(np.abs(self.problem_diagonal).max()) + (1.0 - u) * self.num_qubits
 
 
+def _gaps(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """e1 - e0, with each gap below DEGENERACY_TOL (a degenerate pair) set to 0."""
+    g = e1 - e0
+    g[g < DEGENERACY_TOL] = 0.0
+    return g
+
+
 @dataclass
 class GapProfile:
     """Two lowest eigenvalues sampled along the interpolation path."""
@@ -115,9 +120,7 @@ class GapProfile:
     argmin_t: float
 
     def gaps(self) -> np.ndarray:
-        g = self.e1 - self.e0
-        g[g < DEGENERACY_TOL] = 0.0
-        return g
+        return _gaps(self.e0, self.e1)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -135,10 +138,7 @@ class GapProfile:
 def build_hamiltonians(model: SpinModel) -> HamiltonianPair:
     """Tabulate the spin energy of every basis state as the problem diagonal."""
     m = model.num_variables
-    if m > MAX_QUBITS:
-        raise SizeCapError(
-            f"Hamiltonian construction is limited to {MAX_QUBITS} qubits, got {m}"
-        )
+    check_size("hamiltonian", m)
     spins = 2.0 * enumerate_states(m) - 1.0
     return HamiltonianPair(num_qubits=m, problem_diagonal=model.energies(spins))
 
@@ -237,7 +237,7 @@ def two_lowest_eigenvalues(pair: HamiltonianPair, u: float) -> tuple[float, floa
 def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
     """Sample the two lowest eigenvalues on a uniform grid over [0, 1].
 
-    Numerically degenerate pairs (|e1 - e0| < 1e-10) are reported as gap
+    Numerically degenerate pairs (see ``_gaps``) are reported as gap
     zero with a warning: a vanishing gap voids the usual guarantee that
     a slow interpolation tracks the ground state.
     """
@@ -248,16 +248,13 @@ def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
     e1 = np.empty(num_samples)
     for k, u in enumerate(ts):
         e0[k], e1[k] = two_lowest_eigenvalues(pair, float(u))
-    gaps = e1 - e0
-    degenerate = gaps < DEGENERACY_TOL
-    if np.any(degenerate):
+    gaps = _gaps(e0, e1)
+    if np.any(gaps == 0.0):
         warnings.warn(
             "degenerate levels along the path: gap reported as 0 where "
             f"|e1-e0| < {DEGENERACY_TOL}",
             stacklevel=2,
         )
-        gaps = gaps.copy()
-        gaps[degenerate] = 0.0
     idx = int(np.argmin(gaps))
     return GapProfile(
         ts=ts, e0=e0, e1=e1, min_gap=float(gaps[idx]), argmin_t=float(ts[idx])

@@ -63,6 +63,12 @@ class TestSchedule:
         with pytest.raises(ValueError):
             AnnealSchedule(tau=1.0, path=((0, 0.2), (1, 1)))
 
+    def test_rejects_non_finite_breakpoints(self):
+        nan = float("nan")
+        for path in (((0, 0), (nan, 0.5), (1, 1)), ((0, 0), (0.5, nan), (1, 1))):
+            with pytest.raises(ValueError, match="finite"):
+                AnnealSchedule(tau=1.0, path=path)
+
     def test_rejects_nonpositive_tau(self):
         for tau in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
@@ -325,6 +331,12 @@ class TestSimulatedAnnealing:
             simulated_annealing(model, sweeps=0, runs=1, seed=0)
         with pytest.raises(ValueError):
             simulated_annealing(model, sweeps=1, runs=1, seed=0, schedule=(0.0, 1.0))
+
+    def test_rejects_non_finite_temperatures(self):
+        model = build_formulation(random_instance(2, 77), "baseline")
+        for schedule in ((float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="finite"):
+                simulated_annealing(model, sweeps=2, runs=1, seed=0, schedule=schedule)
 
 
 class TestSuccessAndSampleSet:

@@ -1,26 +1,38 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
 from permqubo import (
+    AnnealSchedule,
     ExperimentSpec,
+    HamiltonianPair,
+    QapInstance,
     SampleEntry,
     SampleSet,
     SizeCapError,
+    SpinModel,
     brute_force_qap,
     build_formulation,
+    build_hamiltonians,
+    enumerate_states,
+    evolve,
+    evolve_trotter,
     generate_instances,
     mean_color_sorting_instance,
+    permutation_extremes,
     preset_spec,
     qap_energy,
     run_experiment,
     vectorize,
     worst_permutation,
 )
-from permqubo.bench import PRESETS, _run_instance
+from permqubo.bench import PRESETS, _check_solver_size, _run_instance
+from permqubo.errors import SIZE_CAPS
+from permqubo.qubo import _model_dim
 
 
 def small_spec(**overrides):
@@ -168,6 +180,48 @@ class TestRunExperiment:
         assert "chain_strength" in data["not_applicable"]
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + one row per (formulation, scale)
+
+
+def _zero_pair(m):
+    return HamiltonianPair(m, np.zeros(2**m))
+
+
+# Per cap: a problem of a given size, the solver-level entries that meet the
+# cap on it, and the smallest (n, formulation, solver, gaps) run that meets it.
+_CAP_ENTRIES = {
+    "oracle": (lambda n: QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n)),
+               [permutation_extremes], (9, "baseline", "sa", False)),
+    "enumeration": (lambda dim: dim, [enumerate_states], (5, "baseline", "brute", False)),
+    "evolution": (_zero_pair,
+                  [lambda pair: evolve(pair, AnnealSchedule(tau=1.0, steps=1)),
+                   lambda pair: evolve_trotter(pair, AnnealSchedule(tau=1.0), slices=1)],
+                  (4, "baseline", "trotter", False)),
+    "hamiltonian": (lambda m: SpinModel(np.zeros((m, m)), np.zeros(m), 0.0),
+                    [build_hamiltonians], (5, "baseline", "sa", True)),
+}
+
+
+@pytest.mark.parametrize("what", SIZE_CAPS)
+def test_size_cap_refused_before_allocating(what):
+    # each entry refuses one over its cap, and the run that meets the cap,
+    # before allocating; bench's up-front check refuses that run alike
+    make, entries, (n, formulation, solver, gaps) = _CAP_ENTRIES[what]
+    run_size = n if what == "oracle" else _model_dim(formulation, n)
+    for entry in entries:
+        for size in (SIZE_CAPS[what][0] + 1, run_size):
+            problem = make(size)
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeCapError) as refused:
+                    entry(problem)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # an entry that ran would first allocate 52 KB or more (n = 9's oracle table)
+            assert peak < 2**15
+        with pytest.raises(SizeCapError) as bench_refused:
+            _check_solver_size(n, (formulation,), solver, gaps)
+        assert str(bench_refused.value) == str(refused.value)
 
 
 class TestColorSorting:

@@ -10,6 +10,7 @@ from permqubo import (
     DistanceData,
     PermutationMatrix,
     QapInstance,
+    SizeCapError,
     brute_force_qap,
     isometric_cost,
     permutation_extremes,
@@ -120,9 +121,9 @@ class TestBruteForce:
 
     def test_size_guard(self):
         inst = QapInstance(9, np.zeros((81, 81)), np.zeros(81))
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeCapError):
             brute_force_qap(inst)
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeCapError):
             permutation_extremes(inst)
 
 

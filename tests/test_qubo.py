@@ -399,13 +399,6 @@ class TestSpin:
         es = spin.energies(2.0 * states - 1.0)
         assert np.allclose(eb, es, rtol=1e-12, atol=1e-10)
 
-    def test_rejects_asymmetric(self):
-        Q = np.zeros((4, 4))
-        Q[0, 1] = 1.0
-        model = QuboModel(dim=4, Q=Q, q=np.zeros(4), offset=0.0, formulation="baseline", n=2)
-        with pytest.raises(ValueError):
-            to_spin(model)
-
     def test_normalize_couplings_ranges(self):
         inst = random_instance(3, 53)
         spin = to_spin(build_formulation(inst, "baseline"))
@@ -428,10 +421,10 @@ def _coefficient_mass(model):
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
-@given(drawn=adversarial_models())
+@given(drawn=st.one_of(adversarial_models(), adversarial_models(symmetric=False)))
 def test_binary_spin_energy_identity(drawn):
-    # s = 2x - 1 carries every binary energy over, offset included;
-    # exactly so when all coefficients are small integers
+    # s = 2x - 1 carries every binary energy over, offset included, for a
+    # symmetric or asymmetric Q; exactly so when all coefficients are small integers
     model, integer = drawn
     pairs = oracles.enumerate_qubo_loops(model)
     bits = np.array([b for b, _ in pairs], dtype=float)
