@@ -17,12 +17,10 @@ max(1, |f_opt|); ``price`` charges an invalid modal entry f_worst.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import ceil, factorial, isfinite
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -271,12 +269,6 @@ class SampleSet:
             "entries": [e.to_dict() for e in self.entries],
             "metadata": self.metadata,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
 
     def histogram_csv(self, path, bins: int = 40) -> None:
         """Energy histogram with per-bin valid counts, ready for plotting."""

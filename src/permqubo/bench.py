@@ -29,9 +29,9 @@ from .anneal import (
     price,
     simulated_annealing,
 )
-from .errors import SIZE_CAPS, _check_json_types, check_size
+from .errors import SIZE_CAPS, _check_json_types, check_size, read_json
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
-from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_minimum
+from .qubo import build_formulation, check_scale, normalize_couplings, to_spin, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
 from .spectral import build_hamiltonians, gap_profile
 from .provenance import sha256_of_text
@@ -55,6 +55,15 @@ SOLVER_DEFAULTS = {
 _SPEC_TYPES = {
     "n": int, "num_instances": int, "seed": int, "formulations": [str], "scales": [float],
     "sparsity": float, "solver": str, "solver_params": dict, "gap_samples": int,
+}
+# JSON type of each report field that `report` reads, per level.
+_REPORT_TYPES = {"spec": dict, "instances": [dict], "aggregates": dict, "provenance": dict}
+_AGGREGATE_TYPES = {"mean_normalized_energy": float, "mean_success": float,
+                    "mean_min_gap": (None, float)}
+_RECORD_TYPES = {"instance": int, "results": [dict]}
+_RESULT_TYPES = {
+    "formulation": str, "scale": float, "normalized_energy": float, "success": bool,
+    "success_fraction": float, "valid": bool, "min_gap": (None, float),
 }
 
 
@@ -110,7 +119,7 @@ class ExperimentSpec:
         self.num_instances = int(self.num_instances)
         self.seed = int(self.seed)
         self.formulations = tuple(self.formulations)
-        self.scales = tuple(float(s) for s in self.scales)
+        self.scales = tuple(check_scale(s) for s in self.scales)
         self.sparsity = float(self.sparsity)
         self.gap_samples = int(self.gap_samples)
         if self.num_instances < 1:
@@ -122,9 +131,6 @@ class ExperimentSpec:
                 raise ValueError(f"unknown formulation {f!r}")
         if not self.scales:
             raise ValueError("scales must be nonempty")
-        for s in self.scales:
-            if not (np.isfinite(s) and s > 0.0):
-                raise ValueError(f"scales must be finite and positive, got {s}")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.solver not in SOLVERS:
@@ -146,23 +152,19 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
-        if not isinstance(data, dict):
-            raise ValueError(f"experiment spec must be a JSON object, got {data!r}")
-        for key in ("n", "num_instances", "seed"):
-            if key not in data:
-                raise ValueError(f"experiment spec is missing field {key!r}")
+        _check_json_types(data, _SPEC_TYPES, "experiment spec",
+                          required=("n", "num_instances", "seed"))
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown experiment spec key(s) {unknown}")
-        _check_json_types(data, _SPEC_TYPES, "experiment spec")
         _check_json_types(data.get("solver_params", {}),
                           {k: kind for k, (_, kind) in SOLVER_DEFAULTS.items()},
-                          "experiment spec solver_params")
+                          "experiment spec solver_params", required=())
         return cls(**data)
 
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls.from_dict)
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8")
@@ -200,12 +202,13 @@ def _instance_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _check_solver_size(n: int, formulations, solver: str, gaps: bool = False) -> None:
-    """Refuse, before any work, a run that would hit a size cap: the oracle's on n, and
-    the solver's and (with ``gaps``) the gap profiles' on the largest model."""
-    top = max(_model_dim(f, n) for f in formulations)
-    sizes = dict.fromkeys(_SOLVER_CAPS[solver] + (("hamiltonian",) if gaps else ()), top)
-    sizes["oracle"] = n
+def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool = False) -> None:
+    """Refuse, before any work, a run that would hit a size cap: the solver's and (with
+    ``gaps``) the gap profiles' on the largest model's ``dim``, and, when an instance of
+    size ``n`` is priced, the oracle's on n."""
+    sizes = dict.fromkeys(_SOLVER_CAPS[solver] + (("hamiltonian",) if gaps else ()), dim)
+    if n is not None:
+        sizes["oracle"] = n
     for what in SIZE_CAPS:
         if what in sizes:
             check_size(what, sizes[what])
@@ -292,6 +295,20 @@ class BenchReport:
             },
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> "BenchReport":
+        """Check the fields that `report` reads: the spec, the aggregates and the records."""
+        what = "benchmark report"
+        _check_json_types(data, _REPORT_TYPES, what, required=("spec", "instances", "aggregates"))
+        for key, agg in data["aggregates"].items():
+            _check_json_types(agg, _AGGREGATE_TYPES, f"{what} aggregate {key!r}")
+        for i, record in enumerate(data["instances"]):
+            _check_json_types(record, _RECORD_TYPES, f"{what} instance record {i}")
+            for res in record["results"]:
+                _check_json_types(res, _RESULT_TYPES, f"{what} instance record {i} result")
+        return cls(spec=ExperimentSpec.from_dict(data["spec"]), instances=data["instances"],
+                   aggregates=data["aggregates"], provenance=data.get("provenance", {}))
+
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
@@ -320,7 +337,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     # ``workers`` stays only for perfbench/workloads.py; it goes with the next benchmark change.
     if workers != 1:
         raise ValueError(f"instances run serially; workers must be 1, got {workers!r}")
-    _check_solver_size(spec.n, spec.formulations, spec.solver, gaps=spec.gap_samples > 0)
+    top = max(_model_dim(f, spec.n) for f in spec.formulations)
+    _check_solver_size(spec.solver, top, spec.n, gaps=spec.gap_samples > 0)
     records = [_run_instance(spec, i, inst) for i, inst in enumerate(generate_instances(spec))]
 
     aggregates = {}

@@ -30,26 +30,19 @@ from .bench import (
     preset_spec,
     run_experiment,
 )
-from .errors import SizeCapError, SolverError
+from .errors import SizeCapError, SolverError, read_json
 from .provenance import make_provenance, sha256_of_file
 from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
     QuboModel,
     build_formulation,
+    check_scale,
     coupling_report,
     export_sparse,
     penalty_bounds,
 )
 from .spectral import gap_profile
-
-
-def _load_instance(path) -> QapInstance:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    return QapInstance.from_dict(data)
 
 
 def _provenance(seed, paths) -> dict:
@@ -95,6 +88,16 @@ def _write_outputs(*outputs) -> None:
         raise
 
 
+def _print_aggregates(aggregates: dict) -> None:
+    for key, agg in sorted(aggregates.items()):
+        gap = agg["mean_min_gap"]
+        gap_text = f" mean_min_gap={gap:.6g}" if gap is not None else ""
+        print(
+            f"{key}: mean_normalized_energy={agg['mean_normalized_energy']:.6g} "
+            f"mean_success={agg['mean_success']:.3f}{gap_text}"
+        )
+
+
 def _check_output_paths(args) -> None:
     """Refuse, before any work, an output path in a missing directory or naming one."""
     for name in ("out", "sparse_out", "summary_out", "hist_out", "csv_out"):
@@ -108,7 +111,7 @@ def _check_output_paths(args) -> None:
 
 
 def cmd_build(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = QapInstance.load(args.instance)
     model = build_formulation(inst, args.formulation, args.scale)
     bounds = penalty_bounds(inst)
     ranges = coupling_report(model, inst)
@@ -142,8 +145,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    inst = _load_instance(args.instance)
-    scales = [float(s) for s in args.scales.split(",")]
+    inst = QapInstance.load(args.instance)
+    scales = [check_scale(s) for s in args.scales.split(",")]
     out = Path(args.out)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
     summaries = []
@@ -182,16 +185,15 @@ def cmd_solve(args) -> int:
         raise ValueError("solve needs --instance (or --qubo)")
     if args.qubo and (args.formulation is not None or args.scale is not None):
         raise ValueError("--qubo fixes the formulation and scale; drop --formulation and --scale")
-    inst = _load_instance(args.instance) if args.instance else None
+    inst = QapInstance.load(args.instance) if args.instance else None
     if args.qubo:
         model = QuboModel.load(args.qubo)
     else:
         model = build_formulation(inst, args.formulation or "baseline",
                                   1.0 if args.scale is None else args.scale)
-    if inst is not None:
-        if model.n != inst.n:
-            raise ValueError(f"model {args.qubo} has n={model.n}, but the instance has n={inst.n}")
-        bench._check_solver_size(inst.n, (model.formulation,), args.solver)
+    if inst is not None and model.n != inst.n:
+        raise ValueError(f"model {args.qubo} has n={model.n}, but the instance has n={inst.n}")
+    bench._check_solver_size(args.solver, model.dim, inst.n if inst is not None else None)
 
     samples = bench._solve(model, args.solver, params, args.seed)
     samples.metadata["provenance"] = _provenance(
@@ -227,8 +229,10 @@ def cmd_bench(args) -> int:
         raise ValueError("bench takes --spec or --preset, not both")
     if args.n is not None and not args.preset:
         raise ValueError("--n sets a preset's instance size; it needs --preset")
+    if args.seed is not None and not args.preset:
+        raise ValueError("--seed sets a preset's seed; it needs --preset (a spec holds its own)")
     if args.preset:
-        spec = preset_spec(args.preset, n=args.n, seed=args.seed)
+        spec = preset_spec(args.preset, n=args.n, seed=args.seed or 0)
     else:
         if not args.spec:
             raise ValueError("bench needs --spec or --preset")
@@ -238,33 +242,16 @@ def cmd_bench(args) -> int:
         report.provenance["inputs"] = {str(args.spec): sha256_of_file(args.spec)}
     report.provenance["version"] = __version__
     _write_outputs((args.out, report.save), (args.csv_out, report.to_csv))
-    for key, agg in sorted(report.aggregates.items()):
-        gap = agg["mean_min_gap"]
-        gap_text = f" mean_min_gap={gap:.6g}" if gap is not None else ""
-        print(
-            f"{key}: mean_normalized_energy={agg['mean_normalized_energy']:.6g} "
-            f"mean_success={agg['mean_success']:.3f}{gap_text}"
-        )
+    _print_aggregates(report.aggregates)
     return 0
 
 
 def cmd_report(args) -> int:
-    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    if "instances" not in data or "aggregates" not in data:
-        raise ValueError(f"{args.report} is not a benchmark report")
+    report = read_json(args.report, BenchReport.from_dict)
     if args.out:
-        spec = ExperimentSpec.from_dict(data["spec"])
-        report = BenchReport(
-            spec=spec, instances=data["instances"], aggregates=data["aggregates"],
-            provenance=data.get("provenance", {}),
-        )
         _write_outputs((args.out, report.to_csv))
         print(f"wrote {args.out}")
-    for key, agg in sorted(data["aggregates"].items()):
-        print(
-            f"{key}: mean_normalized_energy={agg['mean_normalized_energy']:.6g} "
-            f"mean_success={agg['mean_success']:.3f}"
-        )
+    _print_aggregates(report.aggregates)
     return 0
 
 
@@ -324,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="instance size override for presets")
     p.add_argument("--out", required=True, help="report JSON output path")
     p.add_argument("--csv-out", help="optional CSV table path")
-    common(p)
+    p.add_argument("--seed", type=int, help="preset instance seed (default 0)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="render a benchmark report")

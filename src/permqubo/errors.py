@@ -1,4 +1,7 @@
-"""Exception types, the size caps and the JSON field check shared across the package."""
+"""Exception types, the size caps, and the JSON reader and field check shared across the package."""
+
+import json
+from pathlib import Path
 
 
 class SizeCapError(Exception):
@@ -25,6 +28,21 @@ class SolverError(RuntimeError):
     """A numerical solver failed (non-convergence, non-finite amplitudes)."""
 
 
+def read_json(path, parse):
+    """Read the UTF-8 JSON file at ``path`` and return ``parse`` of its value.
+
+    Every ValueError, from the JSON syntax or from ``parse``, names the file.
+    """
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _has_json_type(value, kind) -> bool:
     """Whether a parsed JSON value has ``kind``.
 
@@ -36,12 +54,18 @@ def _has_json_type(value, kind) -> bool:
     if isinstance(kind, list):
         return isinstance(value, list) and all(_has_json_type(v, kind[0]) for v in value)
     if isinstance(value, bool):  # a JSON true/false is no number
-        return False
+        return kind is bool
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _check_json_types(data: dict, types: dict, what: str) -> None:
-    """Raise ValueError for the first field of ``data`` that ``types`` gives another kind."""
+def _check_json_types(data, types: dict, what: str, required=None) -> None:
+    """Raise ValueError unless ``data`` is a JSON object that holds every ``required``
+    field (by default every field of ``types``) and gives each field of ``types`` its kind."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    for key in types if required is None else required:
+        if key not in data:
+            raise ValueError(f"{what} is missing field {key!r}")
     for key, kind in types.items():
         if key in data and not _has_json_type(data[key], kind):
             raise ValueError(f"{what} field {key!r} has the wrong type: {data[key]!r}")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types, check_size
+from .errors import _check_json_types, check_size, read_json
 
 # JSON type of each instance field (see errors._has_json_type).
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
@@ -55,8 +55,7 @@ class QapInstance:
     Attributes:
         n: side length of the permutation matrices.
         W: quadratic cost matrix of shape (n^2, n^2), stored exactly as
-           given; symmetrisation is an explicit operation (see
-           :func:`symmetrize`), never implicit.
+           given; it is never symmetrised implicitly.
         c: linear cost vector of length n^2.
     """
 
@@ -77,11 +76,6 @@ class QapInstance:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QapInstance":
-        if not isinstance(data, dict):
-            raise ValueError(f"instance JSON must be an object, got {data!r}")
-        for key in _INSTANCE_TYPES:
-            if key not in data:
-                raise ValueError(f"instance JSON is missing field {key!r}")
         _check_json_types(data, _INSTANCE_TYPES, "instance JSON")
         return cls(n=data["n"], W=np.asarray(data["W"]), c=np.asarray(data["c"]))
 
@@ -90,7 +84,7 @@ class QapInstance:
 
     @classmethod
     def load(cls, path) -> "QapInstance":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls.from_dict)
 
 
 @dataclass
@@ -165,12 +159,7 @@ class DistanceData:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DistanceData":
-        if not isinstance(data, dict):
-            raise ValueError(f"distance JSON must be an object, got {data!r}")
-        for key in ("n", "d1", "d2"):
-            if key not in data:
-                raise ValueError(f"distance JSON is missing field {key!r}")
-        _check_json_types(data, _DISTANCE_TYPES, "distance JSON")
+        _check_json_types(data, _DISTANCE_TYPES, "distance JSON", required=("n", "d1", "d2"))
         d1 = np.asarray(data["d1"], dtype=float)
         if d1.shape != (data["n"], data["n"]):
             raise ValueError("d1 shape disagrees with declared n")
@@ -178,7 +167,7 @@ class DistanceData:
 
     @classmethod
     def load(cls, path) -> "DistanceData":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls.from_dict)
 
 
 def vectorize(perm: PermutationMatrix) -> np.ndarray:
@@ -270,7 +259,3 @@ def isometric_cost(dist: DistanceData) -> QapInstance:
         c = np.zeros(n * n)
     return QapInstance(n=n, W=W, c=c)
 
-
-def symmetrize(inst: QapInstance) -> QapInstance:
-    """Replace W by (W + W^T)/2; energies are unchanged on every x."""
-    return QapInstance(n=inst.n, W=(inst.W + inst.W.T) / 2.0, c=inst.c.copy())

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types, check_size
+from .errors import _check_json_types, check_size, read_json
 from .qap import PermutationMatrix, QapInstance
 
 FORMULATIONS = ("baseline", "row_wise", "inserted")
@@ -195,8 +195,9 @@ class QuboModel:
             raise ValueError(f"Q must have shape ({self.dim}, {self.dim}), got {self.Q.shape}")
         if self.q.shape != (self.dim,):
             raise ValueError(f"q must have shape ({self.dim},), got {self.q.shape}")
-        if not (np.all(np.isfinite(self.Q)) and np.all(np.isfinite(self.q))):
-            raise ValueError("model coefficients must be finite")
+        if not (np.all(np.isfinite(self.Q)) and np.all(np.isfinite(self.q))
+                and np.isfinite(self.offset)):
+            raise ValueError("model coefficients and offset must be finite")
 
     def energy(self, bits) -> float:
         bits = np.asarray(bits, dtype=float)
@@ -221,11 +222,6 @@ class QuboModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuboModel":
-        if not isinstance(data, dict):
-            raise ValueError(f"model JSON must be an object, got {data!r}")
-        for key in _MODEL_TYPES:
-            if key not in data:
-                raise ValueError(f"model JSON is missing field {key!r}")
         _check_json_types(data, _MODEL_TYPES, "model JSON")
         return cls(**{key: data[key] for key in _MODEL_TYPES})
 
@@ -234,7 +230,7 @@ class QuboModel:
 
     @classmethod
     def load(cls, path) -> "QuboModel":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return read_json(path, cls.from_dict)
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
@@ -262,18 +258,20 @@ class SpinModel:
     def num_variables(self) -> int:
         return self.q_s.shape[0]
 
-    def energy(self, spins) -> float:
-        s = np.asarray(spins, dtype=float)
-        return float(s @ self.Q_s @ s + self.q_s @ s + self.offset_s)
-
     def energies(self, spin_states: np.ndarray) -> np.ndarray:
         S = np.asarray(spin_states, dtype=float)
         return ((S @ self.Q_s) * S).sum(axis=1) + S @ self.q_s + self.offset_s
 
 
+def check_scale(scale: float) -> float:
+    """Return ``scale`` as a float, refusing one that is not finite and positive."""
+    scale = float(scale)
+    if not (np.isfinite(scale) and scale > 0.0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    return scale
+
+
 def _effective_penalties(bounds: np.ndarray | float, scale: float):
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     if scale < 1:
         warnings.warn(
             f"scale={scale} is below 1: the unconstrained problem is no longer "
@@ -298,6 +296,7 @@ def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -
     and the offset gains sum_i lam_i lo_i hi_i.
     """
     n = inst.n
+    scale = check_scale(scale)
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
     if formulation == "inserted" and n < 2:
@@ -360,11 +359,6 @@ def decode(model: QuboModel, bits) -> PermutationMatrix | None:
         raise ValueError(f"state must have length {model.dim}, got shape {bits.shape}")
     valid, assignments = decode_states(model, bits[None, :])
     return PermutationMatrix(model.n, assignments[0]) if valid[0] else None
-
-
-def reduced_bits(perm: PermutationMatrix) -> np.ndarray:
-    """Interior bits X[1:,1:] of a permutation, the inserted-model coordinates."""
-    return perm.matrix()[1:, 1:].flatten(order="F").astype(int)
 
 
 def to_spin(model: QuboModel) -> SpinModel:

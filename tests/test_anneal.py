@@ -228,7 +228,7 @@ class TestMeasure:
                           formulation="baseline", n=2)
         a = measure(state, shots=200, seed=9, model=model)
         b = measure(state, shots=200, seed=9, model=model)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_energy_bookkeeping(self):
         inst = random_instance(2, 72)
@@ -278,7 +278,7 @@ class TestSimulatedAnnealing:
         model = build_formulation(random_instance(3, 74), "inserted")
         a = simulated_annealing(model, sweeps=30, runs=40, seed=2)
         b = simulated_annealing(model, sweeps=30, runs=40, seed=2)
-        assert a.to_json() == b.to_json()
+        assert a.to_dict() == b.to_dict()
 
     def test_always_finds_optimum_on_tiny_instances(self):
         # the reduced n=2 model has a single variable: every state is one
@@ -379,9 +379,7 @@ class TestSuccessAndSampleSet:
         inst = random_instance(2, 81)
         model = build_formulation(inst, "baseline")
         samples = simulated_annealing(model, sweeps=20, runs=30, seed=5)
-        path = tmp_path / "samples.json"
-        samples.save(path)
-        data = json.loads(path.read_text())
+        data = json.loads(json.dumps(samples.to_dict()))
         assert data["total"] == 30
         assert data["metadata"]["model_hash"] == model.content_hash()
         energies = [e["energy"] for e in data["entries"]]

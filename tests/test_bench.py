@@ -72,7 +72,7 @@ class TestGeneration:
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, scales=())
         for bad in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="scales"):
+            with pytest.raises(ValueError, match="scale must be finite and positive"):
                 ExperimentSpec(n=3, num_instances=1, seed=0, scales=(1.0, bad))
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, solver="quantum")
@@ -220,7 +220,7 @@ def test_size_cap_refused_before_allocating(what):
             # an entry that ran would first allocate 52 KB or more (n = 9's oracle table)
             assert peak < 2**15
         with pytest.raises(SizeCapError) as bench_refused:
-            _check_solver_size(n, (formulation,), solver, gaps)
+            _check_solver_size(solver, _model_dim(formulation, n), n, gaps)
         assert str(bench_refused.value) == str(refused.value)
 
 

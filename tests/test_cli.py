@@ -401,6 +401,7 @@ class TestBenchAndReport:
         assert code == 0
         data = json.loads(out.read_text())
         assert data["spec"]["solver"] == "sa"
+        assert data["spec"]["seed"] == 0
 
     def test_bench_empty_instances_exit_2(self, tmp_path):
         spec_path = tmp_path / "spec.json"
@@ -476,6 +477,7 @@ class TestBenchAndReport:
         ["--spec", "spec.json", "--preset", "gap-scan", "--n", "2"],
         ["--spec", "spec.json", "--preset", "gap-scan"],
         ["--spec", "spec.json", "--n", "2"],
+        ["--spec", "spec.json", "--seed", "99"],
     ])
     def test_bench_conflicting_inputs_refused_before_work(self, tmp_path, capsys, flags):
         (tmp_path / "spec.json").write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0}))
@@ -505,3 +507,123 @@ class TestBenchAndReport:
         other = tmp_path / "other.json"
         other.write_text("{}")
         assert main(["report", "--report", str(other)]) == 2
+
+
+def _bench_report(tmp_path):
+    """A valid two-formulation report written by `bench`, parsed back."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "n": 2, "num_instances": 2, "seed": 1, "solver": "brute",
+        "formulations": ["baseline", "inserted"], "scales": [1.0], "gap_samples": 3,
+    }))
+    report_path = tmp_path / "report.json"
+    assert main(["bench", "--spec", str(spec_path), "--out", str(report_path)]) == 0
+    return json.loads(report_path.read_text())
+
+
+def _assert_refused(tmp_path, capsys, argv, path, before):
+    """Exit 2, one `error: <path>: ...` line on stderr, and no new file."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    return err
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("command", ["build", "gap", "solve-instance", "solve-qubo",
+                                         "bench", "report"])
+    def test_invalid_json_names_the_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2,\n  "W": [[1,')
+        out = str(tmp_path / "out.json")
+        argv = {
+            "build": ["build", "--instance", str(bad), "--formulation", "baseline", "--out", out],
+            "gap": ["gap", "--instance", str(bad), "--formulation", "baseline", "--out", out],
+            "solve-instance": ["solve", "--instance", str(bad), "--solver", "brute", "--out", out],
+            "solve-qubo": ["solve", "--qubo", str(bad), "--solver", "brute", "--out", out],
+            "bench": ["bench", "--spec", str(bad), "--out", out],
+            "report": ["report", "--report", str(bad), "--out", out],
+        }[command]
+        err = _assert_refused(tmp_path, capsys, argv, bad, ["bad.json"])
+        assert "invalid JSON at line 2, column 12" in err
+
+    @pytest.mark.parametrize("case", ["number", "aggregates-list", "aggregate-missing-field",
+                                      "no-spec", "bad-spec", "result-valid-not-bool"])
+    @pytest.mark.parametrize("with_out", [True, False])
+    def test_malformed_report_exit_2(self, tmp_path, capsys, case, with_out):
+        data = _bench_report(tmp_path)
+        capsys.readouterr()
+        if case == "number":
+            data = 5
+        elif case == "aggregates-list":
+            data["aggregates"] = []
+        elif case == "aggregate-missing-field":
+            del next(iter(data["aggregates"].values()))["mean_normalized_energy"]
+        elif case == "no-spec":
+            del data["spec"]
+        elif case == "bad-spec":
+            data["spec"]["scales"] = [0.0]
+        else:
+            data["instances"][1]["results"][0]["valid"] = 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = ["report", "--report", str(bad)]
+        if with_out:
+            argv += ["--out", str(tmp_path / "tables.csv")]
+        _assert_refused(tmp_path, capsys, argv, bad, before)
+
+    def test_report_prints_what_bench_prints(self, tmp_path, capsys):
+        _bench_report(tmp_path)
+        bench_out = capsys.readouterr().out
+        assert "mean_min_gap=" in bench_out
+        assert main(["report", "--report", str(tmp_path / "report.json")]) == 0
+        assert capsys.readouterr().out == bench_out
+
+    @pytest.mark.parametrize("command, flags", [
+        ("build", ["--scale", "nan"]), ("build", ["--scale", "inf"]),
+        ("gap", ["--scales", "1,nan"]), ("gap", ["--scales", "inf,1"]),
+    ])
+    def test_non_finite_scale_refused_before_work(self, tmp_path, capsys, command, flags):
+        _, path = write_instance(tmp_path, 2, 20)
+        out = tmp_path / "out.json"
+        with mock.patch("permqubo.cli.gap_profile") as profile:
+            code = main([command, "--instance", str(path), "--formulation", "baseline",
+                         *flags, "--out", str(out)])
+        assert code == 2
+        profile.assert_not_called()
+        err = capsys.readouterr().err
+        assert err.count("scale must be finite and positive") == 1 and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["schrodinger", "trotter"])
+    def test_qubo_over_the_solver_cap_refused_before_work(self, tmp_path, capsys, solver):
+        _, path = write_zero_instance(tmp_path, 4)
+        model_path = tmp_path / "m16.json"
+        assert main(["build", "--instance", str(path), "--formulation", "baseline",
+                     "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.bench.build_hamiltonians") as hamiltonians:
+            code = main(["solve", "--qubo", str(model_path), "--solver", solver,
+                         "--out", str(out)])
+        assert code == 4
+        hamiltonians.assert_not_called()
+        assert "12-qubit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("offset", [float("inf"), float("nan")])
+    def test_non_finite_model_offset_exit_2(self, tmp_path, capsys, offset):
+        _, path = write_instance(tmp_path, 2, 21)
+        model_path = tmp_path / "model.json"
+        assert main(["build", "--instance", str(path), "--formulation", "baseline",
+                     "--out", str(model_path)]) == 0
+        capsys.readouterr()
+        data = json.loads(model_path.read_text())
+        data["offset"] = offset
+        model_path.write_text(json.dumps(data))
+        err = _assert_refused(tmp_path, capsys, ["solve", "--qubo", str(model_path), "--solver",
+                                                 "brute", "--out", str(tmp_path / "s.json")],
+                              model_path, ["inst.json", "model.json"])
+        assert "offset must be finite" in err

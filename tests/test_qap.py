@@ -15,7 +15,6 @@ from permqubo import (
     isometric_cost,
     permutation_extremes,
     qap_energy,
-    symmetrize,
     vectorize,
     worst_permutation,
 )
@@ -199,27 +198,6 @@ class TestIsometricCost:
         d = np.array([[0.0, -1.0], [-1.0, 0.0]])
         with pytest.raises(ValueError):
             DistanceData(d1=d, d2=d)
-
-
-class TestSymmetrize:
-    def test_symmetric_unchanged(self):
-        inst = random_instance(2, 5)
-        sym = symmetrize(inst)
-        again = symmetrize(sym)
-        assert np.array_equal(sym.W, again.W)
-
-    def test_averages_entries(self):
-        W = np.zeros((4, 4))
-        W[0, 1] = 2.0
-        inst = symmetrize(QapInstance(2, W, np.zeros(4)))
-        assert inst.W[0, 1] == 1.0 and inst.W[1, 0] == 1.0
-
-    def test_preserves_energy_on_all_binary_vectors(self):
-        inst = random_instance(3, 23)
-        sym = symmetrize(inst)
-        for bits in itertools.product((0, 1), repeat=9):
-            x = np.array(bits)
-            assert qap_energy(inst, x) == pytest.approx(qap_energy(sym, x), rel=1e-12, abs=1e-12)
 
 
 class TestValidationAndIo:

@@ -48,9 +48,9 @@ class TestProblemHamiltonian:
         spin = to_spin(build_formulation(inst, "row_wise"))
         pair = build_hamiltonians(spin)
         spins = 2.0 * enumerate_states(9) - 1.0
-        energies = np.array([spin.energy(s) for s in spins[:64]])
-        assert np.allclose(pair.problem_diagonal[:64], energies, rtol=1e-12, atol=1e-12)
-        assert pair.problem_diagonal.min() == pytest.approx(spin.energies(spins).min(), rel=1e-12)
+        energies = np.array([s @ spin.Q_s @ s + spin.q_s @ s + spin.offset_s for s in spins])
+        assert np.allclose(pair.problem_diagonal, energies, rtol=1e-12, atol=1e-12)
+        assert pair.problem_diagonal.min() == pytest.approx(energies.min(), rel=1e-12)
 
     def test_qubit_cap(self):
         with pytest.raises(SizeCapError):
