@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dger
 
-from .errors import SolverError, check_size
+from .errors import SolverError, check_count, check_positive, check_size
 from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
 from .spectral import HamiltonianPair
@@ -62,9 +62,7 @@ class AnnealSchedule:
     steps: int | None = None
 
     def __post_init__(self):
-        self.tau = float(self.tau)
-        if not (isfinite(self.tau) and self.tau > 0):
-            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        self.tau = check_positive("tau", self.tau)
         pts = [(float(s), float(u)) for s, u in self.path]
         if len(pts) < 2:
             raise ValueError("path needs at least two breakpoints")
@@ -80,9 +78,7 @@ class AnnealSchedule:
             raise ValueError("path must start at (0, 0) and end at (1, 1)")
         self.path = tuple(pts)
         if self.steps is not None:
-            self.steps = int(self.steps)
-            if self.steps < 1:
-                raise ValueError("steps must be positive")
+            self.steps = check_count("steps", self.steps)
 
     def path_value(self, s: float) -> float:
         ss = [p[0] for p in self.path]
@@ -222,9 +218,7 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) ->
     A = (1-u) H_B (a tensor product of single-qubit rotations, exact)
     and B = u H_P (diagonal, exact).
     """
-    if slices < 1:
-        raise ValueError(f"slices must be at least 1, got {slices}")
-    return _step_through(pair, sched, slices, partial(_trotter_slice, pair))
+    return _step_through(pair, sched, check_count("slices", slices), partial(_trotter_slice, pair))
 
 
 @dataclass
@@ -310,8 +304,8 @@ def _make_entries(states: np.ndarray, counts: np.ndarray, model: QuboModel) -> l
 
 def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> SampleSet:
     """Sample basis states from |amplitudes|^2 and attach model energies."""
-    if shots < 1:
-        raise ValueError(f"shots must be at least 1, got {shots}")
+    shots = check_count("shots", shots)
+    seed = check_count("seed", seed, least=0)
     state = np.asarray(state)
     m = int(np.log2(state.shape[0]))
     if 2**m != state.shape[0]:
@@ -327,7 +321,7 @@ def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> Sampl
     return SampleSet(
         entries=entries,
         total=shots,
-        metadata={"seed": int(seed), "shots": int(shots), "model_hash": model.content_hash()},
+        metadata={"seed": seed, "shots": shots, "model_hash": model.content_hash()},
     )
 
 
@@ -361,8 +355,9 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     place with one BLAS rank-1 update (dger).  The uniforms stay
     (runs, sweeps, dim), filled run by run from each run's generator.
     """
-    if runs < 1 or sweeps < 1:
-        raise ValueError("runs and sweeps must be at least 1")
+    runs = check_count("runs", runs)
+    sweeps = check_count("sweeps", sweeps)
+    seed = check_count("seed", seed, least=0)
     dim = model.dim
     Q = (model.Q + model.Q.T) / 2.0  # flip deltas below assume symmetry
     qlin = model.q
@@ -372,9 +367,7 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
         t_hi = _estimate_t_hi(model, seed)
         t_lo = 1e-3 * t_hi
     else:
-        t_hi, t_lo = float(schedule[0]), float(schedule[1])
-        if not all(isfinite(t) and t > 0 for t in (t_hi, t_lo)):
-            raise ValueError(f"temperatures must be finite and positive, got {schedule!r}")
+        t_hi, t_lo = (check_positive("schedule temperature", t) for t in schedule)
     if sweeps == 1:
         temps = np.array([t_hi])
     else:
@@ -415,9 +408,9 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
         entries=entries,
         total=runs,
         metadata={
-            "seed": int(seed),
-            "runs": int(runs),
-            "sweeps": int(sweeps),
+            "seed": seed,
+            "runs": runs,
+            "sweeps": sweeps,
             "t_hi": t_hi,
             "t_lo": t_lo,
             "model_hash": model.content_hash(),

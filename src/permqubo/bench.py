@@ -12,6 +12,7 @@ f_worst, so invalid outputs are priced rather than dropped.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,12 +30,12 @@ from .anneal import (
     price,
     simulated_annealing,
 )
-from .errors import SIZE_CAPS, _check_json_types, check_size, read_json
+from .errors import (SIZE_CAPS, _check_json_types, check_count, check_positive, check_size,
+                     read_json)
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
-from .qubo import build_formulation, check_scale, normalize_couplings, to_spin, exhaustive_minimum
+from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
 from .spectral import build_hamiltonians, gap_profile
-from .provenance import sha256_of_text
 
 SOLVERS = ("brute", "sa", "schrodinger", "trotter")
 # The tightest cap of errors.SIZE_CAPS that each solver meets on the model's size.
@@ -67,16 +68,6 @@ _RESULT_TYPES = {
 }
 
 
-def _is_count(value) -> bool:
-    """Whether ``value`` is an integer >= 1 (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
-
-
-def _is_number(value) -> bool:
-    """Whether ``value`` is a number (a bool is not)."""
-    return isinstance(value, (int, float, np.number)) and not isinstance(value, bool)
-
-
 def _check_solver_params(params) -> None:
     """Refuse a solver_params mapping with an unknown key or an out-of-range value."""
     if not isinstance(params, dict):
@@ -86,18 +77,19 @@ def _check_solver_params(params) -> None:
         raise ValueError(
             f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
         )
-    for key in ("runs", "sweeps", "shots", "slices", "steps"):
-        value = params.get(key)
-        if key in params and not (_is_count(value) or key == "steps" and value is None):
-            raise ValueError(f"solver_params {key} must be an integer >= 1, got {value!r}")
-    tau = params.get("tau")
-    if "tau" in params and not (_is_number(tau) and np.isfinite(tau) and tau > 0):
-        raise ValueError(f"solver_params tau must be finite and positive, got {tau!r}")
-    schedule = params.get("schedule")
-    if schedule is not None and not (
-        len(schedule) == 2 and all(np.isfinite(t) and t > 0 for t in schedule)
-    ):
-        raise ValueError(f"solver_params schedule must be null or two positive numbers, got {schedule!r}")
+    for key, value in params.items():
+        what = f"solver_params {key}"
+        if value is None and SOLVER_DEFAULTS[key][0] is None:
+            continue  # null asks for the solver's own rule (schedule, steps)
+        if key == "tau":
+            check_positive(what, value)
+        elif key == "schedule":
+            if len(value) != 2:
+                raise ValueError(f"{what} must be null or two temperatures, got {value!r}")
+            for t in value:
+                check_positive(what, t)
+        else:
+            check_count(what, value)
 
 
 @dataclass
@@ -115,20 +107,21 @@ class ExperimentSpec:
     gap_samples: int = 0
 
     def __post_init__(self):
-        self.n = int(self.n)
-        self.num_instances = int(self.num_instances)
-        self.seed = int(self.seed)
+        self.n = check_count("n", self.n)
+        self.num_instances = check_count("num_instances", self.num_instances)
+        self.seed = check_count("seed", self.seed, least=0)
         self.formulations = tuple(self.formulations)
-        self.scales = tuple(check_scale(s) for s in self.scales)
+        self.scales = tuple(check_positive("scale", s) for s in self.scales)
         self.sparsity = float(self.sparsity)
-        self.gap_samples = int(self.gap_samples)
-        if self.num_instances < 1:
-            raise ValueError("num_instances must be at least 1")
+        # 0 computes no gaps; a profile needs two points.
+        self.gap_samples = check_count("gap_samples", self.gap_samples,
+                                       least=0 if self.gap_samples == 0 else 2)
         if not self.formulations:
             raise ValueError("formulations must be nonempty")
         for f in self.formulations:
             if f not in FORMULATIONS:
                 raise ValueError(f"unknown formulation {f!r}")
+            _model_dim(f, self.n)  # refuses inserted below n = 2
         if not self.scales:
             raise ValueError("scales must be nonempty")
         if not 0.0 <= self.sparsity < 1.0:
@@ -165,9 +158,6 @@ class ExperimentSpec:
     @classmethod
     def load(cls, path) -> "ExperimentSpec":
         return read_json(path, cls.from_dict)
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8")
 
 
 def generate_instances(spec: ExperimentSpec) -> list[QapInstance]:
@@ -222,24 +212,18 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
         entries = _make_entries(bits[None, :], np.ones(1, dtype=int), model)
         return SampleSet(entries=entries, total=1, metadata={"solver": "brute"})
     if solver == "sa":
-        return simulated_annealing(
-            model,
-            sweeps=int(params["sweeps"]),
-            runs=int(params["runs"]),
-            seed=seed,
-            schedule=params["schedule"],
-        )
-    sched = AnnealSchedule(tau=float(params["tau"]), steps=params["steps"])
+        return simulated_annealing(model, sweeps=params["sweeps"], runs=params["runs"], seed=seed,
+                                   schedule=params["schedule"])
+    sched = AnnealSchedule(tau=params["tau"], steps=params["steps"])
     spin, _ = normalize_couplings(to_spin(model))
     pair = build_hamiltonians(spin)
     if solver == "schrodinger":
         state = evolve(pair, sched)
         resolution = {"steps": sched.effective_steps()}
     else:
-        slices = int(params["slices"])
-        state = evolve_trotter(pair, sched, slices=slices)
-        resolution = {"slices": slices}
-    samples = measure(state, shots=int(params["shots"]), seed=seed, model=model)
+        state = evolve_trotter(pair, sched, slices=params["slices"])
+        resolution = {"slices": params["slices"]}
+    samples = measure(state, shots=params["shots"], seed=seed, model=model)
     samples.metadata["solver"] = solver
     samples.metadata["schedule"] = {"tau": sched.tau, "path": [list(p) for p in sched.path], **resolution}
     return samples
@@ -364,7 +348,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     provenance = {
         "version": __version__,
         "seed": spec.seed,
-        "spec_hash": sha256_of_text(spec_json),
+        "spec_hash": hashlib.sha256(spec_json.encode("utf-8")).hexdigest(),
     }
     return BenchReport(spec=spec, instances=records, aggregates=aggregates, provenance=provenance)
 

@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -30,14 +31,12 @@ from .bench import (
     preset_spec,
     run_experiment,
 )
-from .errors import SizeCapError, SolverError, read_json
-from .provenance import make_provenance, sha256_of_file
+from .errors import SizeCapError, SolverError, check_count, check_positive, read_json
 from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
     QuboModel,
     build_formulation,
-    check_scale,
     coupling_report,
     export_sparse,
     penalty_bounds,
@@ -46,7 +45,9 @@ from .spectral import gap_profile
 
 
 def _provenance(seed, paths) -> dict:
-    return make_provenance(__version__, seed, {str(p): sha256_of_file(p) for p in paths})
+    """Tool version, seed and the SHA-256 of each input file."""
+    hashes = {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+    return {"version": __version__, "seed": seed, "inputs": hashes}
 
 
 def _write_json(path, payload: dict) -> None:
@@ -146,7 +147,8 @@ def cmd_build(args) -> int:
 
 def cmd_gap(args) -> int:
     inst = QapInstance.load(args.instance)
-    scales = [check_scale(s) for s in args.scales.split(",")]
+    scales = [check_positive("scale", float(s)) for s in args.scales.split(",")]
+    check_count("--samples", args.samples, least=2)
     out = Path(args.out)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
     summaries = []
@@ -181,6 +183,7 @@ def cmd_gap(args) -> int:
 def cmd_solve(args) -> int:
     params = {k: v for k, v in vars(args).items() if k in SOLVER_DEFAULTS and v is not None}
     bench._check_solver_params(params)
+    check_count("--seed", args.seed, least=0)
     if not (args.qubo or args.instance):
         raise ValueError("solve needs --instance (or --qubo)")
     if args.qubo and (args.formulation is not None or args.scale is not None):
@@ -239,8 +242,8 @@ def cmd_bench(args) -> int:
         spec = ExperimentSpec.load(args.spec)
     report = run_experiment(spec)
     if args.spec:
-        report.provenance["inputs"] = {str(args.spec): sha256_of_file(args.spec)}
-    report.provenance["version"] = __version__
+        digest = hashlib.sha256(Path(args.spec).read_bytes()).hexdigest()
+        report.provenance["inputs"] = {str(args.spec): digest}
     _write_outputs((args.out, report.save), (args.csv_out, report.to_csv))
     _print_aggregates(report.aggregates)
     return 0

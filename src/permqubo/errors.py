@@ -1,6 +1,9 @@
-"""Exception types, the size caps, and the JSON reader and field check shared across the package."""
+"""Exception types, the size caps, the range rules, and the JSON reader and field check
+shared across the package."""
 
 import json
+import sys
+from numbers import Integral, Real
 from pathlib import Path
 
 
@@ -24,6 +27,26 @@ def check_size(what: str, size: int) -> None:
         raise SizeCapError(f"{label} needs {size} {unit}s, over its {limit}-{unit} cap")
 
 
+def check_count(what: str, value, least: int = 1) -> int:
+    """Return ``value`` as an int, refusing a bool, a non-integer or a value below ``least``."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_positive(what: str, value) -> float:
+    """Return ``value`` as a float, refusing a bool, a non-number or one not finite and > 0."""
+    if isinstance(value, bool) or not (isinstance(value, Real) and _is_finite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return float(value)
+
+
+def _is_finite(value) -> bool:
+    """Whether a real number is finite as a float (NaN, infinities and ints beyond the
+    float range are not)."""
+    return abs(value) <= sys.float_info.max
+
+
 class SolverError(RuntimeError):
     """A numerical solver failed (non-convergence, non-finite amplitudes)."""
 
@@ -43,24 +66,30 @@ def read_json(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _has_json_type(value, kind) -> bool:
+def _has_json_type(value, kind, finite: bool = True) -> bool:
     """Whether a parsed JSON value has ``kind``.
 
-    ``kind`` is a type (float admits any number), [kind] for a list of it,
-    or a tuple of alternatives in which None stands for null.
+    ``kind`` is a type (float admits any number, only a finite one when
+    ``finite``), [kind] for a list of it, or a tuple of alternatives in
+    which None stands for null.
     """
     if isinstance(kind, tuple):
-        return any(value is None if k is None else _has_json_type(value, k) for k in kind)
+        return any(value is None if k is None else _has_json_type(value, k, finite) for k in kind)
     if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_json_type(v, kind[0]) for v in value)
+        return isinstance(value, list) and all(_has_json_type(v, kind[0], finite) for v in value)
     if isinstance(value, bool):  # a JSON true/false is no number
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and (not finite or _is_finite(value))
+    return isinstance(value, kind)
 
 
 def _check_json_types(data, types: dict, what: str, required=None) -> None:
     """Raise ValueError unless ``data`` is a JSON object that holds every ``required``
-    field (by default every field of ``types``) and gives each field of ``types`` its kind."""
+    field (by default every field of ``types``) and gives each field of ``types`` its kind.
+
+    A number field refuses NaN, the infinities and a literal beyond the float range.
+    """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {data!r}")
     for key in types if required is None else required:
@@ -68,4 +97,6 @@ def _check_json_types(data, types: dict, what: str, required=None) -> None:
             raise ValueError(f"{what} is missing field {key!r}")
     for key, kind in types.items():
         if key in data and not _has_json_type(data[key], kind):
+            if _has_json_type(data[key], kind, finite=False):
+                raise ValueError(f"{what} field {key} must be finite")
             raise ValueError(f"{what} field {key!r} has the wrong type: {data[key]!r}")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types, check_size, read_json
+from .errors import _check_json_types, check_count, check_size, read_json
 
 # JSON type of each instance field (see errors._has_json_type).
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
@@ -64,9 +64,7 @@ class QapInstance:
     c: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        self.n = int(self.n)
+        self.n = check_count("n", self.n)
         m = self.n * self.n
         self.W = _as_square(self.W, m, "W")
         self.c = _as_vector(self.c, m, "c")

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types, check_size, read_json
+from .errors import _check_json_types, check_count, check_positive, check_size, read_json
 from .qap import PermutationMatrix, QapInstance
 
 FORMULATIONS = ("baseline", "row_wise", "inserted")
@@ -50,8 +50,7 @@ def build_constraints(n: int) -> np.ndarray:
     columns of X and the last n rows sum the rows of X; a binary vector
     satisfies A x = 1 exactly when it encodes a permutation matrix.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    n = check_count("n", n)
     k = np.arange(n * n)  # bit k is X[k % n, k // n]
     A = np.zeros((2 * n, n * n))
     A[k // n, k] = 1.0
@@ -60,8 +59,15 @@ def build_constraints(n: int) -> np.ndarray:
 
 
 def _model_dim(formulation: str, n: int) -> int:
-    """Number of binary variables of a formulation over an n x n assignment."""
-    return (n - 1) ** 2 if formulation == "inserted" else n * n
+    """Number of binary variables of a formulation over an n x n assignment.
+
+    Refuses the inserted formulation below n = 2, where no variable is left.
+    """
+    if formulation != "inserted":
+        return n * n
+    if n < 2:
+        raise ValueError("the inserted formulation requires n >= 2")
+    return (n - 1) ** 2
 
 
 @dataclass
@@ -180,7 +186,7 @@ class QuboModel:
 
     def __post_init__(self):
         self.dim = int(self.dim)
-        self.n = int(self.n)
+        self.n = check_count("n", self.n)
         self.Q = np.asarray(self.Q, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
         self.offset = float(self.offset)
@@ -225,9 +231,6 @@ class QuboModel:
         _check_json_types(data, _MODEL_TYPES, "model JSON")
         return cls(**{key: data[key] for key in _MODEL_TYPES})
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True), encoding="utf-8")
-
     @classmethod
     def load(cls, path) -> "QuboModel":
         return read_json(path, cls.from_dict)
@@ -263,14 +266,6 @@ class SpinModel:
         return ((S @ self.Q_s) * S).sum(axis=1) + S @ self.q_s + self.offset_s
 
 
-def check_scale(scale: float) -> float:
-    """Return ``scale`` as a float, refusing one that is not finite and positive."""
-    scale = float(scale)
-    if not (np.isfinite(scale) and scale > 0.0):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
-    return scale
-
-
 def _effective_penalties(bounds: np.ndarray | float, scale: float):
     if scale < 1:
         warnings.warn(
@@ -296,11 +291,10 @@ def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -
     and the offset gains sum_i lam_i lo_i hi_i.
     """
     n = inst.n
-    scale = check_scale(scale)
+    scale = check_positive("scale", scale)
     if formulation not in FORMULATIONS:
         raise ValueError(f"unknown formulation {formulation!r}; expected one of {FORMULATIONS}")
-    if formulation == "inserted" and n < 2:
-        raise ValueError("the inserted formulation requires n >= 2")
+    dim = _model_dim(formulation, n)
     bounds = penalty_bounds(inst)
     if formulation == "inserted":
         groups = build_constraints(n - 1)
@@ -319,7 +313,7 @@ def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -
     Q = Q + rows.T @ (lams[:, None] * rows)
     q = q - rows.T @ (lams * (lo + hi))
     offset = const + float(lams @ (lo * hi))
-    return QuboModel(rows.shape[1], Q, q, offset, formulation, n)
+    return QuboModel(dim, Q, q, offset, formulation, n)
 
 
 def decode_states(model: QuboModel, states) -> tuple[np.ndarray, np.ndarray]:

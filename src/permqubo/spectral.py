@@ -39,7 +39,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import csr_array
 
-from .errors import check_size
+from .errors import check_count, check_size
 from .qubo import QuboModel, SpinModel, enumerate_states, normalize_couplings, to_spin
 
 # Two eigenvalues closer than this are treated as one degenerate level.
@@ -241,8 +241,7 @@ def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
     zero with a warning: a vanishing gap voids the usual guarantee that
     a slow interpolation tracks the ground state.
     """
-    if num_samples < 2:
-        raise ValueError(f"num_samples must be at least 2, got {num_samples}")
+    num_samples = check_count("num_samples", num_samples, least=2)
     ts = np.linspace(0.0, 1.0, num_samples)
     e0 = np.empty(num_samples)
     e1 = np.empty(num_samples)

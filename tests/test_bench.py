@@ -272,7 +272,7 @@ class TestSpecIoAndPresets:
     def test_spec_json_roundtrip(self, tmp_path):
         spec = small_spec(solver="sa", solver_params={"runs": 10, "sweeps": 5}, gap_samples=9)
         path = tmp_path / "spec.json"
-        spec.save(path)
+        path.write_text(json.dumps(spec.to_dict()))
         back = ExperimentSpec.load(path)
         assert back.to_dict() == spec.to_dict()
 

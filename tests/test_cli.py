@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -17,6 +18,7 @@ from permqubo import (
     permutation_extremes,
     worst_permutation,
 )
+from permqubo.bench import SOLVER_DEFAULTS, SOLVERS
 from permqubo.cli import main
 
 
@@ -101,8 +103,9 @@ class TestGap:
     def test_profile_csv_with_endpoint(self, tmp_path):
         _, path = write_zero_instance(tmp_path, 2)
         out = tmp_path / "gap.csv"
-        code = main(["gap", "--instance", str(path), "--formulation", "baseline",
-                     "--samples", "5", "--out", str(out)])
+        with pytest.warns(UserWarning, match="degenerate"):
+            code = main(["gap", "--instance", str(path), "--formulation", "baseline",
+                         "--samples", "5", "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         first = lines[1].split(",")
@@ -225,6 +228,14 @@ class TestSolve:
         evolve.assert_not_called()
         assert "shots" in capsys.readouterr().err
         assert not out.exists()
+        for solver in SOLVERS:
+            with mock.patch("permqubo.bench._solve") as solve:
+                code = main(["solve", "--instance", str(path), "--solver", solver,
+                             "--seed", "-1", "--out", str(out)])
+            assert code == 2
+            solve.assert_not_called()
+            assert "--seed must be an integer >= 0, got -1" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_model_size_mismatch_refused_before_solving(self, tmp_path, capsys):
         _, path3 = write_instance(tmp_path, 3, 17, name="i3.json")
@@ -446,17 +457,43 @@ class TestBenchAndReport:
     @pytest.mark.parametrize("params", [
         {"runs": 0}, {"sweeps": 0}, {"shots": 0}, {"slices": 0}, {"steps": 0}, {"runs": -3},
         {"tau": -1.0}, {"tau": 0}, {"tau": float("inf")},
+        *({key: bad} for key in ("runs", "sweeps", "shots", "slices", "steps")
+          for bad in (-1, True, 2.5)),
+        {"tau": float("nan")}, {"tau": True},
+        *({"schedule": [1.0, bad]} for bad in (0, -1.0, float("nan"), float("inf"), True)),
+        # Spec fields: every count, and n = 1 with the inserted formulation.
+        *({"n": bad} for bad in (0, -1, True, 2.5)),
+        *({"num_instances": bad} for bad in (0, -1, True, 2.5)),
+        *({"seed": bad} for bad in (-1, True, 2.5)),
+        *({"gap_samples": bad} for bad in (1, -1, -3, True, 2.5)),
+        {"n": 1},
     ])
     def test_bench_solver_param_out_of_range_refused_before_work(self, tmp_path, capsys, params):
+        (key, value), = params.items()
+        spec = {"n": 2, "num_instances": 1, "seed": 0, "solver": "sa", "solver_params": {}}
+        if key in SOLVER_DEFAULTS:
+            spec["solver_params"][key] = value
+        else:
+            spec[key] = value
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(
-            {"n": 2, "num_instances": 1, "seed": 0, "solver": "sa", "solver_params": params}
-        ))
+        spec_path.write_text(json.dumps(spec))
         out = tmp_path / "r.json"
         with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle:
             assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
         oracle.assert_not_called()
-        assert "solver_params" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec_path}: ") and re.search(rf"\b{key}\b", err), err
+        assert "solver_params" in err or key not in SOLVER_DEFAULTS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--n", "1"], ["--n", "0"]])
+    def test_bench_preset_out_of_range_refused_before_work(self, tmp_path, capsys, flags):
+        out = tmp_path / "r.json"
+        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle:
+            assert main(["bench", "--preset", "random-dense", *flags, "--out", str(out)]) == 2
+        oracle.assert_not_called()
+        err = capsys.readouterr().err
+        assert re.search(rf"\b{flags[0][2:]}\b", err) and err.count("\n") == 1, err
         assert not out.exists()
 
     def test_one_oracle_pass_per_instance(self, tmp_path):
@@ -549,7 +586,8 @@ class TestMalformedInputs:
         assert "invalid JSON at line 2, column 12" in err
 
     @pytest.mark.parametrize("case", ["number", "aggregates-list", "aggregate-missing-field",
-                                      "no-spec", "bad-spec", "result-valid-not-bool"])
+                                      "no-spec", "bad-spec", "result-valid-not-bool",
+                                      "aggregate-nan", "aggregate-overflow"])
     @pytest.mark.parametrize("with_out", [True, False])
     def test_malformed_report_exit_2(self, tmp_path, capsys, case, with_out):
         data = _bench_report(tmp_path)
@@ -564,15 +602,22 @@ class TestMalformedInputs:
             del data["spec"]
         elif case == "bad-spec":
             data["spec"]["scales"] = [0.0]
-        else:
+        elif case == "result-valid-not-bool":
             data["instances"][1]["results"][0]["valid"] = 1
+        else:  # NaN, or a literal that parses to inf
+            next(iter(data["aggregates"].values()))["mean_normalized_energy"] = float("nan")
+        text = json.dumps(data)
+        if case == "aggregate-overflow":
+            text = text.replace("NaN", "1e999")
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
+        bad.write_text(text)
         before = sorted(p.name for p in tmp_path.iterdir())
         argv = ["report", "--report", str(bad)]
         if with_out:
             argv += ["--out", str(tmp_path / "tables.csv")]
-        _assert_refused(tmp_path, capsys, argv, bad, before)
+        err = _assert_refused(tmp_path, capsys, argv, bad, before)
+        if case in ("aggregate-nan", "aggregate-overflow"):
+            assert "mean_normalized_energy must be finite" in err
 
     def test_report_prints_what_bench_prints(self, tmp_path, capsys):
         _bench_report(tmp_path)
@@ -580,6 +625,18 @@ class TestMalformedInputs:
         assert "mean_min_gap=" in bench_out
         assert main(["report", "--report", str(tmp_path / "report.json")]) == 0
         assert capsys.readouterr().out == bench_out
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e999"])
+    def test_non_finite_spec_number_exit_2(self, tmp_path, capsys, literal):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"n": 2, "num_instances": 1, "seed": 0, "solver": "schrodinger", '
+                             f'"solver_params": {{"tau": {literal}}}}}')
+        with mock.patch("permqubo.bench.permutation_extremes") as oracle:
+            err = _assert_refused(tmp_path, capsys,
+                                  ["bench", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")],
+                                  spec_path, ["spec.json"])
+        oracle.assert_not_called()
+        assert "solver_params field tau must be finite" in err
 
     @pytest.mark.parametrize("command, flags", [
         ("build", ["--scale", "nan"]), ("build", ["--scale", "inf"]),

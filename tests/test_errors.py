@@ -1,0 +1,86 @@
+"""The two range rules and every parameter that goes through them at its Python entry point."""
+
+import numpy as np
+import pytest
+
+from permqubo import (
+    AnnealSchedule,
+    ExperimentSpec,
+    QapInstance,
+    QuboModel,
+    SpinModel,
+    build_constraints,
+    build_formulation,
+    build_hamiltonians,
+    evolve_trotter,
+    measure,
+    simulated_annealing,
+    spectral_gap,
+)
+from permqubo.errors import check_count, check_positive
+
+INST = QapInstance(2, np.eye(4), np.zeros(4))
+MODEL = QuboModel(dim=1, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0, formulation="inserted", n=2)
+PAIR = build_hamiltonians(SpinModel(Q_s=np.zeros((1, 1)), q_s=np.zeros(1), offset_s=0.0))
+STATE = np.array([1.0, 0.0], dtype=complex)
+
+
+def spec(**overrides):
+    return ExperimentSpec(**{"n": 2, "num_instances": 1, "seed": 0, **overrides})
+
+
+# (parameter, least allowed value, call with the parameter set to v)
+COUNTS = [
+    ("runs", 1, lambda v: simulated_annealing(MODEL, sweeps=1, runs=v, seed=0)),
+    ("sweeps", 1, lambda v: simulated_annealing(MODEL, sweeps=v, runs=1, seed=0)),
+    ("seed", 0, lambda v: simulated_annealing(MODEL, sweeps=1, runs=1, seed=v)),
+    ("shots", 1, lambda v: measure(STATE, shots=v, seed=0, model=MODEL)),
+    ("seed", 0, lambda v: measure(STATE, shots=1, seed=v, model=MODEL)),
+    ("slices", 1, lambda v: evolve_trotter(PAIR, AnnealSchedule(tau=1.0), slices=v)),
+    ("steps", 1, lambda v: AnnealSchedule(tau=1.0, steps=v)),
+    ("n", 1, lambda v: QapInstance(v, np.zeros((1, 1)), np.zeros(1))),
+    ("n", 1, lambda v: build_constraints(v)),
+    ("n", 1, lambda v: spec(n=v)),
+    ("num_instances", 1, lambda v: spec(num_instances=v)),
+    ("seed", 0, lambda v: spec(seed=v)),
+    ("gap_samples", 2, lambda v: spec(gap_samples=v)),
+    ("num_samples", 2, lambda v: spectral_gap(PAIR, num_samples=v)),
+]
+COUNT_IDS = ["runs", "sweeps", "seed-sa", "shots", "seed-measure", "slices", "steps", "n-instance",
+             "n-constraints", "n-spec", "num_instances", "seed-spec", "gap_samples", "num_samples"]
+
+POSITIVES = [
+    ("scale", lambda v: build_formulation(INST, "baseline", v)),
+    ("scale", lambda v: spec(scales=(1.0, v))),
+    ("tau", lambda v: AnnealSchedule(tau=v)),
+    ("schedule", lambda v: simulated_annealing(MODEL, sweeps=2, runs=1, seed=0, schedule=(v, 1.0))),
+    ("schedule", lambda v: simulated_annealing(MODEL, sweeps=2, runs=1, seed=0, schedule=(1.0, v))),
+]
+POSITIVE_IDS = ["scale-build", "scale-spec", "tau", "t_hi", "t_lo"]
+
+
+@pytest.mark.parametrize("bad", ["least-1", -1, True, 2.5])
+@pytest.mark.parametrize("name, least, call", COUNTS, ids=COUNT_IDS)
+def test_count_refused_with_its_name(name, least, call, bad):
+    value = least - 1 if bad == "least-1" else bad
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= {least}, got {value!r}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("bad", [0, -1.0, float("nan"), float("inf"), True])
+@pytest.mark.parametrize("name, call", POSITIVES, ids=POSITIVE_IDS)
+def test_positive_refused_with_its_name(name, call, bad):
+    with pytest.raises(ValueError, match=rf"^{name}\b.* must be finite and positive, got "):
+        call(bad)
+
+
+def test_rules_return_plain_values():
+    assert type(check_count("k", np.int64(3))) is int and check_count("k", np.int64(3)) == 3
+    assert check_count("k", 0, least=0) == 0
+    assert type(check_positive("x", 2)) is float and check_positive("x", np.float64(0.5)) == 0.5
+    for value in ("3", None, 3.0, -(10**400)):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            check_count("k", value)
+    for value in ("1.5", None, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match="x must be finite and positive"):
+            check_positive("x", value)

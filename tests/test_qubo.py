@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -238,8 +239,11 @@ class TestBuilders:
 
     def test_inserted_requires_n_at_least_2(self):
         inst = QapInstance(1, np.zeros((1, 1)), np.zeros(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="inserted formulation requires n >= 2"):
             build_formulation(inst, "inserted", 1.0)
+        data = {"dim": 0, "formulation": "inserted", "n": 1, "Q": [], "q": [], "offset": 0.0}
+        with pytest.raises(ValueError, match="inserted formulation requires n >= 2"):
+            QuboModel.from_dict(data)
 
     def test_scale_must_be_positive(self):
         inst = random_instance(2, 46)
@@ -498,7 +502,7 @@ class TestEnumerationAndExports:
         inst = random_instance(3, 58)
         model = build_formulation(inst, "row_wise")
         path = tmp_path / "model.json"
-        model.save(path)
+        path.write_text(json.dumps(model.to_dict()))
         back = QuboModel.load(path)
         assert np.array_equal(back.Q, model.Q)
         assert np.array_equal(back.q, model.q)
