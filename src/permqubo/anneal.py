@@ -44,6 +44,8 @@ _KRYLOV_TOL = 1e-13
 # Substep budget: keep ||H|| * dt below this so the Krylov exponential
 # converges far beyond the requested accuracy.
 _STEP_BUDGET = 4.0
+# Equal-width energy bins of a histogram CSV.
+HISTOGRAM_BINS = 40
 
 
 @dataclass
@@ -264,7 +266,7 @@ class SampleSet:
             "metadata": self.metadata,
         }
 
-    def histogram_csv(self, path, bins: int = 40) -> None:
+    def histogram_csv(self, path) -> None:
         """Energy histogram with per-bin valid counts, ready for plotting."""
         energies = np.array([e.energy for e in self.entries])
         counts = np.array([e.count for e in self.entries])
@@ -272,12 +274,12 @@ class SampleSet:
         lo, hi = float(energies.min()), float(energies.max())
         if hi == lo:
             hi = lo + 1.0
-        edges = np.linspace(lo, hi, bins + 1)
-        idx = np.clip(np.digitize(energies, edges) - 1, 0, bins - 1)
+        edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
+        idx = np.clip(np.digitize(energies, edges) - 1, 0, HISTOGRAM_BINS - 1)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["energy_bin", "count", "valid_count"])
-            for b in range(bins):
+            for b in range(HISTOGRAM_BINS):
                 mask = idx == b
                 writer.writerow([
                     repr(float(edges[b])),

@@ -37,18 +37,28 @@ from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_mi
 from .qubo import FORMULATIONS, _model_dim
 from .spectral import build_hamiltonians, gap_profile
 
-SOLVERS = ("brute", "sa", "schrodinger", "trotter")
-# The tightest cap of errors.SIZE_CAPS that each solver meets on the model's size.
-_SOLVER_CAPS = {"brute": ("enumeration",), "sa": (),
-                "schrodinger": ("evolution",), "trotter": ("evolution",)}
+# Every solver and the caps of errors.SIZE_CAPS that it meets on the model's size.
+SOLVERS = {"brute": ("enumeration",), "sa": (),
+           "schrodinger": ("evolution",), "trotter": ("evolution",)}
 
-# Every solver parameter: its default and its JSON type (see
-# errors._has_json_type).  A solver reads the keys it uses and ignores
-# the others.
+
+def _check_schedule(what: str, value) -> None:
+    """Refuse an SA schedule that is not two finite positive temperatures."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{what} must be null or two temperatures, got {value!r}")
+    for t in value:
+        check_positive(what, t)
+
+
+# Every solver parameter: its default, its JSON type (see
+# errors._has_json_type) and its range rule.  A solver reads the keys it
+# uses and ignores the others.
 SOLVER_DEFAULTS = {
-    "sweeps": (100, int), "runs": (500, int), "schedule": (None, (None, [float])),  # sa
-    "tau": (100.0, float), "steps": (None, (None, int)), "shots": (500, int),  # schrodinger, trotter
-    "slices": (256, int),  # trotter
+    "sweeps": (100, int, check_count), "runs": (500, int, check_count),  # sa
+    "schedule": (None, (None, [float]), _check_schedule),  # sa
+    "tau": (100.0, float, check_positive), "steps": (None, (None, int), check_count),
+    "shots": (500, int, check_count),  # schrodinger, trotter
+    "slices": (256, int, check_count),  # trotter
 }
 
 
@@ -78,18 +88,9 @@ def _check_solver_params(params) -> None:
             f"unknown solver_params key(s) {unknown}; expected among {sorted(SOLVER_DEFAULTS)}"
         )
     for key, value in params.items():
-        what = f"solver_params {key}"
-        if value is None and SOLVER_DEFAULTS[key][0] is None:
-            continue  # null asks for the solver's own rule (schedule, steps)
-        if key == "tau":
-            check_positive(what, value)
-        elif key == "schedule":
-            if len(value) != 2:
-                raise ValueError(f"{what} must be null or two temperatures, got {value!r}")
-            for t in value:
-                check_positive(what, t)
-        else:
-            check_count(what, value)
+        default, _, rule = SOLVER_DEFAULTS[key]
+        if value is not None or default is not None:  # null asks for the solver's own rule
+            rule(f"solver_params {key}", value)
 
 
 @dataclass
@@ -127,7 +128,7 @@ class ExperimentSpec:
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; expected one of {SOLVERS}")
+            raise ValueError(f"unknown solver {self.solver!r}; expected one of {tuple(SOLVERS)}")
         _check_solver_params(self.solver_params)
 
     def to_dict(self) -> dict:
@@ -151,7 +152,7 @@ class ExperimentSpec:
         if unknown:
             raise ValueError(f"unknown experiment spec key(s) {unknown}")
         _check_json_types(data.get("solver_params", {}),
-                          {k: kind for k, (_, kind) in SOLVER_DEFAULTS.items()},
+                          {k: kind for k, (_, kind, _) in SOLVER_DEFAULTS.items()},
                           "experiment spec solver_params", required=())
         return cls(**data)
 
@@ -196,7 +197,7 @@ def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool =
     """Refuse, before any work, a run that would hit a size cap: the solver's and (with
     ``gaps``) the gap profiles' on the largest model's ``dim``, and, when an instance of
     size ``n`` is priced, the oracle's on n."""
-    sizes = dict.fromkeys(_SOLVER_CAPS[solver] + (("hamiltonian",) if gaps else ()), dim)
+    sizes = dict.fromkeys(SOLVERS[solver] + (("hamiltonian",) if gaps else ()), dim)
     if n is not None:
         sizes["oracle"] = n
     for what in SIZE_CAPS:
@@ -206,7 +207,7 @@ def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool =
 
 def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     """Run ``solver`` on ``model``; ``params`` overrides SOLVER_DEFAULTS."""
-    params = {k: params.get(k, default) for k, (default, _) in SOLVER_DEFAULTS.items()}
+    params = {k: params.get(k, default) for k, (default, _, _) in SOLVER_DEFAULTS.items()}
     if solver == "brute":
         bits, _ = exhaustive_minimum(model)
         entries = _make_entries(bits[None, :], np.ones(1, dtype=int), model)

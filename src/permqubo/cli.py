@@ -44,10 +44,14 @@ from .qubo import (
 from .spectral import gap_profile
 
 
-def _provenance(seed, paths) -> dict:
-    """Tool version, seed and the SHA-256 of each input file."""
-    hashes = {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
-    return {"version": __version__, "seed": seed, "inputs": hashes}
+def _input_hashes(paths) -> dict:
+    """The SHA-256 of each input file, keyed by its path."""
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
+def _provenance(paths, **extra) -> dict:
+    """Tool version, the SHA-256 of each input file, and ``extra`` (solve's seed)."""
+    return {"version": __version__, "inputs": _input_hashes(paths), **extra}
 
 
 def _write_json(path, payload: dict) -> None:
@@ -125,7 +129,7 @@ def cmd_build(args) -> int:
         "lambda2": bounds.lambda2,
     }
     payload["coupling_report"] = ranges.to_dict()
-    payload["provenance"] = _provenance(args.seed, [args.instance])
+    payload["provenance"] = _provenance([args.instance])
     _write_outputs((args.out, lambda p: _write_json(p, payload)),
                    (args.sparse_out, lambda p: export_sparse(model, p)))
     if args.formulation == "baseline":
@@ -173,7 +177,7 @@ def cmd_gap(args) -> int:
             })
         summaries.append(entry)
         print(f"scale={scale:g}: min_gap={profile.min_gap:.6g} at u={profile.argmin_t:.4g}")
-    payload = {"profiles": summaries, "provenance": _provenance(args.seed, [args.instance])}
+    payload = {"profiles": summaries, "provenance": _provenance([args.instance])}
     if fmt == "json":
         outputs.append((out, lambda p: _write_json(p, payload)))
     _write_outputs(*outputs, (args.summary_out, lambda p: _write_json(p, payload)))
@@ -182,7 +186,8 @@ def cmd_gap(args) -> int:
 
 def cmd_solve(args) -> int:
     params = {k: v for k, v in vars(args).items() if k in SOLVER_DEFAULTS and v is not None}
-    bench._check_solver_params(params)
+    for key, value in params.items():
+        SOLVER_DEFAULTS[key][2](f"--{key}", value)  # the spec key's range rule
     check_count("--seed", args.seed, least=0)
     if not (args.qubo or args.instance):
         raise ValueError("solve needs --instance (or --qubo)")
@@ -200,7 +205,7 @@ def cmd_solve(args) -> int:
 
     samples = bench._solve(model, args.solver, params, args.seed)
     samples.metadata["provenance"] = _provenance(
-        args.seed, [p for p in (args.qubo, args.instance) if p]
+        [p for p in (args.qubo, args.instance) if p], seed=args.seed
     )
 
     summary = {"total": samples.total}
@@ -242,8 +247,7 @@ def cmd_bench(args) -> int:
         spec = ExperimentSpec.load(args.spec)
     report = run_experiment(spec)
     if args.spec:
-        digest = hashlib.sha256(Path(args.spec).read_bytes()).hexdigest()
-        report.provenance["inputs"] = {str(args.spec): digest}
+        report.provenance["inputs"] = _input_hashes([args.spec])
     _write_outputs((args.out, report.save), (args.csv_out, report.to_csv))
     _print_aggregates(report.aggregates)
     return 0
@@ -266,16 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in outputs")
-
     p = sub.add_parser("build", help="build an unconstrained model from an instance file")
     p.add_argument("--instance", required=True)
     p.add_argument("--formulation", required=True, choices=FORMULATIONS)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--sparse-out", help="optional upper-triangular text export")
-    common(p)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("gap", help="spectral-gap profile along the interpolation path")
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True,
                    help="CSV output path (suffixed per scale); a .json path gets one JSON file")
     p.add_argument("--summary-out", help="optional JSON summary path")
-    common(p)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("solve", help="run a solver and report the sample distribution")
@@ -305,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweeps", type=int)
     p.add_argument("--out", required=True, help="sample set JSON output path")
     p.add_argument("--hist-out", help="optional histogram CSV path")
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="solver seed (sa runs, measurement shots)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run an experiment spec or preset")

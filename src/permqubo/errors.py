@@ -84,19 +84,37 @@ def _has_json_type(value, kind, finite: bool = True) -> bool:
     return isinstance(value, kind)
 
 
+def _first_fault(value, kind, finite: bool = True):
+    """The index path ("" for the value itself, "[3][5]" inside a list of lists) and the
+    part of a value without ``kind`` at which it first goes wrong."""
+    path = ""
+    while True:
+        if isinstance(kind, tuple):  # not null, so held to the first other alternative
+            kind = next(k for k in kind if k is not None)
+        if not (isinstance(kind, list) and isinstance(value, list)):
+            return path, value
+        i = next(i for i, v in enumerate(value) if not _has_json_type(v, kind[0], finite))
+        path, value, kind = f"{path}[{i}]", value[i], kind[0]
+
+
 def _check_json_types(data, types: dict, what: str, required=None) -> None:
     """Raise ValueError unless ``data`` is a JSON object that holds every ``required``
     field (by default every field of ``types``) and gives each field of ``types`` its kind.
 
     A number field refuses NaN, the infinities and a literal beyond the float range.
+    A refusal names the field and the index path of its first wrong element, and the
+    type of that element, never a whole value.
     """
     if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     for key in types if required is None else required:
         if key not in data:
             raise ValueError(f"{what} is missing field {key!r}")
     for key, kind in types.items():
-        if key in data and not _has_json_type(data[key], kind):
-            if _has_json_type(data[key], kind, finite=False):
-                raise ValueError(f"{what} field {key} must be finite")
-            raise ValueError(f"{what} field {key!r} has the wrong type: {data[key]!r}")
+        if key not in data or _has_json_type(data[key], kind):
+            continue
+        path, part = _first_fault(data[key], kind)
+        if _has_json_type(data[key], kind, finite=False):
+            raise ValueError(f"{what} field {key}{path} must be finite")
+        where = f" at {key}{path}" if path else ""
+        raise ValueError(f"{what} field {key!r} has the wrong type{where}: {type(part).__name__}")

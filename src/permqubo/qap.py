@@ -27,7 +27,6 @@ from .errors import _check_json_types, check_count, check_size, read_json
 
 # JSON type of each instance field (see errors._has_json_type).
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
-_DISTANCE_TYPES = {"n": int, "d1": [[float]], "d2": [[float]], "linear_bias": (None, [[float]])}
 
 
 def _as_square(a, size, name):
@@ -154,18 +153,6 @@ class DistanceData:
     @property
     def n(self) -> int:
         return self.d1.shape[0]
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DistanceData":
-        _check_json_types(data, _DISTANCE_TYPES, "distance JSON", required=("n", "d1", "d2"))
-        d1 = np.asarray(data["d1"], dtype=float)
-        if d1.shape != (data["n"], data["n"]):
-            raise ValueError("d1 shape disagrees with declared n")
-        return cls(d1=d1, d2=np.asarray(data["d2"]), linear_bias=data.get("linear_bias"))
-
-    @classmethod
-    def load(cls, path) -> "DistanceData":
-        return read_json(path, cls.from_dict)
 
 
 def vectorize(perm: PermutationMatrix) -> np.ndarray:

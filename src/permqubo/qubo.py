@@ -485,37 +485,3 @@ def export_sparse(model: QuboModel, path) -> None:
             if v != 0.0:
                 lines.append(f"{i} {j} {v!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def import_sparse(path, formulation: str, n: int) -> QuboModel:
-    """Parse the text export back into an (upper-triangular) model."""
-    offset = 0.0
-    entries = []
-    max_idx = -1
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "offset":
-                offset = float(parts[1])
-                continue
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            if min(i, j) < 0:
-                raise ValueError("negative index")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(
-                f"{path}:{lineno}: expected 'offset value' or 'i j value', got {line!r}"
-            ) from exc
-        entries.append((i, j, v))
-        max_idx = max(max_idx, i, j)
-    dim = max(max_idx + 1, _model_dim(formulation, n))
-    Q = np.zeros((dim, dim))
-    q = np.zeros(dim)
-    for i, j, v in entries:
-        if i == j:
-            q[i] += v
-        else:
-            Q[i, j] += v
-    return QuboModel(dim=dim, Q=Q, q=q, offset=offset, formulation=formulation, n=n)

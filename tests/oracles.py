@@ -7,6 +7,7 @@ dense matrix exponentials.
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -76,6 +77,27 @@ def enumerate_qubo_loops(model):
     for bits in itertools.product((0, 1), repeat=model.dim):
         out.append((bits, energy_loops(model.Q, model.q, bits) + model.offset))
     return out
+
+
+def read_sparse_loops(path, dim):
+    """Parse the sparse text export line by line into a ``dim``-variable model with
+    upper-triangular Q (the export's "i j value" lines) and q (its "i i value" lines)."""
+    Q = [[0.0] * dim for _ in range(dim)]
+    q = [0.0] * dim
+    offset = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            head, *rest = line.split()
+            if head == "offset":
+                offset = float(rest[0])
+                continue
+            i, j, v = int(head), int(rest[0]), float(rest[1])
+            assert 0 <= i <= j < dim, line
+            if i == j:
+                q[i] += v
+            else:
+                Q[i][j] += v
+    return SimpleNamespace(dim=dim, Q=Q, q=q, offset=offset)
 
 
 def dense_propagator(pair, sched):

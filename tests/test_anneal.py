@@ -385,9 +385,10 @@ class TestSuccessAndSampleSet:
         energies = [e["energy"] for e in data["entries"]]
         assert energies == sorted(energies)
         hist = tmp_path / "hist.csv"
-        samples.histogram_csv(hist, bins=10)
+        samples.histogram_csv(hist)
         lines = hist.read_text().strip().splitlines()
         assert lines[0] == "energy_bin,count,valid_count"
+        assert len(lines) == 1 + anneal.HISTOGRAM_BINS
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 30
 

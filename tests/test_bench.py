@@ -74,12 +74,15 @@ class TestGeneration:
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="scale must be finite and positive"):
                 ExperimentSpec(n=3, num_instances=1, seed=0, scales=(1.0, bad))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\('brute', 'sa', 'schrodinger', 'trotter'\)$"):
             ExperimentSpec(n=3, num_instances=1, seed=0, solver="quantum")
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, formulations=("magic",))
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, solver_params=None)
+        for schedule in (5, [1.0]):
+            with pytest.raises(ValueError, match="schedule must be null or two temperatures"):
+                ExperimentSpec(n=3, num_instances=1, seed=0, solver_params={"schedule": schedule})
         with pytest.raises(ValueError, match="sweepz"):
             ExperimentSpec(n=3, num_instances=1, seed=0, solver="sa", solver_params={"sweepz": 1})
         # a key another solver reads is accepted

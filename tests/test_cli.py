@@ -80,10 +80,21 @@ class TestBuild:
         _, path = write_instance(tmp_path, 2, 4)
         out = tmp_path / "model.json"
         main(["build", "--instance", str(path), "--formulation", "baseline",
-              "--out", str(out), "--seed", "11"])
+              "--out", str(out)])
         prov = json.loads(out.read_text())["provenance"]
-        assert prov["seed"] == 11
+        assert "seed" not in prov  # build is not random
         assert str(path) in prov["inputs"]
+
+    @pytest.mark.parametrize("command", ["build", "gap"])
+    def test_seed_flag_refused(self, tmp_path, capsys, command):
+        # only solve and bench draw random numbers, so only they take --seed
+        _, path = write_instance(tmp_path, 2, 4)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--instance", str(path), "--formulation", "baseline",
+                  "--out", str(tmp_path / "out.json"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -684,3 +695,42 @@ class TestMalformedInputs:
                                                  "brute", "--out", str(tmp_path / "s.json")],
                               model_path, ["inst.json", "model.json"])
         assert "offset must be finite" in err
+
+    def test_wrong_type_names_the_element_not_the_value(self, tmp_path, capsys):
+        inst, path = write_instance(tmp_path, 8, 22)
+        data = inst.to_dict()
+        data["W"][3][5] = "2.5"
+        path.write_text(json.dumps(data))
+        err = _assert_refused(tmp_path, capsys, ["solve", "--instance", str(path), "--solver",
+                                                 "sa", "--out", str(tmp_path / "s.json")],
+                              path, ["inst.json"])
+        assert "field 'W' has the wrong type at W[3][5]: str" in err and len(err.encode()) < 200, err
+
+    @pytest.mark.parametrize("params, message", [
+        ({"tau": -1.0}, "solver_params tau must be finite and positive, got -1.0"),
+        ({"schedule": [1.0, 0]}, "solver_params schedule must be finite and positive, got 0"),
+    ])
+    def test_spec_solver_param_refusal_names_the_key(self, tmp_path, capsys, params, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0,
+                                         "solver_params": params}))
+        err = _assert_refused(tmp_path, capsys, ["bench", "--spec", str(spec_path),
+                                                 "--out", str(tmp_path / "r.json")],
+                              spec_path, ["spec.json"])
+        assert err == f"error: {spec_path}: {message}\n"
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--tau", "nan", "--tau must be finite and positive, got nan"),
+        ("--steps", "0", "--steps must be an integer >= 1, got 0"),
+        ("--shots", "-2", "--shots must be an integer >= 1, got -2"),
+        ("--sweeps", "0", "--sweeps must be an integer >= 1, got 0"),
+    ])
+    def test_solver_flag_refusal_names_the_flag(self, tmp_path, capsys, flag, value, message):
+        _, path = write_instance(tmp_path, 2, 23)
+        with mock.patch("permqubo.bench._solve") as solve:
+            code = main(["solve", "--instance", str(path), "--solver", "schrodinger",
+                         flag, value, "--out", str(tmp_path / "s.json")])
+        assert code == 2
+        solve.assert_not_called()
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]

@@ -17,7 +17,7 @@ from permqubo import (
     simulated_annealing,
     spectral_gap,
 )
-from permqubo.errors import check_count, check_positive
+from permqubo.errors import _check_json_types, check_count, check_positive
 
 INST = QapInstance(2, np.eye(4), np.zeros(4))
 MODEL = QuboModel(dim=1, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0, formulation="inserted", n=2)
@@ -84,3 +84,17 @@ def test_rules_return_plain_values():
     for value in ("1.5", None, 10**400, -(10**400)):
         with pytest.raises(ValueError, match="x must be finite and positive"):
             check_positive("x", value)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"W": [[1.0], [1.0, "x" * 10**5]]}, "t field 'W' has the wrong type at W[1][1]: str"),
+    ({"W": [[1.0], 5]}, "t field 'W' has the wrong type at W[1]: int"),
+    ({"W": {"a": [1.0] * 10**5}}, "t field 'W' has the wrong type: dict"),
+    ({"s": [1.0, True]}, "t field 's' has the wrong type at s[1]: bool"),
+    ({"W": [[1.0, float("inf")]]}, "t field W[0][1] must be finite"),
+    ([1.0] * 10**5, "t must be a JSON object, got list"),
+])
+def test_json_field_check_names_the_element_not_the_value(data, message):
+    with pytest.raises(ValueError) as refused:
+        _check_json_types(data, {"W": [[float]], "s": (None, [float])}, "t", required=())
+    assert str(refused.value) == message

@@ -220,35 +220,6 @@ class TestValidationAndIo:
         assert np.array_equal(back.W, inst.W)
         assert np.array_equal(back.c, inst.c)
 
-    def test_distance_json(self, tmp_path):
-        d = random_metric(2, 4)
-        path = tmp_path / "dist.json"
-        path.write_text(
-            '{"n": 2, "d1": %s, "d2": %s}' % (d.tolist(), d.tolist()), encoding="utf-8"
-        )
-        data = DistanceData.load(path)
-        assert np.array_equal(data.d1, d)
-        assert data.linear_bias is None
-
-    def test_distance_json_null_bias_accepted(self):
-        data = DistanceData.from_dict({"n": 2, "d1": [[0, 1], [1, 0]], "d2": [[0, 2.5], [2.5, 0]],
-                                       "linear_bias": None})
-        assert data.linear_bias is None and data.d2[0, 1] == 2.5
-
-    @pytest.mark.parametrize("data", [
-        {"n": 2, "d1": [["0", "1"], ["1", "0"]], "d2": [[0, True], [True, 0]]},
-        {"n": 2, "d1": [["0", "1"], ["1", "0"]], "d2": [[0, 1], [1, 0]]},
-        {"n": 2, "d1": [[0, 1], [1, 0]], "d2": [[0, True], [True, 0]]},
-        {"n": 2, "d1": [[0, 1], [1, 0]], "d2": [[0, 1], [1, 0]], "linear_bias": [["1", 0], [0, 0]]},
-        {"n": 2, "d1": [[0, 1], [1, 0]], "d2": [[0, 1], [1, 0]], "linear_bias": [[False, 0], [0, 0]]},
-        {"n": "2", "d1": [[0, 1], [1, 0]], "d2": [[0, 1], [1, 0]]},
-        {"n": 2, "d1": [0, 1], "d2": [[0, 1], [1, 0]]},
-        [2, [[0, 1], [1, 0]], [[0, 1], [1, 0]]],
-    ])
-    def test_distance_json_wrong_types_rejected(self, data):
-        with pytest.raises(ValueError, match="distance JSON"):
-            DistanceData.from_dict(data)
-
     def test_instance_json_missing_field(self):
         with pytest.raises(ValueError):
             QapInstance.from_dict({"n": 2, "W": [[0]]})
