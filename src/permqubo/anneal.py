@@ -26,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dger
 
-from .errors import SolverError, check_count, check_positive, check_size
+from .errors import SIZE_CAPS, SolverError, check_count, check_positive, check_size
 from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
 from .spectral import HamiltonianPair
@@ -46,6 +46,11 @@ _KRYLOV_TOL = 1e-13
 _STEP_BUDGET = 4.0
 # Equal-width energy bins of a histogram CSV.
 HISTOGRAM_BINS = 40
+# Simulated annealing draws its random numbers in blocks of this many runs,
+# one generator per block; the value is part of the draw contract.
+_SA_BLOCK = 64
+# Memory budget, in doubles, of one chunk of simulated-annealing runs.
+_SA_CHUNK_DOUBLES = 2**21
 
 
 @dataclass
@@ -193,6 +198,12 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.nd
                          callback)
 
 
+# _REVERSED_AXIS[ax] indexes the view of an array reversed along axis ax,
+# the view np.flip(t, axis=ax) returns, without its argument handling.
+_REVERSED_AXIS = tuple((slice(None),) * ax + (slice(None, None, -1),)
+                       for ax in range(SIZE_CAPS["evolution"][0]))
+
+
 def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
     """Apply exp(-i theta * (-sum_i sigma_x^(i))) = prod_i exp(i theta sigma_x)."""
     if theta == 0.0:
@@ -201,7 +212,7 @@ def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
     c = np.cos(theta)
     s = 1j * np.sin(theta)
     for ax in range(m):
-        t = c * t + s * np.flip(t, axis=ax)
+        t = c * t + s * t[_REVERSED_AXIS[ax]]
     return t.reshape(-1)
 
 
@@ -343,19 +354,23 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
                         schedule: tuple[float, float] | None = None) -> SampleSet:
     """Single-bit-flip Metropolis with geometric cooling.
 
-    Each run r owns the generator seeded by (seed, 1+r) and draws its
-    initial state followed by one acceptance uniform per flip attempt
-    (consumed whether or not the Metropolis test needs it), so serial,
-    batched and parallel executions all reproduce the same states.  A
-    sweep attempts one flip per variable in index order.  ``schedule``
-    overrides the (T_hi, T_lo) pair; by default T_hi is the sampled
-    maximum |energy change| of a flip and T_lo = 1e-3 * T_hi.
+    Runs draw in blocks of _SA_BLOCK: block b owns the generator seeded by
+    (seed, 1+b).  It first draws a (_SA_BLOCK, dim) array of initial
+    states, then per sweep a (_SA_BLOCK, dim) array of acceptance
+    uniforms, one per flip attempt, consumed whether or not the Metropolis
+    test needs it.  Row i belongs to run _SA_BLOCK*b + i and column k to
+    flip k; rows past ``runs`` are drawn and dropped.  A run's draws thus
+    depend only on (seed, r), so any split of whole blocks reproduces the
+    same states.  A sweep attempts one flip per variable in index order.
+    ``schedule`` overrides the (T_hi, T_lo) pair; by default T_hi is the
+    sampled maximum |energy change| of a flip and T_lo = 1e-3 * T_hi.
 
-    Runs are batched in chunks.  A chunk's states X and local fields
-    G = X Q are (runs, dim) arrays in Fortran order, so the column a flip
-    attempt reads and writes is contiguous; an accepted flip updates G in
-    place with one BLAS rank-1 update (dger).  The uniforms stay
-    (runs, sweeps, dim), filled run by run from each run's generator.
+    Runs are batched in chunks of whole blocks.  A chunk's states X and
+    local fields G = X Q are (runs, dim) arrays in Fortran order, so the
+    column a flip attempt reads and writes is contiguous; an accepted flip
+    updates G in place with one BLAS rank-1 update (dger).  Only one
+    sweep's uniforms are held at a time, so memory does not grow with
+    ``sweeps``.
     """
     runs = check_count("runs", runs)
     sweeps = check_count("sweeps", sweeps)
@@ -375,27 +390,32 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     else:
         temps = t_hi * (t_lo / t_hi) ** (np.arange(sweeps) / (sweeps - 1))
 
-    # Batch runs, bounded by the memory of the pregenerated uniforms (2^21 doubles, 16 MB).
-    chunk = max(1, min(runs, int(2**21 // max(1, sweeps * dim))))
+    # A chunk's X, G and one sweep's uniforms together stay within
+    # _SA_CHUNK_DOUBLES (2^21 doubles, 16 MB), but a chunk holds at least one block.
+    chunk = _SA_BLOCK * max(1, _SA_CHUNK_DOUBLES // (3 * _SA_BLOCK * dim))
     final_states = np.empty((runs, dim), dtype=np.int8)
     for start in range(0, runs, chunk):
         stop = min(runs, start + chunk)
-        X = np.empty((stop - start, dim), order="F")
-        U = np.empty((stop - start, sweeps, dim))
-        for i, r in enumerate(range(start, stop)):
-            rng = np.random.default_rng([seed, 1 + r])
-            X[i] = rng.integers(0, 2, size=dim)
-            rng.random(out=U[i])
-        # BLAS rounds X @ Q differently for a Fortran-order X; the product
-        # takes a row-major copy so G does not depend on the layout.
-        G = np.asfortranarray(np.ascontiguousarray(X) @ Q)
+        rngs = [np.random.default_rng([seed, 1 + b])
+                for b in range(start // _SA_BLOCK, ceil(stop / _SA_BLOCK))]
+        X = np.vstack([rng.integers(0, 2, size=(_SA_BLOCK, dim)) for rng in rngs])
+        X = X[:stop - start].astype(float)
+        # BLAS rounds X @ Q differently for a Fortran-order X, so the
+        # product takes the row-major X and G does not depend on the layout.
+        G = np.asfortranarray(X @ Q)
+        X = np.asfortranarray(X)
+        U = np.empty((_SA_BLOCK * len(rngs), dim))
+        U_live = U[:stop - start]
         for s in range(sweeps):
+            for j, rng in enumerate(rngs):
+                rng.random(out=U[_SA_BLOCK * j:_SA_BLOCK * (j + 1)])
             T = temps[s]
             for k in range(dim):
                 delta = 1.0 - 2.0 * X[:, k]
                 dE = 2.0 * delta * G[:, k] + diag[k] + delta * qlin[k]
-                accept = (dE <= 0.0) | (U[:, s, k] < np.exp(np.clip(-dE / T, -700.0, 50.0)))
-                if np.any(accept):
+                p = np.exp(np.minimum(np.maximum(-dE / T, -700.0), 50.0))
+                accept = (dE <= 0.0) | (U_live[:, k] < p)
+                if accept.any():
                     step = delta * accept
                     X[:, k] += step
                     # In place G += outer(step, Q[k]); step is in {-1, 0, 1},

@@ -59,8 +59,8 @@ _START_SEED = 2021
 class HamiltonianPair:
     """Diagonal problem Hamiltonian plus sparse transverse-field mixer.
 
-    The mixer matrix is built on first use and kept for the lifetime of
-    the pair.
+    The mixer matrix and the largest |H_P| entry are computed on first use
+    and kept for the lifetime of the pair.
     """
 
     num_qubits: int
@@ -97,9 +97,13 @@ class HamiltonianPair:
             out = out + (1.0 - u) * (self.mixer @ v)
         return out
 
+    @cached_property
+    def _problem_norm(self) -> float:
+        return float(np.abs(self.problem_diagonal).max())
+
     def norm_bound(self, u: float) -> float:
         """Upper bound on ||H(u)||_2 used to pace propagator steps."""
-        return u * float(np.abs(self.problem_diagonal).max()) + (1.0 - u) * self.num_qubits
+        return u * self._problem_norm + (1.0 - u) * self.num_qubits
 
 
 def _gaps(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:

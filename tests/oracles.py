@@ -178,13 +178,15 @@ def _flip_delta_loops(Q, q, x, k):
 def sa_loops(model, sweeps, runs, seed, schedule=None):
     """Final states of scalar single-flip Metropolis runs, one run at a time.
 
-    Run r draws from the generator seeded by (seed, 1 + r): its initial
-    state with one ``integers(0, 2, size=dim)`` call, then one uniform per
-    flip attempt, in sweep order and variable order within a sweep.  A
-    flip is accepted when dE <= 0 or u < exp(-dE / T) (exponent clipped to
-    [-700, 50]); T cools geometrically from T_hi to T_lo.  By default T_hi
-    is the largest |dE| of a flip over 64 states drawn from (seed, 0) and
-    T_lo = 1e-3 T_hi.  Returns the final states as tuples, run by run.
+    Runs draw in blocks of 64: block b uses the generator seeded by
+    (seed, 1 + b).  It first draws ``integers(0, 2, size=(64, dim))``, whose
+    row i is the initial state of run 64 b + i, then per sweep one
+    ``random((64, dim))``, whose entry (i, k) is that run's uniform for
+    flip k; rows past ``runs`` are drawn and dropped.  A flip is accepted
+    when dE <= 0 or u < exp(-dE / T) (exponent clipped to [-700, 50]); T
+    cools geometrically from T_hi to T_lo.  By default T_hi is the largest
+    |dE| of a flip over 64 states drawn from (seed, 0) and T_lo = 1e-3 T_hi.
+    Returns the final states as tuples, run by run.
     """
     dim = model.dim
     Q, q = model.Q.tolist(), model.q.tolist()
@@ -201,16 +203,19 @@ def sa_loops(model, sweeps, runs, seed, schedule=None):
     else:
         temps = [t_hi * (t_lo / t_hi) ** (s / (sweeps - 1)) for s in range(sweeps)]
     finals = []
-    for r in range(runs):
-        rng = np.random.default_rng([seed, 1 + r])
-        x = [int(b) for b in rng.integers(0, 2, size=dim)]
-        for T in temps:
-            for k in range(dim):
-                u = rng.random()
-                dE = _flip_delta_loops(Q, q, x, k)
-                if dE <= 0.0 or u < math.exp(min(50.0, max(-700.0, -dE / T))):
-                    x[k] = 1 - x[k]
-        finals.append(tuple(x))
+    for b in range(math.ceil(runs / 64)):
+        rng = np.random.default_rng([seed, 1 + b])
+        starts = rng.integers(0, 2, size=(64, dim)).tolist()
+        uniforms = [rng.random((64, dim)).tolist() for _ in temps]
+        for i in range(min(64, runs - 64 * b)):
+            x = [int(v) for v in starts[i]]
+            for T, u_sweep in zip(temps, uniforms):
+                for k in range(dim):
+                    u = u_sweep[i][k]
+                    dE = _flip_delta_loops(Q, q, x, k)
+                    if dE <= 0.0 or u < math.exp(min(50.0, max(-700.0, -dE / T))):
+                        x[k] = 1 - x[k]
+            finals.append(tuple(x))
     return finals
 
 

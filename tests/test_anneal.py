@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -309,21 +310,45 @@ class TestSimulatedAnnealing:
         chi2 = scipy.stats.chisquare(observed, expected)
         assert chi2.pvalue > 0.01
 
-    @pytest.mark.parametrize("make_model, sweeps, runs, schedule", [
-        (lambda: integer_model(9, "baseline", 3, 81), 6, 20, (4.0, 0.2)),
-        (lambda: integer_model(9, "inserted", 4, 82), 1, 20, None),
-        (lambda: float_model(4, "baseline", 2, 83), 1, 17, (1.5, 0.1)),
-        (lambda: float_model(9, "row_wise", 3, 84), 5, 20, (2.0, 0.05)),
-        (lambda: build_formulation(random_instance(3, 85), "inserted"), 8, 20, None),
-        (lambda: build_formulation(random_instance(3, 86), "baseline"), 3, 11, None),
+    @pytest.mark.parametrize("make_model, sweeps, runs, schedule, split", [
+        (lambda: integer_model(9, "baseline", 3, 81), 6, 20, (4.0, 0.2), False),
+        (lambda: integer_model(9, "inserted", 4, 82), 1, 20, None, False),
+        (lambda: float_model(4, "baseline", 2, 83), 1, 17, (1.5, 0.1), False),
+        (lambda: float_model(9, "row_wise", 3, 84), 5, 20, (2.0, 0.05), False),
+        (lambda: build_formulation(random_instance(3, 85), "inserted"), 8, 20, None, False),
+        (lambda: build_formulation(random_instance(3, 86), "baseline"), 3, 11, None, False),
+        (lambda: float_model(9, "row_wise", 3, 87), 3, 130, (2.0, 0.05), False),
+        (lambda: build_formulation(random_instance(3, 88), "row_wise"), 4, 130, None, True),
     ], ids=["int-baseline", "int-inserted-1-sweep", "float-baseline-1-sweep", "float-row_wise",
-            "built-inserted", "built-baseline"])
-    def test_final_states_match_scalar_loop_oracle(self, make_model, sweeps, runs, schedule):
-        # same per-run draws, one flip decision at a time with loop energies
+            "built-inserted", "built-baseline", "three-blocks-partial-last", "one-block-per-chunk"])
+    def test_final_states_match_scalar_loop_oracle(self, monkeypatch, make_model, sweeps, runs,
+                                                   schedule, split):
+        # same per-block draws, one flip decision at a time with loop energies
         model = make_model()
         samples = simulated_annealing(model, sweeps=sweeps, runs=runs, seed=5, schedule=schedule)
+        if split:  # a budget of one block per chunk gives three chunks, and the same samples
+            monkeypatch.setattr(anneal, "_SA_CHUNK_DOUBLES", 3 * anneal._SA_BLOCK * model.dim)
+            split_samples = simulated_annealing(model, sweeps=sweeps, runs=runs, seed=5,
+                                                schedule=schedule)
+            assert split_samples.to_dict() == samples.to_dict()
         expected = Counter(oracles.sa_loops(model, sweeps=sweeps, runs=runs, seed=5, schedule=schedule))
         assert {e.bits: e.count for e in samples.entries} == dict(expected)
+
+    def test_memory_does_not_grow_with_sweeps(self):
+        # One 16-bit run.  Holding every uniform costs 8 * dim bytes per
+        # sweep (8 KB over 64 more sweeps); one sweep's block at a time
+        # leaves only the 8-byte temperature per sweep.
+        model = build_formulation(random_instance(4, 89), "baseline")
+        simulated_annealing(model, sweeps=2, runs=1, seed=7)  # one-time allocations
+        peaks = {}
+        for sweeps in (1, 65):
+            tracemalloc.start()
+            try:
+                simulated_annealing(model, sweeps=sweeps, runs=1, seed=7, schedule=(1.0, 0.1))
+                peaks[sweeps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[65] - peaks[1] < 64 * model.dim * 8 // 4, peaks
 
     def test_validation(self):
         model = build_formulation(random_instance(2, 77), "baseline")
