@@ -44,7 +44,8 @@ for tau in (2.0, 10.0, 50.0):
 print("\nLonger anneals concentrate the wavefunction on the ground state, so")
 print("the measured histogram narrows onto the optimal permutation.")
 
-# A mid-anneal plateau is just another schedule path:
+# A mid-anneal plateau is just another schedule path; evolve puts no step
+# across its breakpoints, where a step would lose its fourth order:
 plateau = AnnealSchedule(tau=50.0, path=((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1)))
 psi = evolve(pair, plateau)
 samples = measure(psi, shots=2000, seed=43, model=model)

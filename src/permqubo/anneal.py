@@ -20,13 +20,14 @@ import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from math import ceil, factorial, isfinite
+from math import ceil, factorial, isfinite, sqrt
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dger
 
-from .errors import SIZE_CAPS, SolverError, check_count, check_positive, check_size
+from .errors import (SIZE_CAPS, SolverError, check_count, check_positive, check_size,
+                     check_work)
 from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
 from .spectral import HamiltonianPair
@@ -36,14 +37,29 @@ ENERGY_RTOL = 1e-9
 
 # A state whose norm drifted further than this from 1 is renormalised.
 _NORM_DRIFT = 1e-10
-# Hard cap on the Krylov basis of one propagator step.
+# The error budget of ``evolve``, in one place.  The integrator is the
+# fourth-order commutator-free Magnus step CF4: a step of width dt is two
+# exponentials exp(-i dt/2 H(u~)), and halving dt cuts the global error about
+# 16x.  By default a schedule takes max(_MIN_STEPS, ceil(_STEPS_PER_TIME * tau))
+# steps (dt <= 0.4).  On n = 3 instances at tau = 5 to 100, on linear and
+# plateau paths, the final state is then within 8e-6 to 7e-5 (2-norm) of the
+# exact one.  Each exponential (each substep of one) stops its Krylov
+# expansion at an error bound of _KRYLOV_TOL and adds at most that error;
+# measured at tau = 100, 1e-8 moves the final state by under 1% of the
+# integrator's error, where 1e-7 moves it by up to 15%.
+_MIN_STEPS = 25
+_STEPS_PER_TIME = 2.5
+_KRYLOV_TOL = 1e-8
+# Hard cap on the Krylov basis of one exponential; with ||H|| dt below
+# _STEP_BUDGET the stop above is met within it ((4^m / m!) < 1e-8 at m = 23).
 _KRYLOV_DIM = 24
-# A Krylov expansion stops once its error bound for a unit start vector
-# falls below this.
-_KRYLOV_TOL = 1e-13
-# Substep budget: keep ||H|| * dt below this so the Krylov exponential
-# converges far beyond the requested accuracy.
+# Substep budget: an exponential whose ||H|| * dt exceeds this is split.
 _STEP_BUDGET = 4.0
+# Gauss nodes of a step, as fractions of it, and the CF4 weights
+# alpha_1,2 = (3 -+ 2 sqrt 3) / 12 (Blanes and Moan, Appl. Numer. Math. 56,
+# 2006; Alvermann and Fehske, J. Comput. Phys. 230, 2011).
+_GAUSS = (0.5 - sqrt(3.0) / 6.0, 0.5 + sqrt(3.0) / 6.0)
+_CF4 = ((3.0 - 2.0 * sqrt(3.0)) / 12.0, (3.0 + 2.0 * sqrt(3.0)) / 12.0)
 # Equal-width energy bins of a histogram CSV.
 HISTOGRAM_BINS = 40
 # Simulated annealing draws its random numbers in blocks of this many runs,
@@ -59,9 +75,9 @@ class AnnealSchedule:
 
     ``path`` lists (s, u) breakpoints with s = t / tau; it must be
     monotone with path(0) = 0 and path(1) = 1.  A plateau breakpoint
-    models a mid-anneal break.  ``steps`` is the number of
-    frozen-midpoint integration steps; when None a resolution of 10
-    steps per unit time (at least 100) is used.
+    models a mid-anneal break.  ``steps`` asks for that many CF4 steps of
+    ``evolve``, two exponentials each; when None, 2.5 steps per unit time
+    (at least 25) are used (see the error budget at the top of the module).
     """
 
     tau: float
@@ -92,10 +108,24 @@ class AnnealSchedule:
         us = [p[1] for p in self.path]
         return float(np.interp(s, ss, us))
 
+    def segments(self) -> list[tuple[float, float, int]]:
+        """The step grid of ``evolve``: (s_start, s_end, steps) per linear piece of the path.
+
+        The requested count is spread over the pieces between distinct
+        breakpoints by rounding each breakpoint to the nearest of that many
+        uniform steps.  Every piece takes at least one step, so no step
+        straddles a kink, where a step would lose its order.
+        """
+        # Exact arithmetic: a tau near the float range must not overflow.
+        count = self.steps if self.steps is not None else max(
+            _MIN_STEPS, ceil(Fraction(self.tau) * Fraction(_STEPS_PER_TIME)))
+        ss = sorted({s for s, _ in self.path})
+        marks = [round(count * Fraction(s)) for s in ss]
+        return [(a, b, max(1, kb - ka)) for a, b, ka, kb in zip(ss, ss[1:], marks, marks[1:])]
+
     def effective_steps(self) -> int:
-        if self.steps is not None:
-            return self.steps
-        return max(100, ceil(10.0 * self.tau))
+        """The number of steps ``evolve`` takes."""
+        return sum(n for _, _, n in self.segments())
 
 
 def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
@@ -112,7 +142,9 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     prod_{i<m} beta_i (s |dt|)^(m-1) / (m-1)! (Hochbruck-Lubich 1997).
     est_m also bounds Saad's (1992) a-posteriori estimate from above, so
     that estimate could never overrule the stop.  The caller keeps
-    ||H|| dt small enough that the cap is accurate to machine precision.
+    ||H|| dt within _STEP_BUDGET, where the stop is met before the cap.
+    The result is an exponential of a Hermitian T_m applied in an
+    orthonormal basis, so it keeps the norm whatever the stop.
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0:
@@ -146,31 +178,59 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     return (coef * norm_v) @ V[:used]
 
 
-def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, steps: int, step,
+def _evolution_work(steps: int, num_qubits: int) -> int:
+    """The amount errors.WORK_CAPS["evolution"] charges ``steps`` state-vector steps.
+
+    Each step counts max(2^m, 2^10) amplitudes: below 2^10 amplitudes a
+    step costs about its fixed overhead, not its size.
+    """
+    return steps * max(2**num_qubits, 2**10)
+
+
+def _s_at(a: float, w: float, k: int, n: int, x: float) -> float:
+    """The s at fraction x of step k of n equal steps over [a, a + w].
+
+    On the one piece [0, 1] this is (k + x) / n bit for bit, the midpoint
+    rounding ``evolve_trotter`` has always used, so its states do not move.
+    """
+    return a + w * ((k + x) / n)
+
+
+def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step, pieces,
                   callback=None) -> np.ndarray:
     """The stepping loop shared by the state-vector simulators.
 
-    Starts from the uniform superposition (the mixer ground state) and
-    cuts the schedule into ``steps`` equal segments; segment k maps psi
-    to ``step(u, psi, dt)`` with u the path at the segment's midpoint.
-    Non-finite amplitudes raise SolverError, and a norm that drifted more
-    than _NORM_DRIFT from 1 is renormalised.  ``callback(k, u, psi, norm)``
-    receives the post-step state and its pre-renormalisation norm.
+    Starts from the uniform superposition (the mixer ground state).  Each
+    (a, b, n) of ``segments`` is cut into n equal steps; step k maps psi to
+    ``step(at, psi, dt)`` with dt = tau (b - a) / n and at(x) the s at
+    fraction x of the step.  Before any work, the qubit cap is checked, and
+    then the work cap, with each step of width dt charged as ``pieces(dt)``
+    steps.  Non-finite amplitudes raise SolverError, and a norm that
+    drifted more than _NORM_DRIFT from 1 is renormalised.
+    ``callback(k, u, psi, norm)`` receives the running step number, the
+    path at the step's midpoint, the post-step state and its
+    pre-renormalisation norm.
     """
     check_size("evolution", pair.num_qubits)
+    charged = sum(n * pieces(sched.tau * (b - a) / n) for a, b, n in segments)
+    check_work("evolution", _evolution_work(charged, pair.num_qubits))
     dim = pair.dim
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    dt = sched.tau / steps
-    for k in range(steps):
-        u = sched.path_value((k + 0.5) / steps)
-        psi = step(u, psi, dt)
-        if not np.all(np.isfinite(psi.view(float))):
-            raise SolverError(f"non-finite amplitudes at step {k}")
-        norm = float(np.linalg.norm(psi))
-        if abs(norm - 1.0) > _NORM_DRIFT:
-            psi = psi / norm
-        if callback is not None:
-            callback(k, u, psi, norm)
+    done = 0
+    for a, b, n in segments:
+        w = b - a
+        dt = sched.tau * w / n
+        for k in range(n):
+            at = partial(_s_at, a, w, k, n)
+            psi = step(at, psi, dt)
+            if not np.all(np.isfinite(psi.view(float))):
+                raise SolverError(f"non-finite amplitudes at step {done}")
+            norm = float(np.linalg.norm(psi))
+            if abs(norm - 1.0) > _NORM_DRIFT:
+                psi = psi / norm
+            if callback is not None:
+                callback(done, sched.path_value(at(0.5)), psi, norm)
+            done += 1
     return psi
 
 
@@ -182,20 +242,46 @@ def _propagate(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> n
     return psi
 
 
+def _cf4_step(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
+              dt: float) -> np.ndarray:
+    """One CF4 step: H is affine in u, so alpha_2 H(u_1) + alpha_1 H(u_2) = H(u~) / 2
+    with u~ = 2 (alpha_2 u_1 + alpha_1 u_2), and likewise with the weights swapped."""
+    u1, u2 = (sched.path_value(at(x)) for x in _GAUSS)
+    a1, a2 = _CF4
+    psi = _propagate(pair, 2.0 * (a2 * u1 + a1 * u2), psi, dt / 2.0)
+    return _propagate(pair, 2.0 * (a1 * u1 + a2 * u2), psi, dt / 2.0)
+
+
+def _cf4_substeps(pair: HamiltonianPair, dt: float) -> int:
+    """The most substeps an exponential of a CF4 step of width dt can take.
+
+    ||H(u~)|| <= max(||H_P||, m), so each exponential takes at most
+    ceil(dt/2 * that / _STEP_BUDGET); exact arithmetic, so that no product
+    overflows.
+    """
+    top = max(pair.norm_bound(0.0), pair.norm_bound(1.0))
+    return max(1, ceil(Fraction(dt) * Fraction(top) / Fraction(2.0 * _STEP_BUDGET)))
+
+
 def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.ndarray:
     """Integrate the schedule and return the final state vector.
 
-    Each step applies the unitary exp(-i H(u_mid) dt) of the Hamiltonian
-    frozen at the step midpoint, split into substeps with ||H|| dt below
-    _STEP_BUDGET.  Each substep is a Krylov expansion built from sparse
-    products with H(u) that grows only until its error bound falls below
-    _KRYLOV_TOL (at most _KRYLOV_DIM vectors); the stepping is
-    therefore norm-preserving by construction.
+    Steps with the fourth-order commutator-free Magnus scheme CF4 on the
+    grid of ``sched.segments()``, which puts no step across a breakpoint of
+    the path.  A step of width dt applies exp(-i dt/2 H(u~_2)) exp(-i dt/2
+    H(u~_1)), where u~_1 = 2 (alpha_2 u_1 + alpha_1 u_2) and u~_2 = 2
+    (alpha_1 u_1 + alpha_2 u_2) mix the path values u_1, u_2 at the step's
+    two Gauss nodes.  Each exponential is split into substeps with ||H|| dt
+    below _STEP_BUDGET, and each substep is a Krylov expansion built from
+    products with H(u~) that grows until its error bound falls below
+    _KRYLOV_TOL (at most _KRYLOV_DIM vectors); the stepping is therefore
+    norm-preserving by construction.  Against the work cap, a step counts
+    once per substep its exponentials may take.
     ``callback(step, u, psi, norm)`` receives the post-step state and its
     pre-renormalisation norm.
     """
-    return _step_through(pair, sched, sched.effective_steps(), partial(_propagate, pair),
-                         callback)
+    return _step_through(pair, sched, sched.segments(), partial(_cf4_step, pair, sched),
+                         partial(_cf4_substeps, pair), callback)
 
 
 # _REVERSED_AXIS[ax] indexes the view of an array reversed along axis ax,
@@ -216,7 +302,9 @@ def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _trotter_slice(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> np.ndarray:
+def _trotter_slice(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
+                   dt: float) -> np.ndarray:
+    u = sched.path_value(at(0.5))
     theta = (1.0 - u) * dt / 2.0
     psi = _mixer_rotation(psi, theta, pair.num_qubits)
     psi = psi * np.exp(-1j * u * dt * pair.problem_diagonal)
@@ -231,7 +319,9 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) ->
     A = (1-u) H_B (a tensor product of single-qubit rotations, exact)
     and B = u H_P (diagonal, exact).
     """
-    return _step_through(pair, sched, check_count("slices", slices), partial(_trotter_slice, pair))
+    slices = check_count("slices", slices)
+    return _step_through(pair, sched, [(0.0, 1.0, slices)], partial(_trotter_slice, pair, sched),
+                         lambda dt: 1)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from . import __version__
 from .anneal import (
     AnnealSchedule,
     SampleSet,
+    _evolution_work,
     _make_entries,
     evolve,
     evolve_trotter,
@@ -31,7 +32,7 @@ from .anneal import (
     simulated_annealing,
 )
 from .errors import (SIZE_CAPS, _check_json_types, check_count, check_positive, check_size,
-                     read_json)
+                     check_work, read_json)
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
@@ -193,21 +194,33 @@ def _instance_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
 
 
-def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool = False) -> None:
+def _with_defaults(params: dict) -> dict:
+    """Every solver parameter: ``params`` over SOLVER_DEFAULTS."""
+    return {k: params.get(k, default) for k, (default, _, _) in SOLVER_DEFAULTS.items()}
+
+
+def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool = False,
+                       params: dict | None = None) -> None:
     """Refuse, before any work, a run that would hit a size cap: the solver's and (with
     ``gaps``) the gap profiles' on the largest model's ``dim``, and, when an instance of
-    size ``n`` is priced, the oracle's on n."""
+    size ``n`` is priced, the oracle's on n.  Then refuse a state-vector run, with
+    ``params``, over the evolution work cap on its steps (Trotter slices)."""
     sizes = dict.fromkeys(SOLVERS[solver] + (("hamiltonian",) if gaps else ()), dim)
     if n is not None:
         sizes["oracle"] = n
     for what in SIZE_CAPS:
         if what in sizes:
             check_size(what, sizes[what])
+    if "evolution" in sizes:
+        params = _with_defaults(params or {})
+        steps = params["slices"] if solver == "trotter" else AnnealSchedule(
+            tau=params["tau"], steps=params["steps"]).effective_steps()
+        check_work("evolution", _evolution_work(steps, dim))
 
 
 def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     """Run ``solver`` on ``model``; ``params`` overrides SOLVER_DEFAULTS."""
-    params = {k: params.get(k, default) for k, (default, _, _) in SOLVER_DEFAULTS.items()}
+    params = _with_defaults(params)
     if solver == "brute":
         bits, _ = exhaustive_minimum(model)
         entries = _make_entries(bits[None, :], np.ones(1, dtype=int), model)
@@ -323,7 +336,8 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     if workers != 1:
         raise ValueError(f"instances run serially; workers must be 1, got {workers!r}")
     top = max(_model_dim(f, spec.n) for f in spec.formulations)
-    _check_solver_size(spec.solver, top, spec.n, gaps=spec.gap_samples > 0)
+    _check_solver_size(spec.solver, top, spec.n, gaps=spec.gap_samples > 0,
+                       params=spec.solver_params)
     records = [_run_instance(spec, i, inst) for i, inst in enumerate(generate_instances(spec))]
 
     aggregates = {}

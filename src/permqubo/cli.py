@@ -201,7 +201,8 @@ def cmd_solve(args) -> int:
                                   1.0 if args.scale is None else args.scale)
     if inst is not None and model.n != inst.n:
         raise ValueError(f"model {args.qubo} has n={model.n}, but the instance has n={inst.n}")
-    bench._check_solver_size(args.solver, model.dim, inst.n if inst is not None else None)
+    bench._check_solver_size(args.solver, model.dim, inst.n if inst is not None else None,
+                             params=params)
 
     samples = bench._solve(model, args.solver, params, args.seed)
     samples.metadata["provenance"] = _provenance(

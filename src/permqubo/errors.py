@@ -1,4 +1,4 @@
-"""Exception types, the size caps, the range rules, and the JSON reader and field check
+"""Exception types, the size and work caps, the range rules, and the JSON reader and field check
 shared across the package."""
 
 import json
@@ -8,7 +8,7 @@ from pathlib import Path
 
 
 class SizeCapError(Exception):
-    """A requested computation exceeds a hard size guard (qubit/state caps)."""
+    """A requested computation exceeds a hard size or work guard."""
 
 
 # Every hard size guard: what -> (largest size allowed, its unit, what it limits).
@@ -22,9 +22,31 @@ SIZE_CAPS = {
 
 def check_size(what: str, size: int) -> None:
     """Raise SizeCapError when ``size`` exceeds the cap SIZE_CAPS[what]."""
-    limit, unit, label = SIZE_CAPS[what]
-    if size > limit:
-        raise SizeCapError(f"{label} needs {size} {unit}s, over its {limit}-{unit} cap")
+    _check_cap(SIZE_CAPS[what], size)
+
+
+def _check_cap(cap: tuple, amount: int) -> None:
+    limit, unit, label = cap
+    if amount > limit:
+        digits = str(amount)  # an absurd request can ask for hundreds of digits
+        shown = digits if len(digits) <= 15 else f"over 1e{len(digits) - 1}"
+        raise SizeCapError(f"{label} needs {shown} {unit}s, over its {limit}-{unit} cap")
+
+
+# Every hard work guard: what -> (largest amount allowed, its unit, what it limits).
+# State-vector evolution is charged its steps (Trotter slices; a CF4 step once
+# per substep its exponentials may take) times max(2^m, 2^10) amplitudes
+# (anneal._evolution_work).  Measured on one BLAS thread at m = 1 to 12, a CF4
+# step costs at most 2.5 us per charged amplitude and a Trotter slice a tenth
+# of that, so a run at the cap takes at most about 6 minutes.
+WORK_CAPS = {
+    "evolution": (2**27, "step-amplitude", "state-vector evolution"),
+}
+
+
+def check_work(what: str, amount: int) -> None:
+    """Raise SizeCapError when ``amount`` exceeds the cap WORK_CAPS[what]."""
+    _check_cap(WORK_CAPS[what], amount)
 
 
 def check_count(what: str, value, least: int = 1) -> int:

@@ -99,11 +99,19 @@ class HamiltonianPair:
 
     @cached_property
     def _problem_norm(self) -> float:
-        return float(np.abs(self.problem_diagonal).max())
+        # max |H_P| entry without an |H_P|-sized temporary, so that the
+        # propagator's work check allocates nothing
+        return max(float(self.problem_diagonal.max()), -float(self.problem_diagonal.min()))
 
     def norm_bound(self, u: float) -> float:
-        """Upper bound on ||H(u)||_2 used to pace propagator steps."""
-        return u * self._problem_norm + (1.0 - u) * self.num_qubits
+        """Upper bound |u| ||H_P|| + |1-u| m on ||H(u)||_2, for any real u.
+
+        The eigensolver's breakdown threshold and the propagator's substeps
+        use it.  A CF4 step of the propagator evaluates H at a mix of two
+        path values with one negative weight; on its breakpoint-aligned grid
+        that mix stays in [0, 1] but for rounding, and the bound holds anyway.
+        """
+        return abs(u) * self._problem_norm + abs(1.0 - u) * self.num_qubits
 
 
 def _gaps(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:

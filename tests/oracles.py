@@ -101,19 +101,48 @@ def read_sparse_loops(path, dim):
 
 
 def dense_propagator(pair, sched):
-    """Reference integrator: exact exponential of the frozen-midpoint Hamiltonian.
+    """Reference integrator: the CF4 step with dense matrix exponentials.
 
-    Each step applies exp(-i H dt) = U exp(-i Lambda dt) U^T from the full
-    eigendecomposition of the real symmetric dense H.
+    On the schedule's breakpoint-aligned grid (``sched.segments()``), a
+    step of width dt from s0 to s1 takes the path values u1, u2 at the Gauss
+    nodes s0 + (1/2 -+ sqrt(3)/6)(s1 - s0) and applies
+    expm(-i dt/2 H(2 (a1 u1 + a2 u2))) expm(-i dt/2 H(2 (a2 u1 + a1 u2)))
+    with a1,2 = (3 -+ 2 sqrt(3)) / 12.  Each exponential is
+    U exp(-i Lambda dt/2) U^T from the full eigendecomposition of the real
+    symmetric dense H from ``dense_hamiltonian`` (at 256 amplitudes it is
+    5x faster than scipy.linalg.expm, which tests one Krylov exponential).
     """
+    ss = [p[0] for p in sched.path]
+    us = [p[1] for p in sched.path]
+    r3 = math.sqrt(3.0)
+    a1, a2 = (3.0 - 2.0 * r3) / 12.0, (3.0 + 2.0 * r3) / 12.0
     dim = pair.dim
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
-    steps = sched.effective_steps()
+    for a, b, n in sched.segments():
+        h = (b - a) / n
+        dt = sched.tau * h
+        for k in range(n):
+            s0 = a + k * h
+            u1 = float(np.interp(s0 + (0.5 - r3 / 6.0) * h, ss, us))
+            u2 = float(np.interp(s0 + (0.5 + r3 / 6.0) * h, ss, us))
+            for u in (2.0 * (a2 * u1 + a1 * u2), 2.0 * (a1 * u1 + a2 * u2)):
+                evals, U = np.linalg.eigh(dense_hamiltonian(pair, u))
+                psi = U @ (np.exp(-0.5j * dt * evals) * (U.T @ psi))
+    return psi
+
+
+def dense_midpoint_propagator(pair, sched, steps):
+    """The frozen-midpoint rule: ``steps`` uniform steps, each the dense exponential
+    exp(-i dt H(u)), by eigendecomposition, at the path value u of the step's midpoint."""
+    ss = [p[0] for p in sched.path]
+    us = [p[1] for p in sched.path]
+    dim = pair.dim
+    psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     dt = sched.tau / steps
     for k in range(steps):
-        u = sched.path_value((k + 0.5) / steps)
+        u = float(np.interp((k + 0.5) / steps, ss, us))
         evals, U = np.linalg.eigh(dense_hamiltonian(pair, u))
-        psi = U @ (np.exp(-1j * evals * dt) * (U.T @ psi))
+        psi = U @ (np.exp(-1j * dt * evals) * (U.T @ psi))
     return psi
 
 

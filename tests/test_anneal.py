@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import ceil
 
 import numpy as np
 import pytest
@@ -76,8 +77,21 @@ class TestSchedule:
                 AnnealSchedule(tau=tau)
 
     def test_default_steps_scale_with_tau(self):
-        assert AnnealSchedule(tau=1.0).effective_steps() == 100
-        assert AnnealSchedule(tau=50.0).effective_steps() == 500
+        assert AnnealSchedule(tau=1.0).effective_steps() == 25
+        assert AnnealSchedule(tau=50.0).effective_steps() == 125
+        assert AnnealSchedule(tau=50.0).segments() == [(0.0, 1.0, 125)]
+
+    def test_grid_aligned_to_breakpoints(self):
+        # each piece between distinct breakpoints gets its share of the
+        # steps, and at least one; a jump (repeated s) adds no piece
+        plateau = AnnealSchedule(tau=20.0, path=((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1)))
+        assert [(a, b) for a, b, _ in plateau.segments()] == [(0.0, 0.45), (0.45, 0.55),
+                                                              (0.55, 1.0)]
+        assert plateau.effective_steps() == 50
+        assert [n for _, _, n in AnnealSchedule(tau=1.0, path=plateau.path, steps=4).segments()] \
+            == [2, 1, 2]
+        jump = AnnealSchedule(tau=1.0, path=((0, 0), (0.5, 0), (0.5, 1), (1, 1)), steps=7)
+        assert jump.segments() == [(0.0, 0.5, 4), (0.5, 1.0, 3)]
 
 
 class TestEvolve:
@@ -90,38 +104,64 @@ class TestEvolve:
         assert np.allclose(probs, 1.0 / 8.0, atol=1e-12)
         assert np.allclose(np.abs(psi), 1.0 / np.sqrt(8.0), atol=1e-12)
 
-    def test_two_level_adiabatic_matches_dense_reference(self):
+    def test_two_level_adiabatic_matches_dense_reference(self, monkeypatch):
         pair = HamiltonianPair(1, np.array([0.0, 2.0]))
         sched = AnnealSchedule(tau=50.0, steps=500)
-        psi = evolve(pair, sched)
+        psi, exps = evolve_counting(monkeypatch, pair, sched)
         assert abs(psi[0]) ** 2 > 0.99
         ref = oracles.dense_propagator(pair, sched)
-        assert np.abs(psi - ref).max() < 1e-10
+        assert np.linalg.norm(psi - ref) <= krylov_bound(exps)
 
     @pytest.mark.parametrize("num_qubits", [6, 8])
     @pytest.mark.parametrize("spread", [1.0, 30.0])
-    def test_multi_qubit_matches_dense_reference(self, num_qubits, spread):
-        # 200 small steps run one Krylov expansion each; 5 steps and a
-        # single step split into many substeps
+    def test_multi_qubit_matches_dense_reference(self, monkeypatch, num_qubits, spread):
+        # 40 steps run one Krylov expansion per exponential (||H|| dt/2 <= 3.75);
+        # 5 steps and a single step split into many substeps
         rng = np.random.default_rng([num_qubits, int(spread)])
         pair = HamiltonianPair(num_qubits, rng.uniform(-spread, spread, 2**num_qubits))
-        for sched in (AnnealSchedule(tau=10.0, steps=200), AnnealSchedule(tau=10.0, steps=5),
+        for sched in (AnnealSchedule(tau=10.0, steps=40), AnnealSchedule(tau=10.0, steps=5),
                       AnnealSchedule(tau=10.0, steps=1)):
             ref = oracles.dense_propagator(pair, sched)
-            assert np.abs(evolve(pair, sched) - ref).max() < 1e-10
+            psi, exps = evolve_counting(monkeypatch, pair, sched)
+            assert np.linalg.norm(psi - ref) <= krylov_bound(exps)
 
     def test_matvecs_per_step(self, monkeypatch):
-        # about 11 products with H(u) per step on this pair; a fixed
-        # 24-vector basis takes 28 (24 per substep)
+        # about 7 products with H(u~) per exponential on this pair; a fixed
+        # 24-vector basis takes 24
         spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 82), "baseline")))
         pair = build_hamiltonians(spin)
         calls = []
         apply = HamiltonianPair.apply
         monkeypatch.setattr(HamiltonianPair, "apply",
                             lambda self, u, v: calls.append(u) or apply(self, u, v))
-        sched = AnnealSchedule(tau=20.0)
-        evolve(pair, sched)
-        assert len(calls) < 16 * sched.effective_steps()
+        _, exps = evolve_counting(monkeypatch, pair, AnnealSchedule(tau=20.0))
+        assert len(calls) < 10 * exps
+
+    def test_fourth_order_on_a_linear_path(self, monkeypatch):
+        # with the Krylov stop far below the integrator's error, halving dt
+        # cuts the final-state error by about 16x (24x and 17x here)
+        monkeypatch.setattr(anneal, "_KRYLOV_TOL", 1e-13)
+        spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 5), "inserted")))
+        pair = build_hamiltonians(spin)
+        ref = evolve(pair, AnnealSchedule(tau=10.0, steps=640))
+        errors = [np.linalg.norm(evolve(pair, AnnealSchedule(tau=10.0, steps=steps)) - ref)
+                  for steps in (20, 40, 80)]
+        assert errors[0] >= 10 * errors[1] and errors[1] >= 10 * errors[2]
+
+    @pytest.mark.parametrize("tau", [20.0, 50.0])
+    def test_plateau_path_no_worse_than_midpoint_rule(self, tau):
+        # demo 03's plateau path: the default steps are no less accurate than
+        # the frozen-midpoint rule at its default, max(100, ceil(10 tau))
+        # uniform steps, which straddle the breakpoints; CF4 on a grid that
+        # ignored them lost its order there and was worse at tau = 20
+        spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 5), "inserted")))
+        pair = build_hamiltonians(spin)
+        path = ((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1))
+        sched = AnnealSchedule(tau=tau, path=path)
+        ref = oracles.dense_propagator(
+            pair, AnnealSchedule(tau=tau, path=path, steps=16 * sched.effective_steps()))
+        midpoint = oracles.dense_midpoint_propagator(pair, sched, max(100, ceil(10 * tau)))
+        assert np.linalg.norm(evolve(pair, sched) - ref) <= np.linalg.norm(midpoint - ref)
 
     def test_norm_conservation(self):
         inst = random_instance(3, 70)
@@ -149,6 +189,24 @@ class TestEvolve:
         assert probs[1] <= probs[2] + 1e-12
 
 
+def evolve_counting(monkeypatch, pair, sched):
+    """evolve's final state and the number of Krylov exponentials it ran."""
+    calls = []
+    expm = anneal._lanczos_expm
+    monkeypatch.setattr(anneal, "_lanczos_expm",
+                        lambda apply_h, v, dt: calls.append(dt) or expm(apply_h, v, dt))
+    psi = evolve(pair, sched)
+    monkeypatch.setattr(anneal, "_lanczos_expm", expm)
+    return psi, len(calls)
+
+
+def krylov_bound(exps):
+    """The 2-norm error allowed after ``exps`` Krylov exponentials of a unit state:
+    each stops at _KRYLOV_TOL, plus 1e-13 for the rounding of it and of the
+    dense reference."""
+    return exps * (anneal._KRYLOV_TOL + 1e-13)
+
+
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(dim=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
        diag_spread=st.sampled_from([0.0, 1.0, 30.0]), dt_frac=st.floats(-1.0, 1.0))
@@ -162,7 +220,7 @@ def test_lanczos_expm_matches_expm(dim, seed, diag_spread, dt_frac):
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= np.linalg.norm(v)
     got = anneal._lanczos_expm(lambda w: H @ w, v, dt)
-    assert np.abs(got - scipy.linalg.expm(-1j * dt * H) @ v).max() < 1e-10
+    assert np.linalg.norm(got - scipy.linalg.expm(-1j * dt * H) @ v) <= krylov_bound(1)
 
 
 class TestTrotter:

@@ -30,8 +30,10 @@ from permqubo import (
     vectorize,
     worst_permutation,
 )
+from permqubo import anneal, errors
+from permqubo.anneal import _evolution_work
 from permqubo.bench import PRESETS, _check_solver_size, _run_instance
-from permqubo.errors import SIZE_CAPS
+from permqubo.errors import SIZE_CAPS, WORK_CAPS
 from permqubo.qubo import _model_dim
 
 
@@ -225,6 +227,48 @@ def test_size_cap_refused_before_allocating(what):
         with pytest.raises(SizeCapError) as bench_refused:
             _check_solver_size(solver, _model_dim(formulation, n), n, gaps)
         assert str(bench_refused.value) == str(refused.value)
+
+
+# Per state-vector solver: the parameter that sets its steps, and its Python entry.
+_WORK_ENTRIES = {
+    "schrodinger": ("steps", lambda pair, steps: evolve(pair, AnnealSchedule(tau=1.0, steps=steps))),
+    "trotter": ("slices",
+                lambda pair, steps: evolve_trotter(pair, AnnealSchedule(tau=1.0), slices=steps)),
+}
+
+
+@pytest.mark.parametrize("solver", _WORK_ENTRIES)
+def test_work_cap_refused_before_allocating(solver, monkeypatch):
+    # the fewest steps over the evolution work cap on a 12-qubit model: the
+    # Python entry refuses them before it allocates the 64-KB state or steps,
+    # bench's up-front check (for a spec and for solve) refuses them with the
+    # same message, and one step fewer passes that check
+    key, entry = _WORK_ENTRIES[solver]
+    steps = WORK_CAPS["evolution"][0] // _evolution_work(1, 12) + 1
+    monkeypatch.setattr(anneal, "_propagate", lambda *args: pytest.fail("stepped"))
+    monkeypatch.setattr(anneal, "_mixer_rotation", lambda *args: pytest.fail("stepped"))
+    pair = _zero_pair(12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError) as refused:
+            entry(pair, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**15
+    with pytest.raises(SizeCapError) as bench_refused:
+        _check_solver_size(solver, 12, params={key: steps})
+    assert str(bench_refused.value) == str(refused.value)
+    _check_solver_size(solver, 12, params={key: steps - 1})
+
+
+def test_work_cap_counts_substeps():
+    # one step of a very long anneal would split into about 10^12 substeps
+    with pytest.raises(SizeCapError, match="step-amplitude cap"):
+        evolve(_zero_pair(2), AnnealSchedule(tau=1e12, steps=1))
+    errors.check_work("evolution", WORK_CAPS["evolution"][0])
+    with pytest.raises(SizeCapError):
+        errors.check_work("evolution", WORK_CAPS["evolution"][0] + 1)
 
 
 class TestColorSorting:

@@ -197,6 +197,24 @@ class TestSolve:
         assert main(["solve", "--instance", str(path), "--formulation", "baseline",
                      "--solver", "schrodinger", "--out", str(tmp_path / "s.json")]) == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--solver", "schrodinger", "--tau", "1e12"],
+        ["--solver", "schrodinger", "--tau", "1e12", "--steps", "1"],  # ~10^12 substeps
+        ["--solver", "schrodinger", "--tau", "1e308"],  # 2.5 tau overflows a float
+        ["--solver", "trotter", "--slices", "1000000000"],
+    ])
+    def test_evolution_over_the_work_cap_exit_4(self, tmp_path, capsys, flags):
+        _, path = write_instance(tmp_path, 2, 19)
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.anneal._propagate") as propagate, \
+                mock.patch("permqubo.anneal._mixer_rotation") as rotate:
+            code = main(["solve", "--instance", str(path), *flags, "--out", str(out)])
+        assert code == 4
+        propagate.assert_not_called()
+        rotate.assert_not_called()
+        assert "step-amplitude cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_qubo_roundtrip_matches_in_process(self, tmp_path):
         inst, path = write_instance(tmp_path, 3, 11)
         model_path = tmp_path / "model.json"
@@ -340,7 +358,7 @@ class TestSolve:
             assert main(["solve", "--instance", str(path), "--solver", solver, "--tau", "5",
                          "--slices", "40", "--shots", "10", "--out", str(out)]) == 0
             schedules[solver] = json.loads(out.read_text())["metadata"]["schedule"]
-        assert schedules["schrodinger"]["steps"] == 100 and "slices" not in schedules["schrodinger"]
+        assert schedules["schrodinger"]["steps"] == 25 and "slices" not in schedules["schrodinger"]
         assert schedules["trotter"]["slices"] == 40 and "steps" not in schedules["trotter"]
 
     def test_missing_inputs_exit_2(self, tmp_path):
@@ -463,6 +481,19 @@ class TestBenchAndReport:
             assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 4
         oracle.assert_not_called()
         assert "16-qubit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver, params", [("schrodinger", {"tau": 1e12}),
+                                                ("trotter", {"slices": 10**9})])
+    def test_bench_work_cap_refused_before_work(self, tmp_path, capsys, solver, params):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0,
+                                         "solver": solver, "solver_params": params}))
+        out = tmp_path / "r.json"
+        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle:
+            assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 4
+        oracle.assert_not_called()
+        assert "step-amplitude cap" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("params", [

@@ -169,6 +169,21 @@ def test_two_lowest_matches_dense(m, seed, kind, u):
     assert e1 == pytest.approx(dense[1], abs=1e-8)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), u=st.floats(-1.0, 2.0))
+def test_norm_bound_bounds_spectral_norm(m, seed, u):
+    # a CF4 step of the propagator evaluates H at u~ = 2 (a u_1 + b u_2) with a
+    # weight below 0; the bound holds for every real u, and on [0, 1] it is
+    # the convex combination u ||H_P|| + (1-u) m, bit for bit
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=2**m) * 10.0 ** rng.uniform(-2, 2)
+    pair = HamiltonianPair(m, diag)
+    bound = pair.norm_bound(u)
+    assert np.linalg.norm(oracles.dense_hamiltonian(pair, u), 2) <= bound * (1 + 1e-12)
+    if 0.0 <= u <= 1.0:
+        assert bound == u * float(np.abs(diag).max()) + (1.0 - u) * m
+
+
 class TestGapProfile:
     def test_endpoint_gap_at_u0(self):
         pair = build_hamiltonians(random_spin_model(4, 7))
