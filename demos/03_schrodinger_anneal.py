@@ -10,15 +10,13 @@ import numpy as np
 from permqubo import (
     AnnealSchedule,
     QapInstance,
+    annealing_hamiltonian,
     brute_force_qap,
     build_formulation,
-    build_hamiltonians,
     evolve,
     measure,
     most_frequent,
-    normalize_couplings,
     success_probability,
-    to_spin,
 )
 
 n = 3
@@ -28,8 +26,7 @@ _, f_opt = brute_force_qap(inst)
 print(f"random n={n} instance, exact optimum {f_opt:.6f}")
 
 model = build_formulation(inst, "inserted")
-spin, _ = normalize_couplings(to_spin(model))
-pair = build_hamiltonians(spin)
+pair = annealing_hamiltonian(model)
 print(f"{model.dim} qubits, {pair.dim} amplitudes\n")
 
 for tau in (2.0, 10.0, 50.0):

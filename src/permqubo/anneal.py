@@ -23,8 +23,8 @@ from functools import partial
 from math import ceil, factorial, isfinite, sqrt
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.blas import dger
+from scipy.linalg.lapack import dstevd
 
 from .errors import (SIZE_CAPS, SolverError, check_count, check_positive, check_size,
                      check_work)
@@ -43,17 +43,22 @@ _NORM_DRIFT = 1e-10
 # 16x.  By default a schedule takes max(_MIN_STEPS, ceil(_STEPS_PER_TIME * tau))
 # steps (dt <= 0.4).  On n = 3 instances at tau = 5 to 100, on linear and
 # plateau paths, the final state is then within 8e-6 to 7e-5 (2-norm) of the
-# exact one.  Each exponential (each substep of one) stops its Krylov
-# expansion at an error bound of _KRYLOV_TOL and adds at most that error;
-# measured at tau = 100, 1e-8 moves the final state by under 1% of the
-# integrator's error, where 1e-7 moves it by up to 15%.
+# exact one.  Each exponential is split into substeps whose |dt| times the
+# half-width of H's spectrum stays within _STEP_BUDGET, and each substep stops
+# its Krylov expansion at an error bound of _KRYLOV_TOL and adds at most that
+# error.  Measured on n = 3 baseline and row_wise models at tau = 20 and
+# 100, on both paths, these stops move the final state by 1e-7 to 8e-7, at
+# most 9% of the integrator's error, and its distance from the exact state
+# by under 2%.
 _MIN_STEPS = 25
 _STEPS_PER_TIME = 2.5
 _KRYLOV_TOL = 1e-8
-# Hard cap on the Krylov basis of one exponential; with ||H|| dt below
-# _STEP_BUDGET the stop above is met within it ((4^m / m!) < 1e-8 at m = 23).
+# Hard cap on the Krylov basis of one exponential; with |dt| times the
+# spectrum's half-width within _STEP_BUDGET the stop above is met within it
+# ((4^m / m!) < 1e-8 at m = 23).
 _KRYLOV_DIM = 24
-# Substep budget: an exponential whose ||H|| * dt exceeds this is split.
+# Substep budget: an exponential whose |dt| times the half-width of H's
+# spectrum (HamiltonianPair.half_width) exceeds this is split.
 _STEP_BUDGET = 4.0
 # Gauss nodes of a step, as fractions of it, and the CF4 weights
 # alpha_1,2 = (3 -+ 2 sqrt 3) / 12 (Blanes and Moan, Appl. Numer. Math. 56,
@@ -83,6 +88,9 @@ class AnnealSchedule:
     tau: float
     path: tuple = ((0.0, 0.0), (1.0, 1.0))
     steps: int | None = None
+    # the breakpoints' s and u as arrays, for path_value
+    _ss: np.ndarray = field(init=False, repr=False, compare=False)
+    _us: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tau = check_positive("tau", self.tau)
@@ -100,13 +108,13 @@ class AnnealSchedule:
         if pts[0] != (0.0, 0.0) or pts[-1][0] != 1.0 or pts[-1][1] != 1.0:
             raise ValueError("path must start at (0, 0) and end at (1, 1)")
         self.path = tuple(pts)
+        self._ss = np.array(ss)
+        self._us = np.array(us)
         if self.steps is not None:
             self.steps = check_count("steps", self.steps)
 
     def path_value(self, s: float) -> float:
-        ss = [p[0] for p in self.path]
-        us = [p[1] for p in self.path]
-        return float(np.interp(s, ss, us))
+        return float(np.interp(s, self._ss, self._us))
 
     def segments(self) -> list[tuple[float, float, int]]:
         """The step grid of ``evolve``: (s_start, s_end, steps) per linear piece of the path.
@@ -141,10 +149,12 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     real eigenvalues of T_m, so at most
     prod_{i<m} beta_i (s |dt|)^(m-1) / (m-1)! (Hochbruck-Lubich 1997).
     est_m also bounds Saad's (1992) a-posteriori estimate from above, so
-    that estimate could never overrule the stop.  The caller keeps
-    ||H|| dt within _STEP_BUDGET, where the stop is met before the cap.
-    The result is an exponential of a Hermitian T_m applied in an
-    orthonormal basis, so it keeps the norm whatever the stop.
+    that estimate could never overrule the stop.  Each beta_i is an
+    off-diagonal entry of a tridiagonal whose eigenvalues lie in H's
+    spectrum, so it is at most half the spectrum's width; the caller keeps
+    |dt| times that half-width within _STEP_BUDGET, where the stop is met
+    before the cap.  The result is an exponential of a Hermitian T_m
+    applied in an orthonormal basis, so it keeps the norm whatever the stop.
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0:
@@ -173,7 +183,14 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
             break
         betas[j] = beta
         V[j + 1] = w / beta
-    evals, evecs = eigh_tridiagonal(alphas[:used], betas[: used - 1])
+    if used == 1:
+        evals, evecs = alphas[:1], np.ones((1, 1))
+    else:
+        # dstevd is the LAPACK routine eigh_tridiagonal calls for every
+        # eigenpair; called directly, it skips that wrapper's argument checks.
+        evals, evecs, info = dstevd(alphas[:used], betas[: used - 1])
+        if info:
+            raise SolverError(f"tridiagonal eigensolver failed (LAPACK info {info})")
     coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
     return (coef * norm_v) @ V[:used]
 
@@ -185,6 +202,16 @@ def _evolution_work(steps: int, num_qubits: int) -> int:
     step costs about its fixed overhead, not its size.
     """
     return steps * max(2**num_qubits, 2**10)
+
+
+def _sa_work(runs: int, sweeps: int, dim: int) -> int:
+    """The amount errors.WORK_CAPS["sa"] charges an SA request.
+
+    Each sweep attempts dim flips per run, counted over max(runs, 2^10)
+    runs: below 2^10 runs a flip column costs about its fixed overhead,
+    not its size.
+    """
+    return sweeps * dim * max(runs, 2**10)
 
 
 def _s_at(a: float, w: float, k: int, n: int, x: float) -> float:
@@ -235,7 +262,9 @@ def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step, 
 
 
 def _propagate(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> np.ndarray:
-    nsub = max(1, ceil(abs(dt) * pair.norm_bound(u) / _STEP_BUDGET))
+    """exp(-i dt H(u)) psi, in the fewest equal substeps whose |dt| times the
+    spectrum's half-width (``HamiltonianPair.half_width``) stays within _STEP_BUDGET."""
+    nsub = max(1, ceil(abs(dt) * pair.half_width(u) / _STEP_BUDGET))
     sub = dt / nsub
     for _ in range(nsub):
         psi = _lanczos_expm(lambda w: pair.apply(u, w), psi, sub)
@@ -255,11 +284,12 @@ def _cf4_step(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
 def _cf4_substeps(pair: HamiltonianPair, dt: float) -> int:
     """The most substeps an exponential of a CF4 step of width dt can take.
 
-    ||H(u~)|| <= max(||H_P||, m), so each exponential takes at most
-    ceil(dt/2 * that / _STEP_BUDGET); exact arithmetic, so that no product
-    overflows.
+    u~ lies in [0, 1], where the half-width bound is affine in u, so it is
+    at most max(half_width(0), half_width(1)) and each exponential takes at
+    most ceil(dt/2 * that / _STEP_BUDGET) substeps; exact arithmetic, so
+    that no product overflows.
     """
-    top = max(pair.norm_bound(0.0), pair.norm_bound(1.0))
+    top = max(pair.half_width(0.0), pair.half_width(1.0))
     return max(1, ceil(Fraction(dt) * Fraction(top) / Fraction(2.0 * _STEP_BUDGET)))
 
 
@@ -271,11 +301,13 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.nd
     the path.  A step of width dt applies exp(-i dt/2 H(u~_2)) exp(-i dt/2
     H(u~_1)), where u~_1 = 2 (alpha_2 u_1 + alpha_1 u_2) and u~_2 = 2
     (alpha_1 u_1 + alpha_2 u_2) mix the path values u_1, u_2 at the step's
-    two Gauss nodes.  Each exponential is split into substeps with ||H|| dt
-    below _STEP_BUDGET, and each substep is a Krylov expansion built from
-    products with H(u~) that grows until its error bound falls below
-    _KRYLOV_TOL (at most _KRYLOV_DIM vectors); the stepping is therefore
-    norm-preserving by construction.  Against the work cap, a step counts
+    two Gauss nodes.  Each exponential is split into substeps whose |dt|
+    times the half-width of H(u~)'s spectrum is within _STEP_BUDGET (a
+    shift of H changes neither the Krylov basis nor its error), and each
+    substep is a Krylov expansion built from products with H(u~) that
+    grows until its error bound falls below _KRYLOV_TOL (at most
+    _KRYLOV_DIM vectors); the stepping is therefore norm-preserving by
+    construction.  Against the work cap, a step counts
     once per substep its exponentials may take.
     ``callback(step, u, psi, norm)`` receives the post-step state and its
     pre-renormalisation norm.
@@ -284,30 +316,51 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.nd
                          partial(_cf4_substeps, pair), callback)
 
 
-# _REVERSED_AXIS[ax] indexes the view of an array reversed along axis ax,
-# the view np.flip(t, axis=ax) returns, without its argument handling.
-_REVERSED_AXIS = tuple((slice(None),) * ax + (slice(None, None, -1),)
-                       for ax in range(SIZE_CAPS["evolution"][0]))
+def _hamming_table(k: int) -> np.ndarray:
+    flips = np.arange(2**k)[:, None] ^ np.arange(2**k)[None, :]
+    return sum(((flips >> i) & 1 for i in range(k)), np.zeros_like(flips))
+
+
+# _HAMMING[k][z, w] is the Hamming distance of the k-bit indices z and w, for
+# the tensor factors of a state under the qubit cap (k <= 6 at 12 qubits).
+_HAMMING = tuple(_hamming_table(k) for k in range((SIZE_CAPS["evolution"][0] + 1) // 2 + 1))
+
+
+def _rotation_matrix(theta: float, k: int) -> np.ndarray:
+    """exp(i theta sigma_x) on each of k qubits: entry (z, w) is
+    cos(theta)^(k - d) (i sin(theta))^d, with d the Hamming distance of z and w."""
+    d = np.arange(k + 1)
+    weights = np.cos(theta) ** (k - d) * (1j * np.sin(theta)) ** d
+    return weights[_HAMMING[k]]
 
 
 def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
-    """Apply exp(-i theta * (-sum_i sigma_x^(i))) = prod_i exp(i theta sigma_x)."""
+    """Apply exp(-i theta * (-sum_i sigma_x^(i))) = prod_i exp(i theta sigma_x).
+
+    The rotation is the tensor product R_a (x) R_b of its actions on the
+    high a = m - m//2 and the low b = m//2 qubits, so with psi as a
+    (2^a, 2^b) matrix Psi (row: the high bits) it is R_a Psi R_b, two small
+    matrix products (R_b is symmetric).
+    """
     if theta == 0.0:
         return psi
-    t = psi.reshape((2,) * m)
-    c = np.cos(theta)
-    s = 1j * np.sin(theta)
-    for ax in range(m):
-        t = c * t + s * t[_REVERSED_AXIS[ax]]
-    return t.reshape(-1)
+    b = m // 2
+    rows = psi.reshape(2 ** (m - b), 2**b)
+    return (_rotation_matrix(theta, m - b) @ rows @ _rotation_matrix(theta, b)).reshape(-1)
 
 
 def _trotter_slice(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
                    dt: float) -> np.ndarray:
+    """One slice: exp(-i B dt), then the slice's trailing mixer half-rotation merged with
+    the next slice's leading one; the first slice also applies its own leading half."""
     u = sched.path_value(at(0.5))
     theta = (1.0 - u) * dt / 2.0
-    psi = _mixer_rotation(psi, theta, pair.num_qubits)
+    if at(0.0) == 0.0:
+        psi = _mixer_rotation(psi, theta, pair.num_qubits)
     psi = psi * np.exp(-1j * u * dt * pair.problem_diagonal)
+    if at(1.0) < 1.0:
+        # at(1.5) is the next slice's at(0.5), bit for bit
+        theta += (1.0 - sched.path_value(at(1.5))) * dt / 2.0
     return _mixer_rotation(psi, theta, pair.num_qubits)
 
 
@@ -317,7 +370,9 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) ->
     The schedule is frozen on ``slices`` equal segments; each segment
     applies exp(-i A dt/2) exp(-i B dt) exp(-i A dt/2) with
     A = (1-u) H_B (a tensor product of single-qubit rotations, exact)
-    and B = u H_P (diagonal, exact).
+    and B = u H_P (diagonal, exact).  Adjacent half-rotations of two
+    slices both act on sum_i sigma_x, so they commute and are applied as
+    one rotation by their summed angle: slices + 1 rotations in all.
     """
     slices = check_count("slices", slices)
     return _step_through(pair, sched, [(0.0, 1.0, slices)], partial(_trotter_slice, pair, sched),
@@ -460,12 +515,14 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     column a flip attempt reads and writes is contiguous; an accepted flip
     updates G in place with one BLAS rank-1 update (dger).  Only one
     sweep's uniforms are held at a time, so memory does not grow with
-    ``sweeps``.
+    ``sweeps``.  A request over the work cap errors.WORK_CAPS["sa"] is
+    refused before any work.
     """
     runs = check_count("runs", runs)
     sweeps = check_count("sweeps", sweeps)
     seed = check_count("seed", seed, least=0)
     dim = model.dim
+    check_work("sa", _sa_work(runs, sweeps, dim))
     Q = (model.Q + model.Q.T) / 2.0  # flip deltas below assume symmetry
     qlin = model.q
     diag = np.diag(Q).copy()

@@ -25,6 +25,7 @@ from .anneal import (
     SampleSet,
     _evolution_work,
     _make_entries,
+    _sa_work,
     evolve,
     evolve_trotter,
     measure,
@@ -34,9 +35,9 @@ from .anneal import (
 from .errors import (SIZE_CAPS, _check_json_types, check_count, check_positive, check_size,
                      check_work, read_json)
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
-from .qubo import build_formulation, normalize_couplings, to_spin, exhaustive_minimum
+from .qubo import build_formulation, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
-from .spectral import build_hamiltonians, gap_profile
+from .spectral import annealing_hamiltonian, gap_profile
 
 # Every solver and the caps of errors.SIZE_CAPS that it meets on the model's size.
 SOLVERS = {"brute": ("enumeration",), "sa": (),
@@ -203,16 +204,19 @@ def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool =
                        params: dict | None = None) -> None:
     """Refuse, before any work, a run that would hit a size cap: the solver's and (with
     ``gaps``) the gap profiles' on the largest model's ``dim``, and, when an instance of
-    size ``n`` is priced, the oracle's on n.  Then refuse a state-vector run, with
-    ``params``, over the evolution work cap on its steps (Trotter slices)."""
+    size ``n`` is priced, the oracle's on n.  Then refuse, with ``params``, an SA run over
+    its work cap on runs and sweeps, and a state-vector run over the evolution work cap
+    on its steps (Trotter slices)."""
     sizes = dict.fromkeys(SOLVERS[solver] + (("hamiltonian",) if gaps else ()), dim)
     if n is not None:
         sizes["oracle"] = n
     for what in SIZE_CAPS:
         if what in sizes:
             check_size(what, sizes[what])
+    params = _with_defaults(params or {})
+    if solver == "sa":
+        check_work("sa", _sa_work(params["runs"], params["sweeps"], dim))
     if "evolution" in sizes:
-        params = _with_defaults(params or {})
         steps = params["slices"] if solver == "trotter" else AnnealSchedule(
             tau=params["tau"], steps=params["steps"]).effective_steps()
         check_work("evolution", _evolution_work(steps, dim))
@@ -229,8 +233,7 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
         return simulated_annealing(model, sweeps=params["sweeps"], runs=params["runs"], seed=seed,
                                    schedule=params["schedule"])
     sched = AnnealSchedule(tau=params["tau"], steps=params["steps"])
-    spin, _ = normalize_couplings(to_spin(model))
-    pair = build_hamiltonians(spin)
+    pair = annealing_hamiltonian(model)
     if solver == "schrodinger":
         state = evolve(pair, sched)
         resolution = {"steps": sched.effective_steps()}

@@ -36,11 +36,18 @@ def _check_cap(cap: tuple, amount: int) -> None:
 # Every hard work guard: what -> (largest amount allowed, its unit, what it limits).
 # State-vector evolution is charged its steps (Trotter slices; a CF4 step once
 # per substep its exponentials may take) times max(2^m, 2^10) amplitudes
-# (anneal._evolution_work).  Measured on one BLAS thread at m = 1 to 12, a CF4
-# step costs at most 2.5 us per charged amplitude and a Trotter slice a tenth
-# of that, so a run at the cap takes at most about 6 minutes.
+# (anneal._evolution_work).  Measured on one BLAS thread at m = 1 to 12 and
+# dt = 0.4 to 20, a CF4 step costs at most 1.7 us per charged amplitude and a
+# Trotter slice under a twentieth of that, so a run at the cap takes at most
+# about 4 minutes.
+# Simulated annealing is charged sweeps times dim times max(runs, 2^10) flip
+# attempts (anneal._sa_work).  Measured on one BLAS thread at dim 4 to 64, a
+# column of a sweep costs a fixed 16-21 us, about what 2^10 runs add to it at
+# dim 4 to 16, and a charged flip attempt costs at most about 80 ns, so a run
+# at the cap takes at most about 3 minutes.
 WORK_CAPS = {
     "evolution": (2**27, "step-amplitude", "state-vector evolution"),
+    "sa": (2**31, "flip-attempt", "simulated annealing"),
 }
 
 

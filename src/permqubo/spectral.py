@@ -59,8 +59,8 @@ _START_SEED = 2021
 class HamiltonianPair:
     """Diagonal problem Hamiltonian plus sparse transverse-field mixer.
 
-    The mixer matrix and the largest |H_P| entry are computed on first use
-    and kept for the lifetime of the pair.
+    The mixer matrix and the smallest and largest H_P entries are computed
+    on first use and kept for the lifetime of the pair.
     """
 
     num_qubits: int
@@ -98,20 +98,33 @@ class HamiltonianPair:
         return out
 
     @cached_property
-    def _problem_norm(self) -> float:
-        # max |H_P| entry without an |H_P|-sized temporary, so that the
+    def _problem_range(self) -> tuple[float, float]:
+        # min and max H_P entry without an |H_P|-sized temporary, so that the
         # propagator's work check allocates nothing
-        return max(float(self.problem_diagonal.max()), -float(self.problem_diagonal.min()))
+        return float(self.problem_diagonal.min()), float(self.problem_diagonal.max())
 
     def norm_bound(self, u: float) -> float:
         """Upper bound |u| ||H_P|| + |1-u| m on ||H(u)||_2, for any real u.
 
-        The eigensolver's breakdown threshold and the propagator's substeps
-        use it.  A CF4 step of the propagator evaluates H at a mix of two
-        path values with one negative weight; on its breakpoint-aligned grid
-        that mix stays in [0, 1] but for rounding, and the bound holds anyway.
+        The eigensolver's breakdown threshold uses it: it scales with the
+        size of the entries, offset included.
         """
-        return abs(u) * self._problem_norm + abs(1.0 - u) * self.num_qubits
+        lo, hi = self._problem_range
+        return abs(u) * max(hi, -lo) + abs(1.0 - u) * self.num_qubits
+
+    def half_width(self, u: float) -> float:
+        """Upper bound |u| (max H_P - min H_P) / 2 + |1-u| m on the half-width of the
+        spectrum of H(u), for any real u.
+
+        Every eigenvalue of H(u) lies within this of u (max H_P + min H_P) / 2.
+        A Krylov expansion does not change under a shift of H, so the
+        propagator paces its substeps by this bound, which leaves out the
+        diagonal's offset.  A CF4 step evaluates H at a mix of two path
+        values with one negative weight; on its breakpoint-aligned grid that
+        mix stays in [0, 1] but for rounding, and the bound holds anyway.
+        """
+        lo, hi = self._problem_range
+        return abs(u) * (hi - lo) / 2.0 + abs(1.0 - u) * self.num_qubits
 
 
 def _gaps(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
@@ -272,12 +285,19 @@ def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
     )
 
 
-def gap_profile(model: QuboModel, num_samples: int = 64) -> GapProfile:
-    """Gap profile of a binary model's annealing Hamiltonian.
+def annealing_hamiltonian(model: QuboModel) -> HamiltonianPair:
+    """The annealing Hamiltonian of a binary model: the pair built from its
+    coupling-normalised spin form.
 
-    The spin form is coupling-normalised so that profiles of differently
-    scaled penalties are comparable (the raw spectrum would simply grow
-    with the penalty strength).
+    Normalising makes gap profiles and anneals of differently scaled
+    penalties comparable (the raw spectrum would simply grow with the
+    penalty strength).  Every solver and profile of a model goes through
+    this one map.
     """
     spin, _ = normalize_couplings(to_spin(model))
-    return spectral_gap(build_hamiltonians(spin), num_samples=num_samples)
+    return build_hamiltonians(spin)
+
+
+def gap_profile(model: QuboModel, num_samples: int = 64) -> GapProfile:
+    """Gap profile of a binary model's annealing Hamiltonian (``annealing_hamiltonian``)."""
+    return spectral_gap(annealing_hamiltonian(model), num_samples=num_samples)

@@ -17,9 +17,9 @@ from permqubo import (
     AnnealSchedule,
     ExperimentSpec,
     QapInstance,
+    annealing_hamiltonian,
     brute_force_qap,
     build_formulation,
-    build_hamiltonians,
     decode,
     evolve,
     evolve_trotter,
@@ -33,7 +33,7 @@ from permqubo import (
     vectorize,
 )
 from permqubo.anneal import SampleEntry, SampleSet
-from permqubo.qubo import enumerate_states, normalize_couplings
+from permqubo.qubo import enumerate_states
 from permqubo.spectral import build_hamiltonians as _build_h
 
 
@@ -183,8 +183,7 @@ def test_criterion_05_krylov_correctness():
 
 def _most_probable_is_optimal(inst, form, taus):
     model = build_formulation(inst, form)
-    spin, _ = normalize_couplings(to_spin(model))
-    pair = build_hamiltonians(spin)
+    pair = annealing_hamiltonian(model)
     _, f_opt = brute_force_qap(inst)
     tol = 1e-9 * max(1.0, abs(f_opt))
     for tau in taus:
@@ -226,8 +225,7 @@ def test_criterion_07_adiabaticity_monotone():
             order = np.sort(energies)
             if order[1] - order[0] <= 1e-6:
                 continue  # degenerate instance: outside the criterion
-            spin, _ = normalize_couplings(to_spin(model))
-            pair = build_hamiltonians(spin)
+            pair = annealing_hamiltonian(model)
             gs = int(np.argmin(pair.problem_diagonal))
             probs = [
                 float(np.abs(evolve(pair, AnnealSchedule(tau=tau))[gs]) ** 2)
@@ -243,8 +241,7 @@ def test_criterion_07_adiabaticity_monotone():
 def test_criterion_08_trotter_agreement():
     inst = random_instance(3, [80, 0])
     model = build_formulation(inst, "inserted")  # 4 qubits
-    spin, _ = normalize_couplings(to_spin(model))
-    pair = build_hamiltonians(spin)
+    pair = annealing_hamiltonian(model)
     sched = AnnealSchedule(tau=10.0, steps=500)
     p_cont = np.abs(evolve(pair, sched)) ** 2
     p_trot = np.abs(evolve_trotter(pair, sched, slices=512)) ** 2
@@ -292,8 +289,7 @@ def test_criterion_11_norm_conservation():
     worst = 0.0
     for seed, form in ((110, "baseline"), (111, "row_wise"), (112, "inserted")):
         inst = random_instance(3, [seed, 0])
-        spin, _ = normalize_couplings(to_spin(build_formulation(inst, form)))
-        pair = build_hamiltonians(spin)
+        pair = annealing_hamiltonian(build_formulation(inst, form))
         norms = []
         evolve(pair, AnnealSchedule(tau=20.0),
                callback=lambda k, u, p, nm: norms.append(nm))

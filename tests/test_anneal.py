@@ -18,6 +18,7 @@ from permqubo import (
     SampleEntry,
     SampleSet,
     SpinModel,
+    annealing_hamiltonian,
     brute_force_qap,
     build_formulation,
     build_hamiltonians,
@@ -28,12 +29,11 @@ from permqubo import (
     most_frequent,
     simulated_annealing,
     success_probability,
-    to_spin,
     vectorize,
 )
 from permqubo import anneal, permutation_extremes
 from permqubo.errors import SizeCapError
-from permqubo.qubo import QuboModel, enumerate_states, normalize_couplings
+from permqubo.qubo import QuboModel, enumerate_states
 from strategies import adversarial_instances
 
 
@@ -126,10 +126,9 @@ class TestEvolve:
             assert np.linalg.norm(psi - ref) <= krylov_bound(exps)
 
     def test_matvecs_per_step(self, monkeypatch):
-        # about 7 products with H(u~) per exponential on this pair; a fixed
+        # about 8 products with H(u~) per exponential on this pair; a fixed
         # 24-vector basis takes 24
-        spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 82), "baseline")))
-        pair = build_hamiltonians(spin)
+        pair = annealing_hamiltonian(build_formulation(random_instance(3, 82), "baseline"))
         calls = []
         apply = HamiltonianPair.apply
         monkeypatch.setattr(HamiltonianPair, "apply",
@@ -137,12 +136,31 @@ class TestEvolve:
         _, exps = evolve_counting(monkeypatch, pair, AnnealSchedule(tau=20.0))
         assert len(calls) < 10 * exps
 
+    @pytest.mark.parametrize("form", ["baseline", "inserted"])
+    def test_substeps_within_the_charge(self, monkeypatch, form):
+        # the work cap charges a step of width dt _cf4_substeps(dt) per exponential;
+        # no exponential of evolve takes more, on linear and plateau paths at
+        # short and long anneals
+        pair = annealing_hamiltonian(build_formulation(random_instance(3, 83), form))
+        calls = []  # per exponential: [its step's width, substeps taken]
+        propagate, expm = anneal._propagate, anneal._lanczos_expm
+        monkeypatch.setattr(anneal, "_propagate", lambda pair, u, psi, dt:
+                            calls.append([2.0 * dt, 0]) or propagate(pair, u, psi, dt))
+        monkeypatch.setattr(anneal, "_lanczos_expm", lambda *args:
+                            calls[-1].__setitem__(1, calls[-1][1] + 1) or expm(*args))
+        for path in (((0, 0), (1, 1)), ((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1))):
+            for tau in (1.0, 20.0, 100.0):
+                sched = AnnealSchedule(tau=tau, path=path)
+                calls.clear()
+                evolve(pair, sched)
+                assert len(calls) == 2 * sched.effective_steps()
+                assert all(0 < taken <= anneal._cf4_substeps(pair, dt) for dt, taken in calls)
+
     def test_fourth_order_on_a_linear_path(self, monkeypatch):
         # with the Krylov stop far below the integrator's error, halving dt
         # cuts the final-state error by about 16x (24x and 17x here)
         monkeypatch.setattr(anneal, "_KRYLOV_TOL", 1e-13)
-        spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 5), "inserted")))
-        pair = build_hamiltonians(spin)
+        pair = annealing_hamiltonian(build_formulation(random_instance(3, 5), "inserted"))
         ref = evolve(pair, AnnealSchedule(tau=10.0, steps=640))
         errors = [np.linalg.norm(evolve(pair, AnnealSchedule(tau=10.0, steps=steps)) - ref)
                   for steps in (20, 40, 80)]
@@ -154,8 +172,7 @@ class TestEvolve:
         # the frozen-midpoint rule at its default, max(100, ceil(10 tau))
         # uniform steps, which straddle the breakpoints; CF4 on a grid that
         # ignored them lost its order there and was worse at tau = 20
-        spin, _ = normalize_couplings(to_spin(build_formulation(random_instance(3, 5), "inserted")))
-        pair = build_hamiltonians(spin)
+        pair = annealing_hamiltonian(build_formulation(random_instance(3, 5), "inserted"))
         path = ((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1))
         sched = AnnealSchedule(tau=tau, path=path)
         ref = oracles.dense_propagator(
@@ -165,8 +182,7 @@ class TestEvolve:
 
     def test_norm_conservation(self):
         inst = random_instance(3, 70)
-        spin, _ = normalize_couplings(to_spin(build_formulation(inst, "inserted")))
-        pair = build_hamiltonians(spin)
+        pair = annealing_hamiltonian(build_formulation(inst, "inserted"))
         norms = []
         evolve(pair, AnnealSchedule(tau=20.0), callback=lambda k, u, p, nm: norms.append(nm))
         assert max(abs(n - 1.0) for n in norms) < 1e-8
@@ -178,8 +194,7 @@ class TestEvolve:
     def test_ground_state_probability_grows_with_tau(self):
         inst = random_instance(2, 71)
         model = build_formulation(inst, "baseline")
-        spin, _ = normalize_couplings(to_spin(model))
-        pair = build_hamiltonians(spin)
+        pair = annealing_hamiltonian(model)
         gs = int(np.argmin(pair.problem_diagonal))
         probs = []
         for tau in (1.0, 10.0, 100.0):
@@ -254,6 +269,23 @@ class TestTrotter:
     def test_slices_validation(self):
         with pytest.raises(ValueError):
             evolve_trotter(zero_pair(1), AnnealSchedule(tau=1.0), slices=0)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 8))
+    @pytest.mark.parametrize("path", [((0, 0), (1, 1)), ((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1))])
+    @pytest.mark.parametrize("slices", [1, 2, 37])
+    def test_merged_rotations_match_dense_splitting(self, num_qubits, path, slices):
+        # adjacent half-rotations merged into one, and the rotation as two small
+        # products (odd m splits into unequal factors), against the textbook
+        # splitting with dense exponentials
+        rng = np.random.default_rng([num_qubits, slices])
+        pair = HamiltonianPair(num_qubits, rng.uniform(-2.0, 5.0, 2**num_qubits))
+        sched = AnnealSchedule(tau=7.0, path=path)
+        psi = evolve_trotter(pair, sched, slices=slices)
+        assert np.linalg.norm(psi - oracles.dense_trotter(pair, sched, slices)) <= 1e-12
+
+    def test_zero_rotation_returns_psi(self):
+        psi = np.random.default_rng(3).normal(size=8) + 0j
+        assert anneal._mixer_rotation(psi, 0.0, 3) is psi
 
 
 class TestMeasure:

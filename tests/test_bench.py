@@ -31,7 +31,7 @@ from permqubo import (
     worst_permutation,
 )
 from permqubo import anneal, errors
-from permqubo.anneal import _evolution_work
+from permqubo.anneal import _evolution_work, _sa_work
 from permqubo.bench import PRESETS, _check_solver_size, _run_instance
 from permqubo.errors import SIZE_CAPS, WORK_CAPS
 from permqubo.qubo import _model_dim
@@ -269,6 +269,37 @@ def test_work_cap_counts_substeps():
     errors.check_work("evolution", WORK_CAPS["evolution"][0])
     with pytest.raises(SizeCapError):
         errors.check_work("evolution", WORK_CAPS["evolution"][0] + 1)
+
+
+def test_sa_work_cap_refused_before_allocating(monkeypatch):
+    # On a 1-variable model, cap + 1 flip attempts (runs = cap + 1, one sweep) and
+    # the fewest sweeps over the cap at one run (charged as 2^10 runs): the Python
+    # entry refuses them before it draws or allocates, bench's up-front check
+    # (for a spec and for solve) refuses them with the same message, and one run
+    # or sweep fewer passes that check.
+    cap = WORK_CAPS["sa"][0]
+    model = build_formulation(QapInstance(1, np.zeros((1, 1)), np.zeros(1)), "baseline")
+    assert model.dim == 1 and _sa_work(cap + 1, 1, 1) == cap + 1
+    monkeypatch.setattr(anneal, "_estimate_t_hi", lambda *args: pytest.fail("started"))
+    monkeypatch.setattr(anneal, "dger", lambda *args, **kwargs: pytest.fail("swept"))
+    for runs, sweeps, key in ((cap + 1, 1, "runs"), (1, cap // _sa_work(1, 1, 1) + 1, "sweeps")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError) as refused:
+                anneal.simulated_annealing(model, sweeps=sweeps, runs=runs, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**15
+        assert "flip-attempt cap" in str(refused.value)
+        params = {"runs": runs, "sweeps": sweeps}
+        with pytest.raises(SizeCapError) as bench_refused:
+            _check_solver_size("sa", 1, params=params)
+        assert str(bench_refused.value) == str(refused.value)
+        _check_solver_size("sa", 1, params={**params, key: params[key] - 1})
+    with pytest.raises(SizeCapError, match="flip-attempt cap"):
+        run_experiment(ExperimentSpec(n=1, num_instances=1, seed=0, formulations=("baseline",),
+                                      solver="sa", solver_params={"runs": cap + 1, "sweeps": 1}))
 
 
 class TestColorSorting:

@@ -20,6 +20,7 @@ from permqubo import (
 )
 from permqubo.bench import SOLVER_DEFAULTS, SOLVERS
 from permqubo.cli import main
+from permqubo.errors import WORK_CAPS
 
 
 def write_instance(tmp_path, n, seed, name="inst.json"):
@@ -213,6 +214,21 @@ class TestSolve:
         propagate.assert_not_called()
         rotate.assert_not_called()
         assert "step-amplitude cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n, flags", [
+        (2, ["--runs", "1", "--sweeps", "1000000"]),  # charged as 2^10 runs
+        (1, ["--runs", str(WORK_CAPS["sa"][0] + 1), "--sweeps", "1"]),  # cap + 1 on one bit
+    ])
+    def test_sa_over_the_work_cap_exit_4(self, tmp_path, capsys, n, flags):
+        _, path = write_instance(tmp_path, n, 19)
+        out = tmp_path / "s.json"
+        with mock.patch("permqubo.bench.simulated_annealing") as anneal_runs:
+            code = main(["solve", "--instance", str(path), "--solver", "sa", *flags,
+                         "--out", str(out)])
+        assert code == 4
+        anneal_runs.assert_not_called()
+        assert "flip-attempt cap" in capsys.readouterr().err
         assert not out.exists()
 
     def test_qubo_roundtrip_matches_in_process(self, tmp_path):
@@ -704,7 +720,7 @@ class TestMalformedInputs:
                      "--out", str(model_path)]) == 0
         capsys.readouterr()
         out = tmp_path / "s.json"
-        with mock.patch("permqubo.bench.build_hamiltonians") as hamiltonians:
+        with mock.patch("permqubo.bench.annealing_hamiltonian") as hamiltonians:
             code = main(["solve", "--qubo", str(model_path), "--solver", solver,
                          "--out", str(out)])
         assert code == 4

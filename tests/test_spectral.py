@@ -172,9 +172,8 @@ def test_two_lowest_matches_dense(m, seed, kind, u):
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), u=st.floats(-1.0, 2.0))
 def test_norm_bound_bounds_spectral_norm(m, seed, u):
-    # a CF4 step of the propagator evaluates H at u~ = 2 (a u_1 + b u_2) with a
-    # weight below 0; the bound holds for every real u, and on [0, 1] it is
-    # the convex combination u ||H_P|| + (1-u) m, bit for bit
+    # eigsh's breakdown threshold: the bound holds for every real u, and on
+    # [0, 1] it is the convex combination u ||H_P|| + (1-u) m, bit for bit
     rng = np.random.default_rng(seed)
     diag = rng.normal(size=2**m) * 10.0 ** rng.uniform(-2, 2)
     pair = HamiltonianPair(m, diag)
@@ -182,6 +181,21 @@ def test_norm_bound_bounds_spectral_norm(m, seed, u):
     assert np.linalg.norm(oracles.dense_hamiltonian(pair, u), 2) <= bound * (1 + 1e-12)
     if 0.0 <= u <= 1.0:
         assert bound == u * float(np.abs(diag).max()) + (1.0 - u) * m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), u=st.floats(-1.0, 2.0),
+       offset=st.sampled_from([0.0, 40.0, -1e3]))
+def test_half_width_bounds_spectrum(m, seed, u, offset):
+    # the propagator's substep bound: every eigenvalue of H(u) lies within
+    # half_width(u) of u (max H_P + min H_P) / 2, whatever the diagonal's offset
+    rng = np.random.default_rng(seed)
+    diag = offset + rng.normal(size=2**m) * 10.0 ** rng.uniform(-2, 2)
+    pair = HamiltonianPair(m, diag)
+    center = u * (diag.max() + diag.min()) / 2.0
+    evals = np.linalg.eigvalsh(oracles.dense_hamiltonian(pair, u))
+    slack = 1e-12 * (pair.norm_bound(u) + 1.0)
+    assert np.abs(evals - center).max() <= pair.half_width(u) + slack
 
 
 class TestGapProfile:
