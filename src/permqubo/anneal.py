@@ -26,11 +26,10 @@ import numpy as np
 from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dstevd
 
-from .errors import (SIZE_CAPS, SolverError, check_count, check_positive, check_size,
-                     check_work)
+from .errors import SolverError, check_count, check_positive, check_size, check_work
 from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
-from .spectral import HamiltonianPair
+from .spectral import _HAMMING, HamiltonianPair
 
 # Optimality comparisons between recomputed permutation energies.
 ENERGY_RTOL = 1e-9
@@ -314,16 +313,6 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.nd
     """
     return _step_through(pair, sched, sched.segments(), partial(_cf4_step, pair, sched),
                          partial(_cf4_substeps, pair), callback)
-
-
-def _hamming_table(k: int) -> np.ndarray:
-    flips = np.arange(2**k)[:, None] ^ np.arange(2**k)[None, :]
-    return sum(((flips >> i) & 1 for i in range(k)), np.zeros_like(flips))
-
-
-# _HAMMING[k][z, w] is the Hamming distance of the k-bit indices z and w, for
-# the tensor factors of a state under the qubit cap (k <= 6 at 12 qubits).
-_HAMMING = tuple(_hamming_table(k) for k in range((SIZE_CAPS["evolution"][0] + 1) // 2 + 1))
 
 
 def _rotation_matrix(theta: float, k: int) -> np.ndarray:

@@ -12,10 +12,14 @@ and the minimal difference between the two lowest eigenvalues of H(u)
 over the path (the spectral gap) governs how slowly the interpolation
 must be traversed.
 
-The mixer is stored as a sparse (CSR) matrix, built once per
-Hamiltonian pair: m off-diagonal entries of -1 per row, so one product
-with H(u) costs O(m 2^m).  The eigensolver and the propagator both
-apply H(u) through that one matrix.
+The mixer is never stored as a 2^m x 2^m matrix.  H_B is a sum of one
+term per qubit, so with the state viewed as an array over groups of at
+most _GROUP_QUBITS qubits each, H_B v = -sum_j A_{k_j} applied along
+group axis j, where A_k is the adjacency matrix of the k-bit hypercube
+(its entries are 1 where _HAMMING[k] is 1).  A product is a few small
+matrix products, one per group.  The eigensolver and the propagator
+both apply H(u) through ``HamiltonianPair.apply``, which keeps u H_P and
+the scaled group matrices of the last u it saw.
 
 The two lowest eigenvalues come from a deterministic Lanczos solver
 (Paige 1972; Parlett, The Symmetric Eigenvalue Problem, 1998) with full
@@ -32,14 +36,13 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse import csr_array
+from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import check_count, check_size
+from .errors import SolverError, check_count, check_size
 from .qubo import QuboModel, SpinModel, enumerate_states, normalize_couplings, to_spin
 
 # Two eigenvalues closer than this are treated as one degenerate level.
@@ -54,47 +57,88 @@ _CHECK_EVERY = 8
 _BREAKDOWN = 1e-12
 _START_SEED = 2021
 
+# The mixer acts on the state's qubits in groups of at most this many: 16
+# qubits split 6+5+5, where two groups of 8 made slower products.
+_GROUP_QUBITS = 6
+
+
+def _hamming_table(k: int) -> np.ndarray:
+    flips = np.arange(2**k)[:, None] ^ np.arange(2**k)[None, :]
+    return sum(((flips >> i) & 1 for i in range(k)), np.zeros_like(flips))
+
+
+# _HAMMING[k][z, w] is the Hamming distance of the k-bit indices z and w, for
+# every group size; the Trotter rotation's two halves of a state under the
+# 12-qubit evolution cap fit too.
+_HAMMING = tuple(_hamming_table(k) for k in range(_GROUP_QUBITS + 1))
+
+
+def _qubit_groups(m: int) -> tuple[int, ...]:
+    """Sizes of the fewest near-equal groups of at most _GROUP_QUBITS qubits
+    that hold m qubits, high bits first: 9 is 5+4, 12 is 6+6, 16 is 6+5+5."""
+    count = max(1, -(-m // _GROUP_QUBITS))
+    return tuple(m // count + (j < m % count) for j in range(count))
+
 
 @dataclass
 class HamiltonianPair:
-    """Diagonal problem Hamiltonian plus sparse transverse-field mixer.
+    """Diagonal problem Hamiltonian plus transverse-field mixer, applied by groups.
 
-    The mixer matrix and the smallest and largest H_P entries are computed
-    on first use and kept for the lifetime of the pair.
+    The smallest and largest H_P entries are computed on first use and
+    kept for the lifetime of the pair; the terms of H(u) at the last u
+    that ``apply`` saw are kept until it sees another.
     """
 
     num_qubits: int
     problem_diagonal: np.ndarray
+    # (u, u H_P, the group matrices -(1-u) A_k): one entry, replaced when u changes
+    _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.num_qubits = int(self.num_qubits)
         self.problem_diagonal = np.asarray(self.problem_diagonal, dtype=float)
         if self.problem_diagonal.shape != (2**self.num_qubits,):
             raise ValueError("problem diagonal length must be 2**num_qubits")
+        if not np.all(np.isfinite(self.problem_diagonal)):
+            raise ValueError("problem diagonal must be finite")
 
     @property
     def dim(self) -> int:
         return 2**self.num_qubits
 
-    @cached_property
-    def mixer(self) -> csr_array:
-        """-sum_i sigma_x^(i) in CSR form: entry (z, z ^ (1 << i)) is -1.
-
-        Within a row the columns run from the highest flipped bit to the
-        lowest; that order fixes the rounding of every product.
-        """
-        m, dim = self.num_qubits, self.dim
-        bits = 1 << np.arange(m - 1, -1, -1, dtype=np.int32)
-        cols = (np.arange(dim, dtype=np.int32)[:, None] ^ bits).ravel()
-        indptr = m * np.arange(dim + 1, dtype=np.int32)
-        return csr_array((np.full(dim * m, -1.0), cols, indptr), shape=(dim, dim))
-
     def apply(self, u: float, v: np.ndarray) -> np.ndarray:
-        """Action of H(u) = u H_P + (1-u) H_B on v."""
+        """Action of H(u) = u H_P + (1-u) H_B on v.
+
+        v is viewed as an array over the qubit groups of ``_qubit_groups``
+        and each group's matrix -(1-u) A_k acts along its axis: from the
+        left on every group but the last, which (A_k being symmetric) is
+        multiplied from the right.  From 7 to 12 qubits that is
+        A_a Psi + Psi A_b for v as a (2^a, 2^b) matrix Psi; up to 6 it is
+        one product with A_m.
+        """
         v = np.asarray(v)
-        out = u * (self.problem_diagonal * v)
+        terms = self._terms
+        if terms is None or terms[0] != u:
+            off = -(1.0 - u)
+            factors = tuple(np.where(_HAMMING[k] == 1, off, 0.0)
+                            for k in _qubit_groups(self.num_qubits))
+            terms = self._terms = (u, u * self.problem_diagonal, factors)
+        _, scaled, (*lead, last) = terms
+        out = scaled * v
         if u != 1.0:
-            out = out + (1.0 - u) * (self.mixer @ v)
+            # A real factor acts alike on the real and imaginary parts, so the
+            # left products of a complex v run on float views of twice the width.
+            flat_out, flat_v = out, v
+            if np.iscomplexobj(out):
+                flat_out, flat_v = out.view(float), np.ascontiguousarray(v, complex).view(float)
+            rows = 1
+            for factor in lead:
+                k = len(factor)
+                view = flat_out.reshape(rows, k, -1)
+                view += factor @ flat_v.reshape(rows, k, -1)
+                rows *= k
+            view = out.reshape(rows, -1)
+            view += v.reshape(rows, -1) @ last
         return out
 
     @cached_property
@@ -176,6 +220,28 @@ def _orthogonalise(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _lowest_ritz(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest eigenvalues of the symmetric tridiagonal T with diagonal
+    ``alphas`` and off-diagonal ``betas``, ascending, and their eigenvectors
+    as columns.
+
+    The same LAPACK calls as ``eigh_tridiagonal(alphas, betas, select="i",
+    select_range=(0, k - 1))``, so the same bits: dstebz by index with the
+    default tolerance, in block order, then dstein, then a sort into
+    ascending order.  Called directly, they skip that wrapper's argument
+    checks, which cost several times the arithmetic at these sizes.
+    """
+    if len(alphas) == 1:
+        return alphas[:1].copy(), np.ones((1, 1))
+    found, theta, block, split, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    if not info:
+        vectors, info = dstein(alphas, betas, theta[:found], block, split)
+    if info:
+        raise SolverError(f"tridiagonal eigensolver failed (LAPACK info {info})")
+    order = np.argsort(theta[:found])
+    return theta[:found][order], vectors[:, order]
+
+
 def eigsh(pair: HamiltonianPair, u: float) -> tuple[float, float]:
     """Two smallest eigenvalues of H(u) by Lanczos with full reorthogonalisation.
 
@@ -190,8 +256,10 @@ def eigsh(pair: HamiltonianPair, u: float) -> tuple[float, float]:
     m = dim) the run continues from a fresh seeded vector orthogonalised
     against the basis, which can find further copies of a level, and it
     stops early only once that open block's lowest Ritz pair has
-    converged too.  All products with H(u) go through
-    ``HamiltonianPair.apply``; ``perfbench/spans.py`` traces the solver
+    converged too.  The Ritz pairs come from ``_lowest_ritz``, which calls
+    LAPACK directly.  All products with H(u) go through
+    ``HamiltonianPair.apply``, which builds the terms of H(u) on the first
+    and reuses them for the rest; ``perfbench/spans.py`` traces the solver
     under the name ``eigsh`` and counts those products.
     """
     dim = pair.dim
@@ -211,17 +279,13 @@ def eigsh(pair: HamiltonianPair, u: float) -> tuple[float, float]:
         beta = float(np.linalg.norm(w))
         m += 1
         if m == dim or m % _CHECK_EVERY == 0:
-            theta, S = eigh_tridiagonal(
-                alphas[:m], betas[: m - 1], select="i", select_range=(0, 1)
-            )
+            theta, S = _lowest_ritz(alphas[:m], betas[: m - 1], 2)
             converged = bool(np.all(beta * np.abs(S[-1]) < _EIG_TOL))
             if converged and start:
                 # Earlier blocks are invariant, so their Ritz pairs have zero
                 # residual; the open block must also have found its lowest
                 # level, or a second copy of a low level could still be missed.
-                _, s = eigh_tridiagonal(
-                    alphas[start:m], betas[start : m - 1], select="i", select_range=(0, 0)
-                )
+                _, s = _lowest_ritz(alphas[start:m], betas[start : m - 1], 1)
                 converged = beta * abs(s[-1, 0]) < _EIG_TOL
             if converged or m == dim:
                 return float(theta[0]), float(theta[1])

@@ -179,6 +179,13 @@ def dense_hamiltonian(pair, u):
     return H
 
 
+def gathered_hamiltonian_product(pair, u, v):
+    """H(u) v without a matrix: (H_B v)[z] = -sum_i v[z ^ (1 << i)], one gather per bit."""
+    z = np.arange(pair.dim)
+    flipped = sum(v[z ^ (1 << i)] for i in range(pair.num_qubits))
+    return u * pair.problem_diagonal * v - (1.0 - u) * flipped
+
+
 def total_variation(p, q):
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 

@@ -155,6 +155,21 @@ class TestGap:
                        check=True, capture_output=True, timeout=120)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_one_and_two_blas_threads_write_identical_csv(self, tmp_path):
+        # The eigensolver's products are small matrix products, which a
+        # threaded BLAS may split; the profile must not depend on the split.
+        _, path = write_instance(tmp_path, 3, 64)
+        args = ["gap", "--instance", str(path), "--formulation", "baseline", "--samples", "9"]
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "MKL_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "permqubo.cli", *args, "--out", str(out)],
+                           check=True, capture_output=True, timeout=120, env=env)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
     def test_qubit_cap_exit_4(self, tmp_path, capsys):
         _, path = write_zero_instance(tmp_path, 5)
         assert main(["gap", "--instance", str(path), "--formulation", "baseline",

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 import oracles
 from permqubo import (
     HamiltonianPair,
     QapInstance,
     SizeCapError,
+    SolverError,
     SpinModel,
     build_formulation,
     build_hamiltonians,
@@ -15,6 +17,7 @@ from permqubo import (
     to_spin,
     two_lowest_eigenvalues,
 )
+from permqubo import spectral
 from permqubo.qubo import enumerate_states
 
 
@@ -56,12 +59,18 @@ class TestProblemHamiltonian:
         with pytest.raises(SizeCapError):
             build_hamiltonians(SpinModel(Q_s=np.zeros((17, 17)), q_s=np.zeros(17), offset_s=0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_diagonal_refused(self, bad):
+        # refused when the pair is made, not by LAPACK after a full Lanczos run
+        with pytest.raises(ValueError, match="finite"):
+            HamiltonianPair(2, np.array([0.0, 1.0, bad, 2.0]))
+
 
 class TestInterpolatedOperator:
     def test_mixer_ground_state(self):
         pair = build_hamiltonians(SpinModel(Q_s=np.zeros((3, 3)), q_s=np.zeros(3), offset_s=0.0))
         v = np.full(8, 1 / np.sqrt(8))
-        assert np.allclose(pair.mixer @ v, -3.0 * v)
+        assert np.allclose(pair.apply(0.0, v), -3.0 * v)
 
     def test_u0_is_pure_mixer(self):
         pair = build_hamiltonians(random_spin_model(3, 1))
@@ -105,6 +114,68 @@ class TestInterpolatedOperator:
         e0, e1 = two_lowest_eigenvalues(pair, 0.5)
         assert e0 == pytest.approx(-0.5, abs=1e-10)
         assert e1 == pytest.approx(0.5, abs=1e-10)
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+@settings(derandomize=True, max_examples=6, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), complex_v=st.booleans(), u1=st.floats(0.0, 1.0),
+       u2=st.floats(0.0, 1.0))
+def test_apply_matches_references(m, seed, complex_v, u1, u2):
+    # Every size from one group (m <= 6) through two to three (m >= 13):
+    # the dense H(u) up to 10 qubits and one gather per bit above.  u1, u2,
+    # u1 in turn replace the pair's cached terms twice, and each product
+    # must equal a fresh pair's bit for bit.
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=2**m) * 10.0 ** rng.uniform(-2, 2)
+    pair = HamiltonianPair(m, diag)
+    v = rng.normal(size=pair.dim)
+    if complex_v:
+        v = v + 1j * rng.normal(size=pair.dim)
+    before = v.copy()
+    for u in (u1, u2, u1):
+        got = pair.apply(u, v)
+        if m <= 10:
+            expected = oracles.dense_hamiltonian(pair, u) @ v
+        else:
+            expected = oracles.gathered_hamiltonian_product(pair, u, v)
+        atol = 1e-13 * pair.norm_bound(u) * np.abs(v).max()
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=atol, err_msg=f"u={u}")
+        assert np.array_equal(got, HamiltonianPair(m, diag).apply(u, v))
+    assert np.array_equal(v, before)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(size=st.integers(1, 100), k=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["normal", "split", "repeated"]))
+def test_lowest_ritz_matches_eigh_tridiagonal(size, k, seed, kind):
+    # "split" zeroes off-diagonal entries, as a breakdown restart leaves
+    # them in eigsh's T; "repeated" draws the diagonal from {-2, ..., 2} and
+    # splits it too, so that separate blocks share eigenvalues exactly.
+    k = min(k, size)
+    rng = np.random.default_rng(seed)
+    alphas = rng.normal(size=size)
+    betas = np.abs(rng.normal(size=size - 1))
+    if kind == "repeated":
+        alphas = rng.integers(-2, 3, size).astype(float)
+    if kind != "normal":
+        betas[rng.random(size - 1) < 0.2] = 0.0
+    theta, S = spectral._lowest_ritz(alphas, betas, k)
+    ref_theta, ref_S = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, k - 1))
+    assert np.array_equal(theta, ref_theta)
+    assert np.array_equal(S, ref_S)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lowest_ritz_refuses_lapack_failure(monkeypatch, routine):
+    real = getattr(spectral, routine)
+
+    def failing(*args):
+        *results, _ = real(*args)
+        return (*results, 3)
+
+    monkeypatch.setattr(spectral, routine, failing)
+    with pytest.raises(SolverError, match="LAPACK info 3"):
+        spectral._lowest_ritz(np.arange(4.0), np.ones(3), 2)
 
 
 class TestTwoLowest:
