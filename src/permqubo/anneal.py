@@ -23,7 +23,7 @@ from functools import partial
 from math import ceil, factorial, isfinite, sqrt
 
 import numpy as np
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dstevd
 
 from .errors import SolverError, check_count, check_positive, check_size, check_work
@@ -71,6 +71,9 @@ HISTOGRAM_BINS = 40
 _SA_BLOCK = 64
 # Memory budget, in doubles, of one chunk of simulated-annealing runs.
 _SA_CHUNK_DOUBLES = 2**21
+# Simulated annealing applies the field updates of this many columns with one
+# matrix product.
+_SA_PANEL = 16
 
 
 @dataclass
@@ -499,22 +502,32 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     ``schedule`` overrides the (T_hi, T_lo) pair; by default T_hi is the
     sampled maximum |energy change| of a flip and T_lo = 1e-3 * T_hi.
 
-    Runs are batched in chunks of whole blocks.  A chunk's states X and
-    local fields G = X Q are (runs, dim) arrays in Fortran order, so the
-    column a flip attempt reads and writes is contiguous; an accepted flip
-    updates G in place with one BLAS rank-1 update (dger).  Only one
-    sweep's uniforms are held at a time, so memory does not grow with
-    ``sweeps``.  A request over the work cap errors.WORK_CAPS["sa"] is
-    refused before any work.
+    Runs are batched in chunks of whole blocks, in spin form: a chunk holds
+    its spins S = 2X - 1 and local fields H as (runs, dim) arrays in Fortran
+    order, so the column a flip attempt reads and writes is contiguous.
+    With Q symmetrised and C = 2Q off its diagonal, H = X C + q + diag(Q),
+    so h_k does not depend on x_k and flipping bit k changes the energy by
+    dE = -s_k h_k.  Each sweep turns its uniforms U in place into the
+    thresholds L = T log U, and flip k is accepted where s_k h_k > L_k:
+    in exact arithmetic the rule "dE <= 0 or U < exp(-dE / T)", and a dE
+    of exactly 0 is always accepted, since log U < 0 on [0, 1).  Columns
+    are visited in panels of _SA_PANEL.  Column k of a panel that starts
+    at p0 reads its field as H[:, k] minus the panel's earlier steps times
+    C[p0:k, k], stores its step s_k * accept and flips its spins; after the
+    panel one matrix product (dgemm) applies H -= steps C[panel, :] in
+    place.  Only one sweep's uniforms are held at a time, so memory does
+    not grow with ``sweeps``.  A request over the work cap
+    errors.WORK_CAPS["sa"] is refused before any work.
     """
     runs = check_count("runs", runs)
     sweeps = check_count("sweeps", sweeps)
     seed = check_count("seed", seed, least=0)
     dim = model.dim
     check_work("sa", _sa_work(runs, sweeps, dim))
-    Q = (model.Q + model.Q.T) / 2.0  # flip deltas below assume symmetry
-    qlin = model.q
-    diag = np.diag(Q).copy()
+    Q = (model.Q + model.Q.T) / 2.0  # the fields below assume symmetry
+    bias = model.q + np.diag(Q)
+    C = 2.0 * Q
+    np.fill_diagonal(C, 0.0)
 
     if schedule is None:
         t_hi = _estimate_t_hi(model, seed)
@@ -526,38 +539,52 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     else:
         temps = t_hi * (t_lo / t_hi) ** (np.arange(sweeps) / (sweeps - 1))
 
-    # A chunk's X, G and one sweep's uniforms together stay within
-    # _SA_CHUNK_DOUBLES (2^21 doubles, 16 MB), but a chunk holds at least one block.
-    chunk = _SA_BLOCK * max(1, _SA_CHUNK_DOUBLES // (3 * _SA_BLOCK * dim))
+    # A chunk's S, H, one sweep's thresholds and one panel's steps together stay
+    # within _SA_CHUNK_DOUBLES (2^21 doubles, 16 MB), but a chunk holds at least one block.
+    chunk = _SA_BLOCK * max(1, _SA_CHUNK_DOUBLES // (_SA_BLOCK * (3 * dim + _SA_PANEL)))
     final_states = np.empty((runs, dim), dtype=np.int8)
     for start in range(0, runs, chunk):
         stop = min(runs, start + chunk)
+        live = stop - start
         rngs = [np.random.default_rng([seed, 1 + b])
                 for b in range(start // _SA_BLOCK, ceil(stop / _SA_BLOCK))]
         X = np.vstack([rng.integers(0, 2, size=(_SA_BLOCK, dim)) for rng in rngs])
-        X = X[:stop - start].astype(float)
-        # BLAS rounds X @ Q differently for a Fortran-order X, so the
-        # product takes the row-major X and G does not depend on the layout.
-        G = np.asfortranarray(X @ Q)
-        X = np.asfortranarray(X)
+        X = X[:live].astype(float)
+        # BLAS rounds X @ C differently for a Fortran-order X, so the
+        # product takes the row-major X and H does not depend on the layout.
+        H = np.empty((live, dim), order="F")
+        np.add(X @ C, bias, out=H)
+        S = np.empty((live, dim), order="F")
+        np.multiply(X, 2.0, out=S)
+        S -= 1.0
+        del X
         U = np.empty((_SA_BLOCK * len(rngs), dim))
-        U_live = U[:stop - start]
+        L = U[:live]
+        steps = np.empty((live, _SA_PANEL), order="F")
+        gain = np.empty(live)
+        accept = np.empty(live, dtype=bool)
         for s in range(sweeps):
             for j, rng in enumerate(rngs):
                 rng.random(out=U[_SA_BLOCK * j:_SA_BLOCK * (j + 1)])
-            T = temps[s]
-            for k in range(dim):
-                delta = 1.0 - 2.0 * X[:, k]
-                dE = 2.0 * delta * G[:, k] + diag[k] + delta * qlin[k]
-                p = np.exp(np.minimum(np.maximum(-dE / T, -700.0), 50.0))
-                accept = (dE <= 0.0) | (U_live[:, k] < p)
-                if accept.any():
-                    step = delta * accept
-                    X[:, k] += step
-                    # In place G += outer(step, Q[k]); step is in {-1, 0, 1},
-                    # so each product is exact and each sum rounds once.
-                    G = dger(1.0, step, Q[k], a=G, overwrite_a=True)
-        final_states[start:stop] = X.astype(np.int8)
+            with np.errstate(divide="ignore"):  # log 0 = -inf accepts
+                np.log(L, out=L)
+            L *= temps[s]
+            for p0 in range(0, dim, _SA_PANEL):
+                p1 = min(dim, p0 + _SA_PANEL)
+                for k in range(p0, p1):
+                    spin, step = S[:, k], steps[:, k - p0]
+                    # s_k h_k, with the panel's earlier flips applied to h_k
+                    np.matmul(steps[:, :k - p0], C[k, p0:k], out=gain)
+                    np.subtract(H[:, k], gain, out=gain)
+                    np.multiply(spin, gain, out=gain)
+                    np.greater(gain, L[:, k], out=accept)
+                    np.multiply(spin, accept, out=step)
+                    spin -= step  # twice: spin = -spin where accepted
+                    spin -= step
+                # H -= steps C[p0:p1, :], written into the Fortran-order H
+                H = dgemm(-1.0, steps[:, :p1 - p0], C[p0:p1].T, beta=1.0, c=H,
+                          overwrite_c=True, trans_b=True)
+        final_states[start:stop] = S > 0.0
 
     # Deterministic aggregation: group identical final states.
     uniq, counts = np.unique(final_states, axis=0, return_counts=True)

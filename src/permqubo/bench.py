@@ -37,7 +37,7 @@ from .errors import (SIZE_CAPS, _check_json_types, check_count, check_positive, 
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
-from .spectral import annealing_hamiltonian, gap_profile
+from .spectral import _gap_work, annealing_hamiltonian, gap_profile
 
 # Every solver and the caps of errors.SIZE_CAPS that it meets on the model's size.
 SOLVERS = {"brute": ("enumeration",), "sa": (),
@@ -200,19 +200,28 @@ def _with_defaults(params: dict) -> dict:
     return {k: params.get(k, default) for k, (default, _, _) in SOLVER_DEFAULTS.items()}
 
 
-def _check_solver_size(solver: str, dim: int, n: int | None = None, gaps: bool = False,
+def _check_gap_size(dim: int, gap_samples: int) -> None:
+    """Refuse, before any work, a gap profile of ``gap_samples`` points on a ``dim``-qubit
+    model over the annealing Hamiltonian's size cap or the gap profile's work cap."""
+    check_size("hamiltonian", dim)
+    check_work("gap", _gap_work(gap_samples, dim))
+
+
+def _check_solver_size(solver: str, dim: int, n: int | None = None, gap_samples: int = 0,
                        params: dict | None = None) -> None:
-    """Refuse, before any work, a run that would hit a size cap: the solver's and (with
-    ``gaps``) the gap profiles' on the largest model's ``dim``, and, when an instance of
-    size ``n`` is priced, the oracle's on n.  Then refuse, with ``params``, an SA run over
-    its work cap on runs and sweeps, and a state-vector run over the evolution work cap
-    on its steps (Trotter slices)."""
-    sizes = dict.fromkeys(SOLVERS[solver] + (("hamiltonian",) if gaps else ()), dim)
+    """Refuse, before any work, a run that would hit a size cap: the solver's on the
+    largest model's ``dim`` and, when an instance of size ``n`` is priced, the oracle's
+    on n.  Then refuse gap profiles of ``gap_samples`` points (``_check_gap_size``), and,
+    with ``params``, an SA run over its work cap on runs and sweeps, and a state-vector
+    run over the evolution work cap on its steps (Trotter slices)."""
+    sizes = dict.fromkeys(SOLVERS[solver], dim)
     if n is not None:
         sizes["oracle"] = n
     for what in SIZE_CAPS:
         if what in sizes:
             check_size(what, sizes[what])
+    if gap_samples:
+        _check_gap_size(dim, gap_samples)
     params = _with_defaults(params or {})
     if solver == "sa":
         check_work("sa", _sa_work(params["runs"], params["sweeps"], dim))
@@ -339,7 +348,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     if workers != 1:
         raise ValueError(f"instances run serially; workers must be 1, got {workers!r}")
     top = max(_model_dim(f, spec.n) for f in spec.formulations)
-    _check_solver_size(spec.solver, top, spec.n, gaps=spec.gap_samples > 0,
+    _check_solver_size(spec.solver, top, spec.n, gap_samples=spec.gap_samples,
                        params=spec.solver_params)
     records = [_run_instance(spec, i, inst) for i, inst in enumerate(generate_instances(spec))]
 

@@ -36,6 +36,7 @@ from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
     QuboModel,
+    _model_dim,
     build_formulation,
     coupling_report,
     export_sparse,
@@ -153,6 +154,7 @@ def cmd_gap(args) -> int:
     inst = QapInstance.load(args.instance)
     scales = [check_positive("scale", float(s)) for s in args.scales.split(",")]
     check_count("--samples", args.samples, least=2)
+    bench._check_gap_size(_model_dim(args.formulation, inst.n), args.samples)
     out = Path(args.out)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
     summaries = []

@@ -41,13 +41,19 @@ def _check_cap(cap: tuple, amount: int) -> None:
 # Trotter slice under a twentieth of that, so a run at the cap takes at most
 # about 4 minutes.
 # Simulated annealing is charged sweeps times dim times max(runs, 2^10) flip
-# attempts (anneal._sa_work).  Measured on one BLAS thread at dim 4 to 64, a
-# column of a sweep costs a fixed 16-21 us, about what 2^10 runs add to it at
-# dim 4 to 16, and a charged flip attempt costs at most about 80 ns, so a run
-# at the cap takes at most about 3 minutes.
+# attempts (anneal._sa_work).  Measured on one BLAS thread at dim 4 to 64 and
+# 1 to 65536 runs, a column of a sweep costs a fixed 6-16 us, about what 2^10
+# runs add to it, and a charged flip attempt costs at most about 55 ns, so a
+# run at the cap takes at most about 2 minutes.
+# A gap profile is charged its grid points times 2^m amplitudes, one eigensolve
+# per point (spectral._gap_work).  Measured on one BLAS thread, a 16-qubit
+# eigensolve (n = 4 baseline, u = 0.2 to 0.95) takes 4-24 s, so a profile at
+# the cap (16 points at 16 qubits) takes at most about 6 minutes; at 1 to 9
+# qubits a charged amplitude costs 9-32 us, under 40 s at the cap.
 WORK_CAPS = {
     "evolution": (2**27, "step-amplitude", "state-vector evolution"),
     "sa": (2**31, "flip-attempt", "simulated annealing"),
+    "gap": (2**20, "eigensolve-amplitude", "a gap profile"),
 }
 
 

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import SolverError, check_count, check_size
+from .errors import SolverError, check_count, check_size, check_work
 from .qubo import QuboModel, SpinModel, enumerate_states, normalize_couplings, to_spin
 
 # Two eigenvalues closer than this are treated as one degenerate level.
@@ -323,14 +323,22 @@ def two_lowest_eigenvalues(pair: HamiltonianPair, u: float) -> tuple[float, floa
     return eigsh(pair, u)
 
 
+def _gap_work(num_samples: int, num_qubits: int) -> int:
+    """The amount errors.WORK_CAPS["gap"] charges a profile: one eigensolve of
+    2^m amplitudes per grid point."""
+    return num_samples * 2**num_qubits
+
+
 def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
     """Sample the two lowest eigenvalues on a uniform grid over [0, 1].
 
     Numerically degenerate pairs (see ``_gaps``) are reported as gap
     zero with a warning: a vanishing gap voids the usual guarantee that
-    a slow interpolation tracks the ground state.
+    a slow interpolation tracks the ground state.  A profile over the work
+    cap errors.WORK_CAPS["gap"] is refused before the first eigensolve.
     """
     num_samples = check_count("num_samples", num_samples, least=2)
+    check_work("gap", _gap_work(num_samples, pair.num_qubits))
     ts = np.linspace(0.0, 1.0, num_samples)
     e0 = np.empty(num_samples)
     e1 = np.empty(num_samples)

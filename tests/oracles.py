@@ -13,13 +13,18 @@ import numpy as np
 
 
 def energy_loops(W, c, x):
-    """x^T W x + c^T x by explicit double loop."""
-    m = len(x)
+    """x^T W x + c^T x by explicit double loop.
+
+    The loops skip the zero entries of x: with W and c finite their terms
+    are signed zeros, which leave a sum that starts at +0.0 unchanged, so
+    the result is the same bits as the loop over every index.
+    """
+    nonzero = [i for i in range(len(x)) if x[i] != 0]
     total = 0.0
-    for i in range(m):
-        for j in range(m):
+    for i in nonzero:
+        for j in nonzero:
             total += x[i] * W[i][j] * x[j]
-    for i in range(m):
+    for i in nonzero:
         total += c[i] * x[i]
     return total
 
@@ -263,12 +268,18 @@ def sa_loops(model, sweeps, runs, seed, schedule=None):
         uniforms = [rng.random((64, dim)).tolist() for _ in temps]
         for i in range(min(64, runs - 64 * b)):
             x = [int(v) for v in starts[i]]
+            energy = energy_loops(Q, q, x)
             for T, u_sweep in zip(temps, uniforms):
                 for k in range(dim):
                     u = u_sweep[i][k]
-                    dE = _flip_delta_loops(Q, q, x, k)
+                    # dE from two full loop energies, as in _flip_delta_loops;
+                    # the current state's energy is kept from when it was reached
+                    y = list(x)
+                    y[k] = 1 - y[k]
+                    flipped = energy_loops(Q, q, y)
+                    dE = flipped - energy
                     if dE <= 0.0 or u < math.exp(min(50.0, max(-700.0, -dE / T))):
-                        x[k] = 1 - x[k]
+                        x, energy = y, flipped
             finals.append(tuple(x))
     return finals
 

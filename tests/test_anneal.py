@@ -400,28 +400,71 @@ class TestSimulatedAnnealing:
         chi2 = scipy.stats.chisquare(observed, expected)
         assert chi2.pvalue > 0.01
 
-    @pytest.mark.parametrize("make_model, sweeps, runs, schedule, split", [
-        (lambda: integer_model(9, "baseline", 3, 81), 6, 20, (4.0, 0.2), False),
-        (lambda: integer_model(9, "inserted", 4, 82), 1, 20, None, False),
-        (lambda: float_model(4, "baseline", 2, 83), 1, 17, (1.5, 0.1), False),
-        (lambda: float_model(9, "row_wise", 3, 84), 5, 20, (2.0, 0.05), False),
-        (lambda: build_formulation(random_instance(3, 85), "inserted"), 8, 20, None, False),
-        (lambda: build_formulation(random_instance(3, 86), "baseline"), 3, 11, None, False),
-        (lambda: float_model(9, "row_wise", 3, 87), 3, 130, (2.0, 0.05), False),
-        (lambda: build_formulation(random_instance(3, 88), "row_wise"), 4, 130, None, True),
+    @pytest.mark.parametrize("make_model, sweeps, runs, schedule, split, panel", [
+        (lambda: integer_model(9, "baseline", 3, 81), 6, 20, (4.0, 0.2), False, None),
+        (lambda: integer_model(9, "inserted", 4, 82), 1, 20, None, False, None),
+        (lambda: float_model(4, "baseline", 2, 83), 1, 17, (1.5, 0.1), False, None),
+        (lambda: float_model(9, "row_wise", 3, 84), 5, 20, (2.0, 0.05), False, None),
+        (lambda: build_formulation(random_instance(3, 85), "inserted"), 8, 20, None, False, None),
+        (lambda: build_formulation(random_instance(3, 86), "baseline"), 3, 11, None, False, None),
+        (lambda: float_model(9, "row_wise", 3, 87), 3, 130, (2.0, 0.05), False, None),
+        (lambda: build_formulation(random_instance(3, 88), "row_wise"), 4, 130, None, True, None),
+        # Panel edges.  A model's dim is a square, so dims one off a multiple of
+        # the panel come from patching it: 16 at panels 17 and 15, and 9 at 4.
+        (lambda: integer_model(16, "baseline", 4, 90), 3, 65, (4.0, 0.2), False, 17),
+        (lambda: integer_model(16, "row_wise", 4, 91), 3, 65, (4.0, 0.2), False, None),
+        (lambda: integer_model(16, "baseline", 4, 92), 3, 65, (4.0, 0.2), False, 15),
+        (lambda: integer_model(9, "baseline", 3, 93), 4, 65, (4.0, 0.2), False, 4),
+        (lambda: integer_model(25, "inserted", 6, 94), 3, 65, (4.0, 0.2), False, None),
+        (lambda: integer_model(36, "inserted", 7, 95), 2, 130, None, True, None),
+        (lambda: build_formulation(random_instance(8, 96), "inserted"), 2, 65, None, False, None),
+        (lambda: float_model(64, "baseline", 8, 97), 1, 65, (2.0, 0.05), False, None),
     ], ids=["int-baseline", "int-inserted-1-sweep", "float-baseline-1-sweep", "float-row_wise",
-            "built-inserted", "built-baseline", "three-blocks-partial-last", "one-block-per-chunk"])
+            "built-inserted", "built-baseline", "three-blocks-partial-last", "one-block-per-chunk",
+            "dim16-panel17", "dim16-one-panel", "dim16-panel15", "dim9-panel4", "dim25",
+            "dim36-one-block-per-chunk", "built-dim49", "float-dim64"])
     def test_final_states_match_scalar_loop_oracle(self, monkeypatch, make_model, sweeps, runs,
-                                                   schedule, split):
-        # same per-block draws, one flip decision at a time with loop energies
+                                                   schedule, split, panel):
+        # same per-block draws, one flip decision at a time with loop energies and
+        # the rule "dE <= 0 or u < exp(-dE / T)"
         model = make_model()
+        if panel is not None:
+            monkeypatch.setattr(anneal, "_SA_PANEL", panel)
         samples = simulated_annealing(model, sweeps=sweeps, runs=runs, seed=5, schedule=schedule)
-        if split:  # a budget of one block per chunk gives three chunks, and the same samples
+        if split:  # a budget of one block per chunk gives several chunks, and the same samples
             monkeypatch.setattr(anneal, "_SA_CHUNK_DOUBLES", 3 * anneal._SA_BLOCK * model.dim)
             split_samples = simulated_annealing(model, sweeps=sweeps, runs=runs, seed=5,
                                                 schedule=schedule)
             assert split_samples.to_dict() == samples.to_dict()
         expected = Counter(oracles.sa_loops(model, sweeps=sweeps, runs=runs, seed=5, schedule=schedule))
+        assert {e.bits: e.count for e in samples.entries} == dict(expected)
+
+    @pytest.mark.parametrize("zero_uniforms", [False, True], ids=["tie", "uniform-zero"])
+    def test_every_attempt_accepted(self, monkeypatch, zero_uniforms):
+        # With Q = 0 and q = 0 every flip has dE = 0; with every uniform 0 every flip
+        # passes u < exp(-dE / T) whatever dE.  Either way each attempt flips, so after
+        # an odd number of sweeps each run ends in the complement of its initial draw.
+        # RuntimeWarnings are errors, so the log of a uniform equal to 0 must not warn.
+        runs, dim = 130, 16
+        default_rng = np.random.default_rng
+        starts = np.vstack([default_rng([6, 1 + b]).integers(0, 2, size=(64, dim))
+                            for b in range(ceil(runs / 64))])[:runs]
+        if zero_uniforms:
+            model = integer_model(dim, "baseline", 4, 98)
+
+            class ZeroUniforms:
+                def __init__(self, seed):
+                    self.integers = default_rng(seed).integers
+
+                def random(self, out):
+                    out[...] = 0.0
+
+            monkeypatch.setattr(np.random, "default_rng", ZeroUniforms)
+        else:
+            model = QuboModel(dim=dim, Q=np.zeros((dim, dim)), q=np.zeros(dim), offset=0.0,
+                              formulation="baseline", n=4)
+        samples = simulated_annealing(model, sweeps=3, runs=runs, seed=6)
+        expected = Counter(map(tuple, (1 - starts).tolist()))
         assert {e.bits: e.count for e in samples.entries} == dict(expected)
 
     def test_memory_does_not_grow_with_sweeps(self):

@@ -30,11 +30,12 @@ from permqubo import (
     vectorize,
     worst_permutation,
 )
-from permqubo import anneal, errors
+from permqubo import anneal, bench, errors, spectral
 from permqubo.anneal import _evolution_work, _sa_work
 from permqubo.bench import PRESETS, _check_solver_size, _run_instance
 from permqubo.errors import SIZE_CAPS, WORK_CAPS
 from permqubo.qubo import _model_dim
+from permqubo.spectral import _gap_work, spectral_gap
 
 
 def small_spec(**overrides):
@@ -192,17 +193,17 @@ def _zero_pair(m):
 
 
 # Per cap: a problem of a given size, the solver-level entries that meet the
-# cap on it, and the smallest (n, formulation, solver, gaps) run that meets it.
+# cap on it, and the smallest (n, formulation, solver, gap_samples) run that meets it.
 _CAP_ENTRIES = {
     "oracle": (lambda n: QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n)),
-               [permutation_extremes], (9, "baseline", "sa", False)),
-    "enumeration": (lambda dim: dim, [enumerate_states], (5, "baseline", "brute", False)),
+               [permutation_extremes], (9, "baseline", "sa", 0)),
+    "enumeration": (lambda dim: dim, [enumerate_states], (5, "baseline", "brute", 0)),
     "evolution": (_zero_pair,
                   [lambda pair: evolve(pair, AnnealSchedule(tau=1.0, steps=1)),
                    lambda pair: evolve_trotter(pair, AnnealSchedule(tau=1.0), slices=1)],
-                  (4, "baseline", "trotter", False)),
+                  (4, "baseline", "trotter", 0)),
     "hamiltonian": (lambda m: SpinModel(np.zeros((m, m)), np.zeros(m), 0.0),
-                    [build_hamiltonians], (5, "baseline", "sa", True)),
+                    [build_hamiltonians], (5, "baseline", "sa", 2)),
 }
 
 
@@ -210,7 +211,7 @@ _CAP_ENTRIES = {
 def test_size_cap_refused_before_allocating(what):
     # each entry refuses one over its cap, and the run that meets the cap,
     # before allocating; bench's up-front check refuses that run alike
-    make, entries, (n, formulation, solver, gaps) = _CAP_ENTRIES[what]
+    make, entries, (n, formulation, solver, gap_samples) = _CAP_ENTRIES[what]
     run_size = n if what == "oracle" else _model_dim(formulation, n)
     for entry in entries:
         for size in (SIZE_CAPS[what][0] + 1, run_size):
@@ -225,7 +226,7 @@ def test_size_cap_refused_before_allocating(what):
             # an entry that ran would first allocate 52 KB or more (n = 9's oracle table)
             assert peak < 2**15
         with pytest.raises(SizeCapError) as bench_refused:
-            _check_solver_size(solver, _model_dim(formulation, n), n, gaps)
+            _check_solver_size(solver, _model_dim(formulation, n), n, gap_samples)
         assert str(bench_refused.value) == str(refused.value)
 
 
@@ -281,7 +282,7 @@ def test_sa_work_cap_refused_before_allocating(monkeypatch):
     model = build_formulation(QapInstance(1, np.zeros((1, 1)), np.zeros(1)), "baseline")
     assert model.dim == 1 and _sa_work(cap + 1, 1, 1) == cap + 1
     monkeypatch.setattr(anneal, "_estimate_t_hi", lambda *args: pytest.fail("started"))
-    monkeypatch.setattr(anneal, "dger", lambda *args, **kwargs: pytest.fail("swept"))
+    monkeypatch.setattr(anneal, "dgemm", lambda *args, **kwargs: pytest.fail("swept"))
     for runs, sweeps, key in ((cap + 1, 1, "runs"), (1, cap // _sa_work(1, 1, 1) + 1, "sweeps")):
         tracemalloc.start()
         try:
@@ -300,6 +301,32 @@ def test_sa_work_cap_refused_before_allocating(monkeypatch):
     with pytest.raises(SizeCapError, match="flip-attempt cap"):
         run_experiment(ExperimentSpec(n=1, num_instances=1, seed=0, formulations=("baseline",),
                                       solver="sa", solver_params={"runs": cap + 1, "sweeps": 1}))
+
+
+def test_gap_work_cap_refused_before_allocating(monkeypatch):
+    # The fewest grid points over the gap work cap on a 1-qubit pair: spectral_gap
+    # refuses them before it allocates its grid or runs an eigensolve, bench's
+    # up-front check refuses them with the same message, one point fewer passes
+    # that check, and a spec asking for them is refused before any instance is priced.
+    samples = WORK_CAPS["gap"][0] // _gap_work(1, 1) + 1
+    monkeypatch.setattr(spectral, "two_lowest_eigenvalues", lambda *args: pytest.fail("solved"))
+    monkeypatch.setattr(bench, "permutation_extremes", lambda *args: pytest.fail("priced"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError) as refused:
+            spectral_gap(_zero_pair(1), num_samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**15
+    assert "eigensolve-amplitude cap" in str(refused.value)
+    with pytest.raises(SizeCapError) as bench_refused:
+        _check_solver_size("brute", 1, gap_samples=samples)
+    assert str(bench_refused.value) == str(refused.value)
+    _check_solver_size("brute", 1, gap_samples=samples - 1)
+    with pytest.raises(SizeCapError, match="eigensolve-amplitude cap"):
+        run_experiment(ExperimentSpec(n=2, num_instances=1, seed=0, formulations=("inserted",),
+                                      gap_samples=samples))
 
 
 class TestColorSorting:
@@ -358,6 +385,9 @@ class TestSpecIoAndPresets:
         for name in PRESETS:
             spec = preset_spec(name, seed=3)
             assert spec.num_instances == 10
+            # within every size and work cap (gap-scan's profiles charge 33 * 2^9)
+            top = max(_model_dim(f, spec.n) for f in spec.formulations)
+            _check_solver_size(spec.solver, top, spec.n, spec.gap_samples, spec.solver_params)
         spec = preset_spec("gap-scan", n=2)
         assert spec.n == 2 and spec.gap_samples > 0
 

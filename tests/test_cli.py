@@ -176,6 +176,21 @@ class TestGap:
                      "--out", str(tmp_path / "gap.csv")]) == 4
         assert "16" in capsys.readouterr().err
 
+    def test_over_the_work_cap_exit_4(self, tmp_path, capsys):
+        # n = 2 inserted has one qubit: the fewest grid points over the cap
+        _, path = write_instance(tmp_path, 2, 19)
+        out = tmp_path / "gap.csv"
+        samples = WORK_CAPS["gap"][0] // 2 + 1
+        with mock.patch("permqubo.cli.build_formulation") as build, \
+                mock.patch("permqubo.cli.gap_profile") as profile:
+            code = main(["gap", "--instance", str(path), "--formulation", "inserted",
+                         "--samples", str(samples), "--out", str(out)])
+        assert code == 4
+        build.assert_not_called()
+        profile.assert_not_called()
+        assert "eigensolve-amplitude cap" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_brute_success(self, tmp_path, capsys):
