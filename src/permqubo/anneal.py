@@ -441,13 +441,14 @@ def _make_entries(states: np.ndarray, counts: np.ndarray, model: QuboModel) -> l
     return [
         SampleEntry(
             bits=tuple(bits),
-            energy=model.energy(row),
+            energy=energy,
             count=count,
             valid=ok,
             assignment=tuple(assignment) if ok else None,
         )
-        for row, bits, count, ok, assignment in zip(
-            states, states.tolist(), counts.tolist(), valid.tolist(), assignments.tolist()
+        for bits, energy, count, ok, assignment in zip(
+            states.tolist(), model.energies(states).tolist(), counts.tolist(), valid.tolist(),
+            assignments.tolist()
         )
     ]
 
@@ -475,15 +476,15 @@ def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> Sampl
     )
 
 
-def _estimate_t_hi(model: QuboModel, seed: int) -> float:
-    """Largest |single-flip energy change| over a seeded sample of states."""
+def _estimate_t_hi(C: np.ndarray, bias: np.ndarray, seed: int) -> float:
+    """Largest |single-flip energy change| over a seeded sample of states.
+
+    With ``simulated_annealing``'s C and bias, flipping bit k of X changes
+    the energy by -s_k h_k, where h = X C + bias, so |dE| = |h_k|.
+    """
     rng = np.random.default_rng([seed, 0])
-    S = rng.integers(0, 2, size=(64, model.dim)).astype(float)
-    Q = (model.Q + model.Q.T) / 2.0
-    G = S @ Q
-    delta = 1.0 - 2.0 * S
-    dE = 2.0 * delta * G + np.diag(Q)[None, :] + delta * model.q[None, :]
-    t_hi = float(np.abs(dE).max())
+    X = rng.integers(0, 2, size=(64, bias.shape[0])).astype(float)
+    t_hi = float(np.abs(X @ C + bias).max())
     return t_hi if t_hi > 0 else 1.0
 
 
@@ -505,7 +506,7 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     Runs are batched in chunks of whole blocks, in spin form: a chunk holds
     its spins S = 2X - 1 and local fields H as (runs, dim) arrays in Fortran
     order, so the column a flip attempt reads and writes is contiguous.
-    With Q symmetrised and C = 2Q off its diagonal, H = X C + q + diag(Q),
+    With C = 2Q off its diagonal (Q is symmetric), H = X C + q + diag(Q),
     so h_k does not depend on x_k and flipping bit k changes the energy by
     dE = -s_k h_k.  Each sweep turns its uniforms U in place into the
     thresholds L = T log U, and flip k is accepted where s_k h_k > L_k:
@@ -524,13 +525,12 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     seed = check_count("seed", seed, least=0)
     dim = model.dim
     check_work("sa", _sa_work(runs, sweeps, dim))
-    Q = (model.Q + model.Q.T) / 2.0  # the fields below assume symmetry
-    bias = model.q + np.diag(Q)
-    C = 2.0 * Q
+    bias = model.q + np.diag(model.Q)
+    C = 2.0 * model.Q
     np.fill_diagonal(C, 0.0)
 
     if schedule is None:
-        t_hi = _estimate_t_hi(model, seed)
+        t_hi = _estimate_t_hi(C, bias, seed)
         t_lo = 1e-3 * t_hi
     else:
         t_hi, t_lo = (check_positive("schedule temperature", t) for t in schedule)
@@ -673,14 +673,9 @@ def _score(samples: SampleSet, inst: QapInstance, f_opt: float):
     return valid, above, optimal, report
 
 
-def success_probability(samples: SampleSet, inst: QapInstance,
-                        f_opt: float | None = None) -> SuccessReport:
-    """Score a SampleSet against the exact optimum f_opt of the instance.
-
-    f_opt comes from the exact oracle when the caller does not pass it.
-    """
-    if f_opt is None:
-        _, f_opt, _, _ = permutation_extremes(inst)
+def success_probability(samples: SampleSet, inst: QapInstance) -> SuccessReport:
+    """Score a SampleSet against the instance's exact optimum f_opt, from the exact oracle."""
+    _, f_opt, _, _ = permutation_extremes(inst)
     return _score(samples, inst, f_opt)[3]
 
 

@@ -236,22 +236,23 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     params = _with_defaults(params)
     if solver == "brute":
         bits, _ = exhaustive_minimum(model)
-        entries = _make_entries(bits[None, :], np.ones(1, dtype=int), model)
-        return SampleSet(entries=entries, total=1, metadata={"solver": "brute"})
-    if solver == "sa":
-        return simulated_annealing(model, sweeps=params["sweeps"], runs=params["runs"], seed=seed,
-                                   schedule=params["schedule"])
-    sched = AnnealSchedule(tau=params["tau"], steps=params["steps"])
-    pair = annealing_hamiltonian(model)
-    if solver == "schrodinger":
-        state = evolve(pair, sched)
-        resolution = {"steps": sched.effective_steps()}
+        samples = SampleSet(_make_entries(bits[None, :], np.ones(1, dtype=int), model), total=1)
+    elif solver == "sa":
+        samples = simulated_annealing(model, sweeps=params["sweeps"], runs=params["runs"],
+                                      seed=seed, schedule=params["schedule"])
     else:
-        state = evolve_trotter(pair, sched, slices=params["slices"])
-        resolution = {"slices": params["slices"]}
-    samples = measure(state, shots=params["shots"], seed=seed, model=model)
+        sched = AnnealSchedule(tau=params["tau"], steps=params["steps"])
+        pair = annealing_hamiltonian(model)
+        if solver == "schrodinger":
+            state = evolve(pair, sched)
+            resolution = {"steps": sched.effective_steps()}
+        else:
+            state = evolve_trotter(pair, sched, slices=params["slices"])
+            resolution = {"slices": params["slices"]}
+        samples = measure(state, shots=params["shots"], seed=seed, model=model)
+        samples.metadata["schedule"] = {"tau": sched.tau, "path": [list(p) for p in sched.path],
+                                        **resolution}
     samples.metadata["solver"] = solver
-    samples.metadata["schedule"] = {"tau": sched.tau, "path": [list(p) for p in sched.path], **resolution}
     return samples
 
 
@@ -295,14 +296,6 @@ class BenchReport:
             "instances": self.instances,
             "aggregates": self.aggregates,
             "provenance": self.provenance,
-            # Hardware-only quantities have no simulator analog; the keys
-            # exist so report schemas line up without fabricated values.
-            "not_applicable": {
-                "chain_strength": None,
-                "chain_length": None,
-                "chain_breaks": None,
-                "external_baseline_energy": None,
-            },
         }
 
     @classmethod

@@ -119,7 +119,7 @@ def _has_json_type(value, kind, finite: bool = True) -> bool:
     return isinstance(value, kind)
 
 
-def _first_fault(value, kind, finite: bool = True):
+def _first_fault(value, kind):
     """The index path ("" for the value itself, "[3][5]" inside a list of lists) and the
     part of a value without ``kind`` at which it first goes wrong."""
     path = ""
@@ -128,7 +128,7 @@ def _first_fault(value, kind, finite: bool = True):
             kind = next(k for k in kind if k is not None)
         if not (isinstance(kind, list) and isinstance(value, list)):
             return path, value
-        i = next(i for i, v in enumerate(value) if not _has_json_type(v, kind[0], finite))
+        i = next(i for i, v in enumerate(value) if not _has_json_type(v, kind[0]))
         path, value, kind = f"{path}[{i}]", value[i], kind[0]
 
 

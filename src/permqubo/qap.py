@@ -120,14 +120,11 @@ class DistanceData:
     """A pair of metric-like matrices defining matching costs.
 
     d1 holds distances between the nodes of the first structure, d2
-    between the nodes of the second.  ``linear_bias`` optionally adds a
-    per-assignment linear cost (entry (i, j) prices matching node i of
-    the first structure to node j of the second).
+    between the nodes of the second.
     """
 
     d1: np.ndarray
     d2: np.ndarray
-    linear_bias: np.ndarray | None = None
 
     def __post_init__(self):
         self.d1 = np.asarray(self.d1, dtype=float)
@@ -147,8 +144,6 @@ class DistanceData:
             raise ValueError(
                 f"d1 and d2 must have the same shape, got {self.d1.shape} and {self.d2.shape}"
             )
-        if self.linear_bias is not None:
-            self.linear_bias = _as_square(self.linear_bias, self.d1.shape[0], "linear_bias")
 
     @property
     def n(self) -> int:
@@ -231,16 +226,11 @@ def isometric_cost(dist: DistanceData) -> QapInstance:
 
     The quadratic coupling between x_(i,j) and x_(k,l) is
     |d1(i,k) - d2(j,l)|, so the energy of a permutation sums the metric
-    distortion over all node pairs.  The linear term is the vectorised
-    ``linear_bias`` (zero when absent).
+    distortion over all node pairs.  There is no linear term.
     """
     n = dist.n
     # Axes (i, j, k, l) -> entry at (j*n+i, l*n+k) under column-major vec.
     four = np.abs(dist.d1[:, None, :, None] - dist.d2[None, :, None, :])
     W = four.transpose(1, 0, 3, 2).reshape(n * n, n * n)
-    if dist.linear_bias is not None:
-        c = dist.linear_bias.flatten(order="F")
-    else:
-        c = np.zeros(n * n)
-    return QapInstance(n=n, W=W, c=c)
+    return QapInstance(n=n, W=W, c=np.zeros(n * n))
 

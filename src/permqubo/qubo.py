@@ -175,7 +175,11 @@ _MODEL_TYPES = {"dim": int, "formulation": str, "n": int, "Q": [[float]], "q": [
 
 @dataclass
 class QuboModel:
-    """Unconstrained binary quadratic model x^T Q x + q^T x + offset."""
+    """Unconstrained binary quadratic model x^T Q x + q^T x + offset.
+
+    Q is stored symmetric, as (Q + Q^T) / 2, which leaves x^T Q x unchanged
+    for every Q; the spin form and the samplers assume that symmetry.
+    """
 
     dim: int
     Q: np.ndarray
@@ -201,15 +205,10 @@ class QuboModel:
             raise ValueError(f"Q must have shape ({self.dim}, {self.dim}), got {self.Q.shape}")
         if self.q.shape != (self.dim,):
             raise ValueError(f"q must have shape ({self.dim},), got {self.q.shape}")
+        self.Q = (self.Q + self.Q.T) / 2.0  # before the check, so an overflow is refused
         if not (np.all(np.isfinite(self.Q)) and np.all(np.isfinite(self.q))
                 and np.isfinite(self.offset)):
             raise ValueError("model coefficients and offset must be finite")
-
-    def energy(self, bits) -> float:
-        bits = np.asarray(bits, dtype=float)
-        if bits.shape != (self.dim,):
-            raise ValueError(f"state must have length {self.dim}, got shape {bits.shape}")
-        return float(bits @ self.Q @ bits + self.q @ bits + self.offset)
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Energies of a (k, dim) batch of states."""
@@ -359,14 +358,18 @@ def to_spin(model: QuboModel) -> SpinModel:
     """Change of variables s = 2x - 1.
 
     Q_s = Q/4 and q_s = (Q 1 + q)/2; the offset absorbs every constant
-    so binary and spin energies agree exactly on all states.  Q is
-    symmetrised first, which leaves x^T Q x unchanged for every Q.
+    so binary and spin energies agree exactly on all states.
     """
-    Q = (model.Q + model.Q.T) / 2.0
+    Q = model.Q
     Q_s = Q / 4.0
     q_s = 0.5 * (Q @ np.ones(model.dim) + model.q)
     offset_s = model.offset + 0.25 * float(Q.sum()) + 0.5 * float(model.q.sum())
     return SpinModel(Q_s=Q_s, q_s=q_s, offset_s=offset_s)
+
+
+def _coupling_scale(Q: np.ndarray, q: np.ndarray) -> float:
+    """max(max|Q|, max|q| / 2): the factor that brings couplings within 1 and biases within 2."""
+    return max(float(np.abs(Q).max(initial=0.0)), float(np.abs(q).max(initial=0.0)) / 2.0)
 
 
 def normalize_couplings(spin: SpinModel) -> tuple[SpinModel, float]:
@@ -376,7 +379,7 @@ def normalize_couplings(spin: SpinModel) -> tuple[SpinModel, float]:
     returned factor divides all coefficients (and the offset, keeping
     energies proportional).  Zero models are returned unchanged.
     """
-    r = max(float(np.abs(spin.Q_s).max(initial=0.0)), float(np.abs(spin.q_s).max(initial=0.0)) / 2.0)
+    r = _coupling_scale(spin.Q_s, spin.q_s)
     if r == 0.0:
         return SpinModel(spin.Q_s.copy(), spin.q_s.copy(), spin.offset_s), 1.0
     return SpinModel(spin.Q_s / r, spin.q_s / r, spin.offset_s / r), r
@@ -425,8 +428,7 @@ def coupling_report(model: QuboModel, inst: QapInstance) -> CouplingReport:
     Q_prob, q_prob, _ = _data_part(model.formulation, inst)
     Q_reg = model.Q - Q_prob
     q_reg = model.q - q_prob
-    r = max(float(np.abs(model.Q).max(initial=0.0)), float(np.abs(model.q).max(initial=0.0)) / 2.0)
-    factor = r if r > 0 else 1.0
+    factor = _coupling_scale(model.Q, model.q) or 1.0
 
     def rng(a):
         a = a / factor

@@ -371,5 +371,12 @@ def annealing_hamiltonian(model: QuboModel) -> HamiltonianPair:
 
 
 def gap_profile(model: QuboModel, num_samples: int = 64) -> GapProfile:
-    """Gap profile of a binary model's annealing Hamiltonian (``annealing_hamiltonian``)."""
+    """Gap profile of a binary model's annealing Hamiltonian (``annealing_hamiltonian``).
+
+    The qubit cap, the sample count and the work cap are checked before the
+    Hamiltonian is built.
+    """
+    check_size("hamiltonian", model.dim)
+    num_samples = check_count("num_samples", num_samples, least=2)
+    check_work("gap", _gap_work(num_samples, model.dim))
     return spectral_gap(annealing_hamiltonian(model), num_samples=num_samples)

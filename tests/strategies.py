@@ -49,8 +49,9 @@ SMALL_MODELS = (
 
 
 @st.composite
-def adversarial_models(draw, symmetric=True):
-    """A (QuboModel, integer) pair: Q, q and offset drawn like adversarial_instances' W and c.
+def adversarial_model_coefficients(draw, symmetric=True):
+    """(formulation, n, Q, q, offset, integer): Q, q and offset drawn like
+    adversarial_instances' W and c, for a model shape of SMALL_MODELS.
 
     ``integer`` tells whether every coefficient is drawn from {-2, ..., 2},
     so that exact arithmetic can be demanded.
@@ -62,4 +63,18 @@ def adversarial_models(draw, symmetric=True):
     Q = flat[: dim * dim].reshape(dim, dim)
     if symmetric:
         Q = np.triu(Q) + np.triu(Q, 1).T
-    return QuboModel(dim, Q, flat[dim * dim:-1], flat[-1], formulation, n), integer
+    return formulation, n, Q, flat[dim * dim:-1], flat[-1], integer
+
+
+def build_model(formulation, n, Q, q, offset):
+    return QuboModel(len(q), Q, q, offset, formulation, n)
+
+
+def coefficient_mass(Q, q, offset):
+    """The scale of a model's energies, for tolerances relative to it."""
+    return np.abs(Q).sum() + np.abs(q).sum() + abs(offset)
+
+
+def adversarial_models(symmetric=True):
+    """A (QuboModel, integer) pair built from a draw of adversarial_model_coefficients."""
+    return adversarial_model_coefficients(symmetric).map(lambda d: (build_model(*d[:5]), d[5]))

@@ -158,7 +158,7 @@ def test_criterion_04_gap_trend(gap_study):
     base = float(np.mean(gaps["baseline"][1.0]))
     ordering = rw > base
     ok = ok and ordering
-    _report("criterion 4: mean min-gap decreasing in scale; row-wise widest at scale 1",
+    _report("criterion 4: mean min-gap decreasing in scale; row-wise above baseline at scale 1",
             ok, "; ".join(details) + f"; row_wise {rw:.4f} vs baseline {base:.4f} at scale 1")
 
 

@@ -183,7 +183,7 @@ class TestRunExperiment:
         report.to_csv(csv_path)
         data = json.loads(json_path.read_text())
         assert data["provenance"]["seed"] == 7
-        assert "chain_strength" in data["not_applicable"]
+        assert set(data) == {"spec", "instances", "aggregates", "provenance"}
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 3  # header + one row per (formulation, scale)
 

@@ -407,6 +407,14 @@ class TestSolve:
         assert schedules["schrodinger"]["steps"] == 25 and "slices" not in schedules["schrodinger"]
         assert schedules["trotter"]["slices"] == 40 and "steps" not in schedules["trotter"]
 
+    def test_every_solver_stamps_its_name(self, tmp_path):
+        _, path = write_instance(tmp_path, 2, 16)
+        for solver in SOLVERS:
+            out = tmp_path / f"{solver}.json"
+            assert main(["solve", "--instance", str(path), "--solver", solver, "--tau", "5",
+                         "--runs", "10", "--sweeps", "5", "--shots", "10", "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["metadata"]["solver"] == solver
+
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--solver", "brute", "--out", str(tmp_path / "s.json")]) == 2
 

@@ -183,11 +183,9 @@ class TestIsometricCost:
             )
             assert f_opt == pytest.approx(oracle_best, rel=1e-12)
 
-    def test_linear_bias_vectorized_column_major(self):
+    def test_no_linear_term(self):
         d = random_metric(2, 2)
-        bias = np.array([[1.0, 2.0], [3.0, 4.0]])
-        inst = isometric_cost(DistanceData(d1=d, d2=d, linear_bias=bias))
-        assert inst.c.tolist() == [1.0, 3.0, 2.0, 4.0]
+        assert isometric_cost(DistanceData(d1=d, d2=d)).c.tolist() == [0.0] * 4
 
     def test_rejects_asymmetric(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from strategies import adversarial_instances, adversarial_models
+from strategies import (adversarial_instances, adversarial_model_coefficients, adversarial_models,
+                        build_model, coefficient_mass)
 from permqubo import (
     PermutationMatrix,
     QapInstance,
@@ -164,7 +165,7 @@ class TestBuilders:
         for bits in itertools.product((0, 1), repeat=4):
             x = np.array(bits, dtype=float)
             expected = x @ sym @ x + inst.c @ x + lam * np.sum((A @ x - np.ones(4)) ** 2)
-            assert model.energy(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert model.energies([x])[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_row_wise_penalty_only_minimum_on_permutations(self):
         inst = QapInstance(3, np.zeros((9, 9)), np.zeros(9))
@@ -202,7 +203,7 @@ class TestBuilders:
         for bits in itertools.product((0, 1), repeat=4):
             x = np.array(bits, dtype=float)
             expected = x @ sym @ x + inst.c @ x + lams @ (A @ x - np.ones(4)) ** 2
-            assert model.energy(x) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            assert model.energies([x])[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
     def test_inserted_n2_single_variable(self):
         inst = random_instance(2, 44)
@@ -212,7 +213,7 @@ class TestBuilders:
             perm = decode(model, np.array([y]))
             assert perm is not None
             # energy of the reduced model equals the permutation energy
-            assert model.energy(np.array([y])) == pytest.approx(
+            assert model.energies([[y]])[0] == pytest.approx(
                 qap_energy(inst, vectorize(perm)), rel=1e-9, abs=1e-9
             )
 
@@ -263,7 +264,7 @@ class TestBuilders:
                     perm = PermutationMatrix(3, list(a))
                     bits = vectorize(perm) if form != "inserted" else _reduced_bits_loops(3, a)
                     f = qap_energy(inst, vectorize(perm))
-                    assert model.energy(bits) == pytest.approx(f, rel=1e-9, abs=1e-9)
+                    assert model.energies([bits])[0] == pytest.approx(f, rel=1e-9, abs=1e-9)
 
     def test_infeasibility_pricing_exhaustive(self):
         for seed in range(5):
@@ -418,8 +419,17 @@ class TestSpin:
         assert factor == 1.0 and np.all(normed.Q_s == 0)
 
 
-def _coefficient_mass(model):
-    return np.abs(model.Q).sum() + np.abs(model.q).sum() + abs(model.offset)
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(drawn=adversarial_model_coefficients(symmetric=False))
+def test_stored_symmetric_q_keeps_every_energy(drawn):
+    # the model stores (Q + Q^T) / 2; its energies are those of the Q it was given
+    formulation, n, Q, q, offset, integer = drawn
+    model = build_model(formulation, n, Q, q, offset)
+    assert np.array_equal(model.Q, model.Q.T)
+    states = enumerate_states(model.dim)
+    tol = 0.0 if integer else 1e-12 * coefficient_mass(Q, q, offset)
+    for x, e in zip(states.tolist(), model.energies(states).tolist()):
+        assert abs(e - (oracles.energy_loops(Q, q, x) + offset)) <= tol, x
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
@@ -431,7 +441,7 @@ def test_binary_spin_energy_identity(drawn):
     pairs = oracles.enumerate_qubo_loops(model)
     bits = np.array([b for b, _ in pairs], dtype=float)
     spin_energies = to_spin(model).energies(2.0 * bits - 1.0)
-    tol = 0.0 if integer else 1e-12 * _coefficient_mass(model)
+    tol = 0.0 if integer else 1e-12 * coefficient_mass(model.Q, model.q, model.offset)
     for e_spin, (b, e_loop) in zip(spin_energies, pairs):
         assert abs(e_spin - e_loop) <= tol, b
 
@@ -446,7 +456,7 @@ def test_sparse_export_import_round_trip(drawn, offset, tmp_path_factory):
     export_sparse(model, path)
     back = oracles.read_sparse_loops(path, model.dim)
     assert back.offset == model.offset
-    tol = 0.0 if integer else 1e-12 * _coefficient_mass(model)
+    tol = 0.0 if integer else 1e-12 * coefficient_mass(model.Q, model.q, model.offset)
     for (b, e), (_, e_back) in zip(oracles.enumerate_qubo_loops(model),
                                    oracles.enumerate_qubo_loops(back)):
         assert abs(e_back - e) <= tol, b
@@ -516,7 +526,7 @@ class TestEnumerationAndExports:
         assert text.startswith("offset ")
         back = oracles.read_sparse_loops(path, model.dim)
         for bits, e_back in oracles.enumerate_qubo_loops(back):
-            assert model.energy(np.array(bits)) == pytest.approx(e_back, rel=1e-12, abs=1e-12)
+            assert model.energies([bits])[0] == pytest.approx(e_back, rel=1e-12, abs=1e-12)
 
     def test_model_hash_stable(self):
         inst = random_instance(2, 60)

@@ -309,6 +309,15 @@ class TestGapProfile:
         with pytest.raises(ValueError):
             spectral_gap(pair, num_samples=1)
 
+    @pytest.mark.parametrize("n, num_samples", [(4, 17), (5, 2)])
+    def test_caps_checked_before_the_hamiltonian_is_built(self, monkeypatch, n, num_samples):
+        # n = 4 baseline is 16 qubits, 17 points over the gap work cap; n = 5 is over the qubit cap
+        zero = QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n))
+        model = build_formulation(zero, "baseline")
+        monkeypatch.setattr(spectral, "annealing_hamiltonian", lambda *args: pytest.fail("built"))
+        with pytest.raises(SizeCapError):
+            gap_profile(model, num_samples=num_samples)
+
     def test_csv_and_summary_outputs(self, tmp_path):
         inst = random_instance(2, 65)
         profile = gap_profile(build_formulation(inst, "baseline"), num_samples=9)
