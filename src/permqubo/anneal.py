@@ -5,13 +5,15 @@ H(t) = u(t) H_P + (1 - u(t)) H_B, starting from the uniform
 superposition (the mixer ground state).  Time is dimensionless (hbar=1);
 tau is the total evolution time and u(t) follows a piecewise-linear
 schedule path.  Both simulators and the classical sampler produce
-SampleSets: multisets of binary states with energies, counts and
-permutation-validity flags.
+SampleSets: multisets of binary states held as columns (states, counts,
+energies, valid, assignments), one row per distinct state, sorted by
+(energy, bits), with total = counts.sum().  The modal row is the first
+row of the largest count: count ties go to lower energy, then smaller bits.
 
 Pricing lives here too: ``price`` and ``success_probability`` score a
-SampleSet against the exact optimum f_opt, all valid entries in one batch.
-An entry is optimal when its energy is at most f_opt + ENERGY_RTOL *
-max(1, |f_opt|); ``price`` charges an invalid modal entry f_worst.
+SampleSet against the exact optimum f_opt, all valid rows in one batch.
+A row is optimal when its energy is at most f_opt + ENERGY_RTOL *
+max(1, |f_opt|); ``price`` charges an invalid modal row f_worst.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import ceil, factorial, isfinite, sqrt
 
 import numpy as np
@@ -389,23 +391,58 @@ class SampleEntry:
         }
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleSet:
-    """Multiset of measured/annealed binary states.
+    """Multiset of measured/annealed binary states, held as columns.
 
-    Entries are kept sorted by (energy, bits); counts add up to
-    ``total``.  ``metadata`` carries provenance (seed, model hash,
-    schedule parameters) into the JSON export.
+    Row r is one distinct state ``states[r]`` of the (k, dim) ``states``,
+    with ``counts[r]``, ``energies[r]``, and ``valid[r]`` when it encodes
+    the permutation ``assignments[r]`` of the (k, n) ``assignments`` (-1
+    throughout when not).  The rows are sorted once, by (energy, bits), and
+    ``total`` is ``counts.sum()``.  ``metadata`` carries provenance (seed,
+    model hash, schedule parameters) into the JSON export.
     """
 
-    entries: list
-    total: int
+    states: np.ndarray
+    counts: np.ndarray
+    energies: np.ndarray
+    valid: np.ndarray
+    assignments: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.entries = sorted(self.entries, key=lambda e: (e.energy, e.bits))
-        if sum(e.count for e in self.entries) != self.total:
-            raise ValueError("entry counts must sum to total")
+        columns = [np.asarray(c) for c in (self.states, self.counts, self.energies, self.valid,
+                                           self.assignments)]
+        order = np.lexsort((*columns[0].T[::-1], columns[2]))  # the last key sorts first
+        self.states, self.counts, self.energies, self.valid, self.assignments = (
+            c[order] for c in columns)
+
+    @classmethod
+    def from_states(cls, model: QuboModel, states, counts, metadata: dict) -> "SampleSet":
+        """Decode and price a (k, dim) batch of distinct states, then sort it.  The batch is
+        priced in the order it arrives, as BLAS may round a reordered batch differently."""
+        states = np.asarray(states)
+        valid, assignments = decode_states(model, states)
+        return cls(states, counts, model.energies(states), valid, assignments, metadata)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
+
+    def _entries(self, rows=slice(None)) -> list:
+        """The SampleEntry objects of ``rows`` (a slice or index list)."""
+        return [
+            SampleEntry(tuple(bits), energy, count, ok, tuple(assignment) if ok else None)
+            for bits, energy, count, ok, assignment in zip(
+                self.states[rows].tolist(), self.energies[rows].tolist(),
+                self.counts[rows].tolist(), self.valid[rows].tolist(),
+                self.assignments[rows].tolist())
+        ]
+
+    @cached_property
+    def entries(self) -> list:
+        """Every row as a SampleEntry, built once on first use."""
+        return self._entries()
 
     def to_dict(self) -> dict:
         return {
@@ -416,14 +453,11 @@ class SampleSet:
 
     def histogram_csv(self, path) -> None:
         """Energy histogram with per-bin valid counts, ready for plotting."""
-        energies = np.array([e.energy for e in self.entries])
-        counts = np.array([e.count for e in self.entries])
-        valid = np.array([e.valid for e in self.entries])
-        lo, hi = float(energies.min()), float(energies.max())
+        lo, hi = float(self.energies.min()), float(self.energies.max())
         if hi == lo:
             hi = lo + 1.0
         edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
-        idx = np.clip(np.digitize(energies, edges) - 1, 0, HISTOGRAM_BINS - 1)
+        idx = np.clip(np.digitize(self.energies, edges) - 1, 0, HISTOGRAM_BINS - 1)
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["energy_bin", "count", "valid_count"])
@@ -431,26 +465,9 @@ class SampleSet:
                 mask = idx == b
                 writer.writerow([
                     repr(float(edges[b])),
-                    int(counts[mask].sum()),
-                    int(counts[mask & valid].sum()),
+                    int(self.counts[mask].sum()),
+                    int(self.counts[mask & self.valid].sum()),
                 ])
-
-
-def _make_entries(states: np.ndarray, counts: np.ndarray, model: QuboModel) -> list:
-    valid, assignments = decode_states(model, states)
-    return [
-        SampleEntry(
-            bits=tuple(bits),
-            energy=energy,
-            count=count,
-            valid=ok,
-            assignment=tuple(assignment) if ok else None,
-        )
-        for bits, energy, count, ok, assignment in zip(
-            states.tolist(), model.energies(states).tolist(), counts.tolist(), valid.tolist(),
-            assignments.tolist()
-        )
-    ]
 
 
 def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> SampleSet:
@@ -458,22 +475,23 @@ def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> Sampl
     shots = check_count("shots", shots)
     seed = check_count("seed", seed, least=0)
     state = np.asarray(state)
-    m = int(np.log2(state.shape[0]))
-    if 2**m != state.shape[0]:
-        raise ValueError("state length must be a power of two")
+    m = state.size.bit_length() - 1
+    if state.ndim != 1 or state.size != 2**m:
+        raise ValueError(f"state length must be a power of two, got shape {state.shape}")
     if model.dim != m:
         raise ValueError(f"model has {model.dim} variables but the state has {m} qubits")
-    probs = np.abs(state) ** 2
-    probs = probs / probs.sum()
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    if not np.all(np.isfinite(state)):
+        raise ValueError("state has non-finite amplitudes")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        probs = np.abs(state) ** 2
+        norm2 = probs.sum()
+    if not 0.0 < norm2 < np.inf:
+        raise ValueError(f"state norm must be positive and finite, got squared norm {norm2}")
+    counts = np.random.default_rng(seed).multinomial(shots, probs / norm2)
     hit = np.nonzero(counts)[0]
     states = ((hit[:, None] >> np.arange(m)) & 1).astype(int)
-    entries = _make_entries(states, counts[hit], model)
-    return SampleSet(
-        entries=entries,
-        total=shots,
-        metadata={"seed": seed, "shots": shots, "model_hash": model.content_hash()},
-    )
+    return SampleSet.from_states(model, states, counts[hit],
+                                 {"seed": seed, "shots": shots, "model_hash": model.content_hash()})
 
 
 def _estimate_t_hi(C: np.ndarray, bias: np.ndarray, seed: int) -> float:
@@ -588,24 +606,15 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
 
     # Deterministic aggregation: group identical final states.
     uniq, counts = np.unique(final_states, axis=0, return_counts=True)
-    entries = _make_entries(uniq, counts, model)
-    return SampleSet(
-        entries=entries,
-        total=runs,
-        metadata={
-            "seed": seed,
-            "runs": runs,
-            "sweeps": sweeps,
-            "t_hi": t_hi,
-            "t_lo": t_lo,
-            "model_hash": model.content_hash(),
-        },
-    )
+    return SampleSet.from_states(model, uniq, counts, {
+        "seed": seed, "runs": runs, "sweeps": sweeps, "t_hi": t_hi, "t_lo": t_lo,
+        "model_hash": model.content_hash()})
 
 
 def most_frequent(samples: SampleSet) -> SampleEntry:
-    """Modal entry; ties prefer lower energy, then lexicographic bits."""
-    return min(samples.entries, key=lambda e: (-e.count, e.energy, e.bits))
+    """Modal row; ties prefer lower energy, then lexicographic bits: with the rows sorted
+    by (energy, bits), the first row of the largest count."""
+    return samples._entries([int(np.argmax(samples.counts))])[0]
 
 
 @dataclass
@@ -641,7 +650,6 @@ class Pricing:
     most_frequent: SampleEntry
     normalized_energy: float  # 0 = optimal; the worst permutation's when invalid
     success: bool
-    valid: bool
     report: SuccessReport
 
 
@@ -664,26 +672,26 @@ def _above_optimum(inst: QapInstance, assignments, f_opt: float) -> np.ndarray:
 
 
 def _score(samples: SampleSet, inst: QapInstance, f_opt: float):
-    """Valid entries, their energies above f_opt (one batch), their optimality, and the report."""
-    valid = [e for e in samples.entries if e.assignment is not None]
-    above = _above_optimum(inst, [e.assignment for e in valid], f_opt) if valid else np.zeros(0)
+    """The valid rows' energies above f_opt (one batch), their optimality, and the report."""
+    above = _above_optimum(inst, samples.assignments[samples.valid], f_opt)
     optimal = above <= ENERGY_RTOL * max(1.0, abs(f_opt))  # the one optimality rule
-    hits = sum(e.count for e, ok in zip(valid, optimal.tolist()) if ok)
+    hits = int(samples.counts[samples.valid][optimal].sum())
     report = SuccessReport(hits / samples.total, Fraction(1, factorial(inst.n)), inst.n, f_opt)
-    return valid, above, optimal, report
+    return above, optimal, report
 
 
 def success_probability(samples: SampleSet, inst: QapInstance) -> SuccessReport:
     """Score a SampleSet against the instance's exact optimum f_opt, from the exact oracle."""
     _, f_opt, _, _ = permutation_extremes(inst)
-    return _score(samples, inst, f_opt)[3]
+    return _score(samples, inst, f_opt)[2]
 
 
 def price(samples: SampleSet, inst: QapInstance, f_opt: float, f_worst: float) -> Pricing:
-    """Price the most frequent entry of ``samples``, charging f_worst when invalid."""
-    valid, above, optimal, report = _score(samples, inst, f_opt)
+    """Price the most frequent row of ``samples``, charging f_worst when invalid."""
+    above, optimal, report = _score(samples, inst, f_opt)
     mf = most_frequent(samples)
-    k = next((k for k, e in enumerate(valid) if e is mf), None)
-    if k is None:
-        return Pricing(mf, f_worst - f_opt, False, False, report)
-    return Pricing(mf, float(above[k]), bool(optimal[k]), True, report)
+    if not mf.valid:
+        return Pricing(mf, f_worst - f_opt, False, report)
+    # the modal row is the first of the largest count; k is its place among the valid rows
+    k = int(np.count_nonzero(samples.valid[:np.argmax(samples.counts)]))
+    return Pricing(mf, float(above[k]), bool(optimal[k]), report)

@@ -24,7 +24,6 @@ from .anneal import (
     AnnealSchedule,
     SampleSet,
     _evolution_work,
-    _make_entries,
     _sa_work,
     evolve,
     evolve_trotter,
@@ -236,7 +235,7 @@ def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:
     params = _with_defaults(params)
     if solver == "brute":
         bits, _ = exhaustive_minimum(model)
-        samples = SampleSet(_make_entries(bits[None, :], np.ones(1, dtype=int), model), total=1)
+        samples = SampleSet.from_states(model, bits[None, :], np.ones(1, dtype=int), {})
     elif solver == "sa":
         samples = simulated_annealing(model, sweeps=params["sweeps"], runs=params["runs"],
                                       seed=seed, schedule=params["schedule"])
@@ -270,7 +269,7 @@ def _run_instance(spec: ExperimentSpec, index: int, inst: QapInstance) -> dict:
                 "scale": scale,
                 "normalized_energy": priced.normalized_energy,
                 "success": priced.success,
-                "valid": priced.valid,
+                "valid": priced.most_frequent.valid,
                 "most_frequent_bits": list(priced.most_frequent.bits),
                 "success_fraction": priced.report.probability,
                 "min_gap": None,

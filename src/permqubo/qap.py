@@ -29,19 +29,10 @@ from .errors import _check_json_types, check_count, check_size, read_json
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
 
 
-def _as_square(a, size, name):
+def _as_array(a, shape, name):
     a = np.asarray(a, dtype=float)
-    if a.shape != (size, size):
-        raise ValueError(f"{name} must have shape ({size}, {size}), got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
-
-
-def _as_vector(a, size, name):
-    a = np.asarray(a, dtype=float)
-    if a.shape != (size,):
-        raise ValueError(f"{name} must have shape ({size},), got {a.shape}")
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
@@ -65,8 +56,8 @@ class QapInstance:
     def __post_init__(self):
         self.n = check_count("n", self.n)
         m = self.n * self.n
-        self.W = _as_square(self.W, m, "W")
-        self.c = _as_vector(self.c, m, "c")
+        self.W = _as_array(self.W, (m, m), "W")
+        self.c = _as_array(self.c, (m,), "c")
 
     def to_dict(self) -> dict:
         return {"n": self.n, "W": self.W.tolist(), "c": self.c.tolist()}

@@ -284,6 +284,28 @@ def sa_loops(model, sweeps, runs, seed, schedule=None):
     return finals
 
 
+def sample_set_loops(model, states, counts):
+    """Per-state reference of ``SampleSet.from_states``: (entries, total, modal).
+
+    Each state is priced by energy_loops plus the offset and decoded by
+    decode_loops into an entry dict of ``SampleEntry.to_dict``'s form; the
+    entries are sorted with Python by (energy, bits), and the modal entry
+    is the minimum of (-count, energy, bits).
+    """
+    entries = []
+    for bits, count in zip(states, counts):
+        bits = [int(b) for b in bits]
+        assignment = decode_loops(model.formulation, model.n, bits)
+        entries.append({
+            "bits": bits, "energy": float(energy_loops(model.Q, model.q, bits) + model.offset),
+            "count": int(count), "valid": assignment is not None,
+            "assignment": None if assignment is None else list(assignment),
+        })
+    entries.sort(key=lambda e: (e["energy"], e["bits"]))
+    modal = min(entries, key=lambda e: (-e["count"], e["energy"], e["bits"]))
+    return entries, sum(e["count"] for e in entries), modal
+
+
 def price_per_entry(samples, inst, f_opt, f_worst):
     """Per-entry pricing: each valid entry through PermutationMatrix, vectorize and qap_energy.
 

@@ -49,15 +49,16 @@ SMALL_MODELS = (
 
 
 @st.composite
-def adversarial_model_coefficients(draw, symmetric=True):
+def adversarial_model_coefficients(draw, symmetric=True, integer=None):
     """(formulation, n, Q, q, offset, integer): Q, q and offset drawn like
     adversarial_instances' W and c, for a model shape of SMALL_MODELS.
 
     ``integer`` tells whether every coefficient is drawn from {-2, ..., 2},
-    so that exact arithmetic can be demanded.
+    so that exact arithmetic can be demanded; None draws it.
     """
     formulation, n, dim = draw(st.sampled_from(SMALL_MODELS))
-    integer = draw(st.booleans())
+    if integer is None:
+        integer = draw(st.booleans())
     zero_share = draw(st.sampled_from((0.0, 0.5, 0.9)))
     flat = _coefficients(draw, dim * dim + dim + 1, integer, zero_share)
     Q = flat[: dim * dim].reshape(dim, dim)

@@ -32,7 +32,7 @@ from permqubo import (
     two_lowest_eigenvalues,
     vectorize,
 )
-from permqubo.anneal import SampleEntry, SampleSet
+from permqubo.anneal import SampleSet
 from permqubo.qubo import enumerate_states
 from permqubo.spectral import build_hamiltonians as _build_h
 
@@ -274,10 +274,11 @@ def test_criterion_10_random_guess_reference():
 
     inst3 = random_instance(3, [100, 0])
     inst4 = random_instance(4, [100, 1])
-    dummy3 = SampleSet(entries=[SampleEntry(bits=(0,) * 9, energy=0.0, count=1,
-                                            valid=False, assignment=None)], total=1)
-    dummy4 = SampleSet(entries=[SampleEntry(bits=(0,) * 16, energy=0.0, count=1,
-                                            valid=False, assignment=None)], total=1)
+    # one all-zero state each, which encodes no permutation
+    dummy3 = SampleSet.from_states(build_formulation(inst3, "baseline"), np.zeros((1, 9), dtype=int),
+                                   np.ones(1, dtype=int), {})
+    dummy4 = SampleSet.from_states(build_formulation(inst4, "baseline"), np.zeros((1, 16), dtype=int),
+                                   np.ones(1, dtype=int), {})
     r3 = success_probability(dummy3, inst3).reference
     r4 = success_probability(dummy4, inst4).reference
     ok = r3 == Fraction(1, 6) and r4 == Fraction(1, 24)

@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 from collections import Counter
@@ -334,6 +335,18 @@ class TestMeasure:
             assert entry.energy == pytest.approx(recomputed, rel=1e-9)
             assert entry.valid == (decode(model, np.array(entry.bits)) is not None)
 
+    @pytest.mark.parametrize("state, message", [
+        (np.zeros(0), "power of two"),
+        (np.zeros((4, 4)), "power of two"),
+        (np.zeros(16, dtype=complex), "squared norm 0.0"),
+        (np.full(16, 1e200), "squared norm inf"),
+        (np.array([np.nan] + [0.25] * 15), "non-finite"),
+    ], ids=["empty", "matrix", "zero", "overflow", "nan"])
+    def test_degenerate_state_refused(self, state, message):
+        # refused with its own message before any division or draw
+        with pytest.raises(ValueError, match=message):
+            measure(state, shots=10, seed=0, model=self._flat_model(4, 2))
+
     def test_sorted_and_counts_sum(self):
         rng = np.random.default_rng(7)
         state = rng.normal(size=16)
@@ -517,14 +530,14 @@ class TestSuccessAndSampleSet:
     def test_random_guess_reference_exact(self):
         inst3 = random_instance(3, 78)
         model = build_formulation(inst3, "baseline")
-        bits, _ = np.zeros(9, dtype=int), None
-        entry = SampleEntry(bits=tuple(bits), energy=0.0, count=1, valid=False, assignment=None)
-        samples = SampleSet(entries=[entry], total=1)
+        # one all-zero state each, which encodes no permutation
+        samples = SampleSet.from_states(model, np.zeros((1, 9), dtype=int), np.ones(1, dtype=int), {})
         report = success_probability(samples, inst3)
         assert report.reference == Fraction(1, 6)
         inst4 = random_instance(4, 79)
-        entry4 = SampleEntry(bits=(0,) * 16, energy=0.0, count=1, valid=False, assignment=None)
-        report4 = success_probability(SampleSet(entries=[entry4], total=1), inst4)
+        samples4 = SampleSet.from_states(build_formulation(inst4, "baseline"),
+                                         np.zeros((1, 16), dtype=int), np.ones(1, dtype=int), {})
+        report4 = success_probability(samples4, inst4)
         assert report4.reference == Fraction(1, 24)
         assert float(report4.reference) == pytest.approx(0.0417, abs=5e-5)
 
@@ -532,22 +545,17 @@ class TestSuccessAndSampleSet:
         inst = random_instance(3, 80)
         best, _ = brute_force_qap(inst)
         model = build_formulation(inst, "baseline")
-        bits = vectorize(best)
-        entry = SampleEntry(
-            bits=tuple(int(b) for b in bits), energy=float(model.energies([bits])[0]), count=7,
-            valid=True, assignment=tuple(int(a) for a in best.assignment),
-        )
-        report = success_probability(SampleSet(entries=[entry], total=7), inst)
+        samples = SampleSet.from_states(model, vectorize(best)[None, :], np.array([7]), {})
+        assert samples.assignments.tolist() == [best.assignment.tolist()]
+        report = success_probability(samples, inst)
         assert report.probability == 1.0
 
     def test_most_frequent_tiebreak(self):
-        entries = [
-            SampleEntry(bits=(1, 0), energy=2.0, count=5, valid=True, assignment=(0, 1)),
-            SampleEntry(bits=(0, 1), energy=1.0, count=5, valid=True, assignment=(1, 0)),
-            SampleEntry(bits=(1, 1), energy=3.0, count=4, valid=False, assignment=None),
-        ]
-        samples = SampleSet(entries=entries, total=14)
-        assert most_frequent(samples).bits == (0, 1)  # lower energy wins the tie
+        samples = SampleSet(states=[[1, 0], [0, 1], [1, 1]], counts=[5, 5, 4], energies=[2.0, 1.0, 3.0],
+                            valid=[True, True, False], assignments=[[0, 1], [1, 0], [-1, -1]])
+        assert samples.total == 14
+        assert most_frequent(samples) == SampleEntry(bits=(0, 1), energy=1.0, count=5, valid=True,
+                                                     assignment=(1, 0))  # lower energy wins the tie
 
     def test_sampleset_json_and_histogram(self, tmp_path):
         inst = random_instance(2, 81)
@@ -566,35 +574,77 @@ class TestSuccessAndSampleSet:
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 30
 
-    def test_counts_must_sum(self):
-        entry = SampleEntry(bits=(0,), energy=0.0, count=2, valid=True, assignment=(0,))
-        with pytest.raises(ValueError):
-            SampleSet(entries=[entry], total=3)
+
+@st.composite
+def integer_models_with_states(draw):
+    """(model, states, counts): an integer-coefficient model of SMALL_MODELS,
+    so that energies are exact and often tie, and up to 12 distinct states
+    in drawn order, among them encodings of permutations, with counts 1..3."""
+    model = build_model(*draw(adversarial_model_coefficients(symmetric=False, integer=True))[:5])
+    codes = st.integers(0, 2**model.dim - 1)
+    valid = _valid_codes(model.formulation, model.n, model.dim)
+    if valid:
+        codes = st.one_of(codes, st.sampled_from(valid))
+    picked = draw(st.lists(codes, min_size=1, max_size=min(12, 2**model.dim), unique=True))
+    states = (np.array(picked)[:, None] >> np.arange(model.dim)) & 1
+    counts = np.array(draw(st.lists(st.integers(1, 3), min_size=len(picked), max_size=len(picked))))
+    return model, states, counts
+
+
+@functools.cache
+def _valid_codes(formulation, n, dim):
+    bits = enumerate_states(dim).tolist()
+    return [z for z in range(2**dim) if oracles.decode_loops(formulation, n, bits[z]) is not None]
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(drawn=integer_models_with_states())
+def test_sample_set_matches_per_state_oracle(drawn, tmp_path_factory):
+    # rows, their order, the total, the modal row and the histogram against a per-state
+    # reference that prices, decodes and sorts one state at a time
+    model, states, counts = drawn
+    entries, total, modal = oracles.sample_set_loops(model, states.tolist(), counts.tolist())
+    samples = SampleSet.from_states(model, states, counts, {})
+    assert samples.to_dict()["entries"] == entries
+    assert samples.total == total
+    assert most_frequent(samples).to_dict() == modal
+    hist = tmp_path_factory.getbasetemp() / "sample_set_hist.csv"
+    samples.histogram_csv(hist)
+    rows = [line.split(",") for line in hist.read_text().splitlines()[1:]]
+    edges = [float(r[0]) for r in rows]
+    expected = [[0, 0] for _ in rows]
+    for e in entries:  # the last bin whose left edge is at most the energy
+        b = max(i for i, edge in enumerate(edges) if edge <= e["energy"])
+        expected[b][0] += e["count"]
+        expected[b][1] += e["count"] if e["valid"] else 0
+    assert [[int(r[1]), int(r[2])] for r in rows] == expected
 
 
 @st.composite
 def priced_sample_sets(draw):
     """(instance, f_opt, f_worst, sample set) for n = 1..5.
 
-    The entries mix invalid states, repeated optima, the worst permutation
+    The rows mix invalid states, repeated optima, the worst permutation
     and arbitrary permutations.  Counts and energies come from small
-    ranges, so the modal entry is often decided by a tie-break.
+    ranges, so the modal row is often decided by a tie-break.
     """
     inst = draw(adversarial_instances(sizes=(1, 2, 3, 4, 5)))
     best, f_opt, worst, f_worst = permutation_extremes(inst)
     kinds = draw(st.lists(st.sampled_from(("invalid", "optimum", "worst", "any")), min_size=1, max_size=8))
-    entries = []
-    for k, kind in enumerate(kinds):
+    assignments = []
+    for kind in kinds:
         if kind == "any":
-            assignment = tuple(draw(st.permutations(range(inst.n))))
+            assignments.append(draw(st.permutations(range(inst.n))))
         else:
-            assignment = {"invalid": None, "optimum": tuple(best.assignment.tolist()),
-                          "worst": tuple(worst.assignment.tolist())}[kind]
-        entries.append(SampleEntry(
-            bits=(k,), energy=draw(st.sampled_from((-1.0, 0.0, 1.0))), count=draw(st.integers(1, 3)),
-            valid=assignment is not None, assignment=assignment,
-        ))
-    return inst, f_opt, f_worst, SampleSet(entries=entries, total=sum(e.count for e in entries))
+            assignments.append({"invalid": [-1] * inst.n, "optimum": best.assignment.tolist(),
+                                "worst": worst.assignment.tolist()}[kind])
+    k = len(kinds)
+    samples = SampleSet(
+        states=np.arange(k)[:, None], counts=[draw(st.integers(1, 3)) for _ in range(k)],
+        energies=[draw(st.sampled_from((-1.0, 0.0, 1.0))) for _ in range(k)],
+        valid=[kind != "invalid" for kind in kinds], assignments=np.array(assignments, dtype=int),
+    )
+    return inst, f_opt, f_worst, samples
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
@@ -603,8 +653,9 @@ def test_batched_pricing_matches_per_entry_oracle(drawn):
     inst, f_opt, f_worst, samples = drawn
     modal, normalized, success, valid, probability = oracles.price_per_entry(samples, inst, f_opt, f_worst)
     priced = anneal.price(samples, inst, f_opt, f_worst)
-    assert priced.most_frequent is modal
-    assert (priced.success, priced.valid, priced.report.probability) == (success, valid, probability)
+    assert priced.most_frequent == modal
+    assert (priced.success, priced.most_frequent.valid, priced.report.probability) == (
+        success, valid, probability)
     # Relative to the largest |energy| any state can have.
     scale = float(np.abs(inst.W).sum() + np.abs(inst.c).sum())
     assert abs(priced.normalized_energy - normalized) <= 1e-12 * scale
@@ -627,11 +678,14 @@ def test_pricing_refuses_assignment_that_is_no_permutation(n, data):
         p = data.draw(st.integers(0, n - 1))
         choices = (-1, n) if bad == "out_of_range" or n == 1 else (perm[(p + 1) % n],)
         perm[p] = data.draw(st.sampled_from(choices))
-    entries = [SampleEntry(bits=(0,), energy=0.0, count=1, valid=True, assignment=tuple(perm))]
-    if data.draw(st.booleans()):
-        entries.append(SampleEntry(bits=(1,), energy=0.0, count=1, valid=True,
-                                   assignment=tuple(range(n))))
-    samples = SampleSet(entries=entries, total=len(entries))
+    rows = [perm]
+    # a valid row beside it needs the same width, which a long or short row lacks
+    if bad not in ("long", "short") and data.draw(st.booleans()):
+        rows.append(list(range(n)))
+    k = len(rows)
+    samples = SampleSet(states=np.arange(k)[:, None], counts=np.ones(k, dtype=int),
+                        energies=np.zeros(k), valid=np.ones(k, dtype=bool),
+                        assignments=np.array(rows, dtype=int).reshape(k, len(perm)))
     with pytest.raises(ValueError):
         anneal.price(samples, inst, f_opt, f_worst)
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from permqubo import (
     ExperimentSpec,
     HamiltonianPair,
     QapInstance,
-    SampleEntry,
     SampleSet,
     SizeCapError,
     SpinModel,
@@ -135,10 +134,9 @@ class TestRunExperiment:
 
         from unittest import mock
 
-        invalid = SampleSet(
-            entries=[SampleEntry(bits=(0,) * 9, energy=0.0, count=1, valid=False, assignment=None)],
-            total=1,
-        )
+        # one all-zero state, which encodes no permutation
+        invalid = SampleSet.from_states(build_formulation(inst, "baseline"), np.zeros((1, 9), dtype=int),
+                                        np.ones(1, dtype=int), {})
         with mock.patch("permqubo.bench._solve", return_value=invalid):
             record = _run_instance(spec, 0, inst)
         for res in record["results"]:

@@ -11,7 +11,6 @@ import pytest
 from permqubo import (
     QapInstance,
     QuboModel,
-    SampleEntry,
     SampleSet,
     brute_force_qap,
     build_formulation,
@@ -348,10 +347,9 @@ class TestSolve:
         inst, path = write_instance(tmp_path, 3, 13)
         _, f_opt = brute_force_qap(inst)
         _, f_worst = worst_permutation(inst)
-        invalid = SampleSet(
-            entries=[SampleEntry(bits=(0,) * 9, energy=0.0, count=1, valid=False, assignment=None)],
-            total=1,
-        )
+        # one all-zero state, which encodes no permutation
+        invalid = SampleSet.from_states(build_formulation(inst, "baseline"), np.zeros((1, 9), dtype=int),
+                                        np.ones(1, dtype=int), {})
         out = tmp_path / "s.json"
         with mock.patch("permqubo.bench._solve", return_value=invalid):
             assert main(["solve", "--instance", str(path), "--solver", "sa",
