@@ -227,8 +227,8 @@ def _s_at(a: float, w: float, k: int, n: int, x: float) -> float:
     return a + w * ((k + x) / n)
 
 
-def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step, pieces,
-                  callback=None) -> np.ndarray:
+def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step,
+                  pieces) -> np.ndarray:
     """The stepping loop shared by the state-vector simulators.
 
     Starts from the uniform superposition (the mixer ground state).  Each
@@ -238,9 +238,6 @@ def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step, 
     then the work cap, with each step of width dt charged as ``pieces(dt)``
     steps.  Non-finite amplitudes raise SolverError, and a norm that
     drifted more than _NORM_DRIFT from 1 is renormalised.
-    ``callback(k, u, psi, norm)`` receives the running step number, the
-    path at the step's midpoint, the post-step state and its
-    pre-renormalisation norm.
     """
     check_size("evolution", pair.num_qubits)
     charged = sum(n * pieces(sched.tau * (b - a) / n) for a, b, n in segments)
@@ -259,8 +256,6 @@ def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step, 
             norm = float(np.linalg.norm(psi))
             if abs(norm - 1.0) > _NORM_DRIFT:
                 psi = psi / norm
-            if callback is not None:
-                callback(done, sched.path_value(at(0.5)), psi, norm)
             done += 1
     return psi
 
@@ -297,7 +292,7 @@ def _cf4_substeps(pair: HamiltonianPair, dt: float) -> int:
     return max(1, ceil(Fraction(dt) * Fraction(top) / Fraction(2.0 * _STEP_BUDGET)))
 
 
-def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.ndarray:
+def evolve(pair: HamiltonianPair, sched: AnnealSchedule) -> np.ndarray:
     """Integrate the schedule and return the final state vector.
 
     Steps with the fourth-order commutator-free Magnus scheme CF4 on the
@@ -313,11 +308,9 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule, callback=None) -> np.nd
     _KRYLOV_DIM vectors); the stepping is therefore norm-preserving by
     construction.  Against the work cap, a step counts
     once per substep its exponentials may take.
-    ``callback(step, u, psi, norm)`` receives the post-step state and its
-    pre-renormalisation norm.
     """
     return _step_through(pair, sched, sched.segments(), partial(_cf4_step, pair, sched),
-                         partial(_cf4_substeps, pair), callback)
+                         partial(_cf4_substeps, pair))
 
 
 def _rotation_matrix(theta: float, k: int) -> np.ndarray:

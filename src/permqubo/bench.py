@@ -36,7 +36,7 @@ from .errors import (SIZE_CAPS, _check_json_types, check_count, check_positive, 
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
-from .spectral import _gap_work, annealing_hamiltonian, gap_profile
+from .spectral import _check_gap_request, annealing_hamiltonian, gap_profile
 
 # Every solver and the caps of errors.SIZE_CAPS that it meets on the model's size.
 SOLVERS = {"brute": ("enumeration",), "sa": (),
@@ -199,18 +199,11 @@ def _with_defaults(params: dict) -> dict:
     return {k: params.get(k, default) for k, (default, _, _) in SOLVER_DEFAULTS.items()}
 
 
-def _check_gap_size(dim: int, gap_samples: int) -> None:
-    """Refuse, before any work, a gap profile of ``gap_samples`` points on a ``dim``-qubit
-    model over the annealing Hamiltonian's size cap or the gap profile's work cap."""
-    check_size("hamiltonian", dim)
-    check_work("gap", _gap_work(gap_samples, dim))
-
-
 def _check_solver_size(solver: str, dim: int, n: int | None = None, gap_samples: int = 0,
                        params: dict | None = None) -> None:
     """Refuse, before any work, a run that would hit a size cap: the solver's on the
     largest model's ``dim`` and, when an instance of size ``n`` is priced, the oracle's
-    on n.  Then refuse gap profiles of ``gap_samples`` points (``_check_gap_size``), and,
+    on n.  Then refuse gap profiles of ``gap_samples`` points (``_check_gap_request``), and,
     with ``params``, an SA run over its work cap on runs and sweeps, and a state-vector
     run over the evolution work cap on its steps (Trotter slices)."""
     sizes = dict.fromkeys(SOLVERS[solver], dim)
@@ -220,7 +213,7 @@ def _check_solver_size(solver: str, dim: int, n: int | None = None, gap_samples:
         if what in sizes:
             check_size(what, sizes[what])
     if gap_samples:
-        _check_gap_size(dim, gap_samples)
+        _check_gap_request(dim, gap_samples)
     params = _with_defaults(params or {})
     if solver == "sa":
         check_work("sa", _sa_work(params["runs"], params["sweeps"], dim))

@@ -42,7 +42,7 @@ from .qubo import (
     export_sparse,
     penalty_bounds,
 )
-from .spectral import gap_profile
+from .spectral import _check_gap_request, gap_profile
 
 
 def _input_hashes(paths) -> dict:
@@ -104,16 +104,26 @@ def _print_aggregates(aggregates: dict) -> None:
         )
 
 
+def _check_distinct(paths) -> None:
+    """Refuse two outputs that resolve to the same file; a None path is skipped."""
+    seen = set()
+    for path in filter(None, paths):
+        if Path(path).resolve() in seen:
+            raise ValueError(f"two outputs name the same file {path}")
+        seen.add(Path(path).resolve())
+
+
 def _check_output_paths(args) -> None:
-    """Refuse, before any work, an output path in a missing directory or naming one."""
-    for name in ("out", "sparse_out", "summary_out", "hist_out", "csv_out"):
-        path = getattr(args, name, None)
-        if not path:
-            continue
+    """Refuse, before any work, an output path in a missing directory or naming one, and
+    two outputs that name the same file."""
+    paths = [getattr(args, name, None)
+             for name in ("out", "sparse_out", "summary_out", "hist_out", "csv_out")]
+    for path in filter(None, paths):
         if not Path(path).parent.is_dir():
             raise ValueError(f"directory of output {path} does not exist")
         if Path(path).is_dir():
             raise ValueError(f"output {path} is a directory")
+    _check_distinct(paths)
 
 
 def cmd_build(args) -> int:
@@ -154,20 +164,20 @@ def cmd_gap(args) -> int:
     inst = QapInstance.load(args.instance)
     scales = [check_positive("scale", float(s)) for s in args.scales.split(",")]
     check_count("--samples", args.samples, least=2)
-    bench._check_gap_size(_model_dim(args.formulation, inst.n), args.samples)
+    _check_gap_request(_model_dim(args.formulation, inst.n), args.samples)
     out = Path(args.out)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
+    csv_paths = [out] if len(scales) == 1 else [
+        out.with_name(f"{out.stem}_scale{scale:g}{out.suffix or '.csv'}") for scale in scales]
+    if fmt == "csv":
+        _check_distinct([*csv_paths, args.summary_out])
     summaries = []
     outputs = []
-    for scale in scales:
+    for scale, csv_path in zip(scales, csv_paths):
         model = build_formulation(inst, args.formulation, scale)
         profile = gap_profile(model, num_samples=args.samples)
         entry = profile.summary(scale=scale, formulation=args.formulation)
         if fmt == "csv":
-            if len(scales) == 1:
-                csv_path = out
-            else:
-                csv_path = out.with_name(f"{out.stem}_scale{scale:g}{out.suffix or '.csv'}")
             outputs.append((csv_path, profile.to_csv))
             entry["csv"] = str(csv_path)
         else:

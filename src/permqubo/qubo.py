@@ -205,10 +205,14 @@ class QuboModel:
             raise ValueError(f"Q must have shape ({self.dim}, {self.dim}), got {self.Q.shape}")
         if self.q.shape != (self.dim,):
             raise ValueError(f"q must have shape ({self.dim},), got {self.q.shape}")
-        self.Q = (self.Q + self.Q.T) / 2.0  # before the check, so an overflow is refused
-        if not (np.all(np.isfinite(self.Q)) and np.all(np.isfinite(self.q))
-                and np.isfinite(self.offset)):
-            raise ValueError("model coefficients and offset must be finite")
+        # The mass bounds every energy, SA field and spin coefficient; it is finite
+        # only when the symmetrised Q, q and the offset are.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.Q = (self.Q + self.Q.T) / 2.0
+            mass = 2.0 * np.abs(self.Q).sum() + np.abs(self.q).sum() + abs(self.offset)
+        if not np.isfinite(mass):
+            raise ValueError("model coefficients and offset must be finite, and so must "
+                             "their mass 2 sum|Q| + sum|q| + |offset|")
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Energies of a (k, dim) batch of states."""

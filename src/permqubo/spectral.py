@@ -150,8 +150,9 @@ class HamiltonianPair:
     def norm_bound(self, u: float) -> float:
         """Upper bound |u| ||H_P|| + |1-u| m on ||H(u)||_2, for any real u.
 
-        The eigensolver's breakdown threshold uses it: it scales with the
-        size of the entries, offset included.
+        The eigensolver's breakdown threshold uses it: a Lanczos vector's
+        rounding error scales with ||H(u)||, offset included, so a threshold
+        by the offset-free ``half_width`` would let rounding noise into the basis.
         """
         lo, hi = self._problem_range
         return abs(u) * max(hi, -lo) + abs(1.0 - u) * self.num_qubits
@@ -329,32 +330,11 @@ def _gap_work(num_samples: int, num_qubits: int) -> int:
     return num_samples * 2**num_qubits
 
 
-def spectral_gap(pair: HamiltonianPair, num_samples: int = 64) -> GapProfile:
-    """Sample the two lowest eigenvalues on a uniform grid over [0, 1].
-
-    Numerically degenerate pairs (see ``_gaps``) are reported as gap
-    zero with a warning: a vanishing gap voids the usual guarantee that
-    a slow interpolation tracks the ground state.  A profile over the work
-    cap errors.WORK_CAPS["gap"] is refused before the first eigensolve.
-    """
-    num_samples = check_count("num_samples", num_samples, least=2)
-    check_work("gap", _gap_work(num_samples, pair.num_qubits))
-    ts = np.linspace(0.0, 1.0, num_samples)
-    e0 = np.empty(num_samples)
-    e1 = np.empty(num_samples)
-    for k, u in enumerate(ts):
-        e0[k], e1[k] = two_lowest_eigenvalues(pair, float(u))
-    gaps = _gaps(e0, e1)
-    if np.any(gaps == 0.0):
-        warnings.warn(
-            "degenerate levels along the path: gap reported as 0 where "
-            f"|e1-e0| < {DEGENERACY_TOL}",
-            stacklevel=2,
-        )
-    idx = int(np.argmin(gaps))
-    return GapProfile(
-        ts=ts, e0=e0, e1=e1, min_gap=float(gaps[idx]), argmin_t=float(ts[idx])
-    )
+def _check_gap_request(num_qubits: int, num_samples: int) -> None:
+    """Refuse, before any work, a profile over the annealing Hamiltonian's qubit cap,
+    then one over the gap work cap."""
+    check_size("hamiltonian", num_qubits)
+    check_work("gap", _gap_work(num_samples, num_qubits))
 
 
 def annealing_hamiltonian(model: QuboModel) -> HamiltonianPair:
@@ -371,12 +351,31 @@ def annealing_hamiltonian(model: QuboModel) -> HamiltonianPair:
 
 
 def gap_profile(model: QuboModel, num_samples: int = 64) -> GapProfile:
-    """Gap profile of a binary model's annealing Hamiltonian (``annealing_hamiltonian``).
+    """The two lowest eigenvalues of a model's annealing Hamiltonian
+    (``annealing_hamiltonian``) on a uniform grid over [0, 1].
 
-    The qubit cap, the sample count and the work cap are checked before the
-    Hamiltonian is built.
+    The sample count, then the caps (``_check_gap_request``) are checked
+    before the Hamiltonian is built.  Numerically degenerate pairs (see
+    ``_gaps``) are reported as gap zero with a warning: a vanishing gap
+    voids the usual guarantee that a slow interpolation tracks the ground
+    state.
     """
-    check_size("hamiltonian", model.dim)
     num_samples = check_count("num_samples", num_samples, least=2)
-    check_work("gap", _gap_work(num_samples, model.dim))
-    return spectral_gap(annealing_hamiltonian(model), num_samples=num_samples)
+    _check_gap_request(model.dim, num_samples)
+    pair = annealing_hamiltonian(model)
+    ts = np.linspace(0.0, 1.0, num_samples)
+    e0 = np.empty(num_samples)
+    e1 = np.empty(num_samples)
+    for k, u in enumerate(ts):
+        e0[k], e1[k] = two_lowest_eigenvalues(pair, float(u))
+    gaps = _gaps(e0, e1)
+    if np.any(gaps == 0.0):
+        warnings.warn(
+            "degenerate levels along the path: gap reported as 0 where "
+            f"|e1-e0| < {DEGENERACY_TOL}",
+            stacklevel=2,
+        )
+    idx = int(np.argmin(gaps))
+    return GapProfile(
+        ts=ts, e0=e0, e1=e1, min_gap=float(gaps[idx]), argmin_t=float(ts[idx])
+    )

@@ -11,6 +11,7 @@ from permqubo import (
     ExperimentSpec,
     HamiltonianPair,
     QapInstance,
+    QuboModel,
     SampleSet,
     SizeCapError,
     SpinModel,
@@ -20,6 +21,7 @@ from permqubo import (
     enumerate_states,
     evolve,
     evolve_trotter,
+    gap_profile,
     generate_instances,
     mean_color_sorting_instance,
     permutation_extremes,
@@ -34,7 +36,7 @@ from permqubo.anneal import _evolution_work, _sa_work
 from permqubo.bench import PRESETS, _check_solver_size, _run_instance
 from permqubo.errors import SIZE_CAPS, WORK_CAPS
 from permqubo.qubo import _model_dim
-from permqubo.spectral import _gap_work, spectral_gap
+from permqubo.spectral import _gap_work
 
 
 def small_spec(**overrides):
@@ -302,17 +304,19 @@ def test_sa_work_cap_refused_before_allocating(monkeypatch):
 
 
 def test_gap_work_cap_refused_before_allocating(monkeypatch):
-    # The fewest grid points over the gap work cap on a 1-qubit pair: spectral_gap
+    # The fewest grid points over the gap work cap on a 1-qubit model: gap_profile
     # refuses them before it allocates its grid or runs an eigensolve, bench's
     # up-front check refuses them with the same message, one point fewer passes
     # that check, and a spec asking for them is refused before any instance is priced.
     samples = WORK_CAPS["gap"][0] // _gap_work(1, 1) + 1
     monkeypatch.setattr(spectral, "two_lowest_eigenvalues", lambda *args: pytest.fail("solved"))
     monkeypatch.setattr(bench, "permutation_extremes", lambda *args: pytest.fail("priced"))
+    model = QuboModel(dim=1, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0,
+                      formulation="baseline", n=1)
     tracemalloc.start()
     try:
         with pytest.raises(SizeCapError) as refused:
-            spectral_gap(_zero_pair(1), num_samples=samples)
+            gap_profile(model, num_samples=samples)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -190,6 +190,19 @@ class TestGap:
         assert "eigensolve-amplitude cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_scales_that_share_a_csv_name_refused_before_work(self, tmp_path, capsys):
+        # "{scale:g}" names both scales 1: one profile would overwrite the other
+        _, path = write_instance(tmp_path, 2, 19)
+        with mock.patch("permqubo.cli.gap_profile") as profile:
+            code = main(["gap", "--instance", str(path), "--formulation", "inserted",
+                         "--scales", "1,1.00000001", "--samples", "3", "--out",
+                         str(tmp_path / "g.csv"), "--summary-out", str(tmp_path / "s.json")])
+        assert code == 2
+        profile.assert_not_called()
+        err = capsys.readouterr().err
+        assert "g_scale1.csv" in err and "name the same file" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
 
 class TestSolve:
     def test_brute_success(self, tmp_path, capsys):
@@ -437,6 +450,19 @@ class TestSolve:
             solve.assert_not_called()
             assert str(hist) in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "inst3.json"]
+
+    def test_outputs_that_name_one_file_refused_before_solving(self, tmp_path, capsys):
+        # the histogram would silently replace the sample set
+        _, path = write_instance(tmp_path, 2, 15)
+        out = tmp_path / "x.json"
+        with mock.patch("permqubo.bench._solve") as solve:
+            code = main(["solve", "--instance", str(path), "--solver", "sa", "--out", str(out),
+                         "--hist-out", str(tmp_path / "." / "x.json")])
+        assert code == 2
+        solve.assert_not_called()
+        err = capsys.readouterr().err
+        assert err.startswith("error: two outputs name the same file ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
     def test_failed_side_write_rolls_back(self, tmp_path):
         _, path = write_instance(tmp_path, 3, 14, name="inst3.json")
@@ -778,6 +804,18 @@ class TestMalformedInputs:
                                                  "brute", "--out", str(tmp_path / "s.json")],
                               model_path, ["inst.json", "model.json"])
         assert "offset must be finite" in err
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_overflowing_model_exit_2(self, tmp_path, capsys, solver):
+        # each coefficient is finite, but 2 sum|Q| + sum|q| is not: refused with one
+        # error line and no warning, where SA used to write "t_hi": Infinity
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps({"dim": 1, "formulation": "baseline", "n": 1,
+                                          "Q": [[8e307]], "q": [1.5e308], "offset": 0.0}))
+        err = _assert_refused(tmp_path, capsys, ["solve", "--qubo", str(model_path), "--solver",
+                                                 solver, "--out", str(tmp_path / "s.json")],
+                              model_path, ["model.json"])
+        assert "must be finite" in err
 
     def test_wrong_type_names_the_element_not_the_value(self, tmp_path, capsys):
         inst, path = write_instance(tmp_path, 8, 22)

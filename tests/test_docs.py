@@ -1,6 +1,7 @@
-"""README's library quick start and every demo run as written, so an API they use
-cannot go unnoticed."""
+"""README's library quick start and every demo run as written, and the benchmark's
+modules import, so an API they use cannot go unnoticed."""
 
+import importlib
 import os
 import re
 import subprocess
@@ -30,3 +31,15 @@ def test_demo_runs(demo, tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, check=True,
                    capture_output=True, timeout=300)
+
+
+def test_benchmark_modules_import(monkeypatch):
+    # perfbench/spans.py and perfbench/workloads.py bind package names when they are
+    # imported, so a name they use that was deleted or renamed fails here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        for name in ("spans", "workloads"):
+            importlib.import_module(name)
+    finally:
+        for name in ("checks", "spans", "workloads"):
+            sys.modules.pop(name, None)

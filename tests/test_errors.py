@@ -13,9 +13,9 @@ from permqubo import (
     build_formulation,
     build_hamiltonians,
     evolve_trotter,
+    gap_profile,
     measure,
     simulated_annealing,
-    spectral_gap,
 )
 from permqubo.errors import _check_json_types, check_count, check_positive
 
@@ -44,7 +44,7 @@ COUNTS = [
     ("num_instances", 1, lambda v: spec(num_instances=v)),
     ("seed", 0, lambda v: spec(seed=v)),
     ("gap_samples", 2, lambda v: spec(gap_samples=v)),
-    ("num_samples", 2, lambda v: spectral_gap(PAIR, num_samples=v)),
+    ("num_samples", 2, lambda v: gap_profile(MODEL, num_samples=v)),
 ]
 COUNT_IDS = ["runs", "sweeps", "seed-sa", "shots", "seed-measure", "slices", "steps", "n-instance",
              "n-constraints", "n-spec", "num_instances", "seed-spec", "gap_samples", "num_samples"]

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -430,6 +431,24 @@ def test_stored_symmetric_q_keeps_every_energy(drawn):
     tol = 0.0 if integer else 1e-12 * coefficient_mass(Q, q, offset)
     for x, e in zip(states.tolist(), model.energies(states).tolist()):
         assert abs(e - (oracles.energy_loops(Q, q, x) + offset)) <= tol, x
+
+
+@pytest.mark.parametrize("Q, q, offset", [
+    ([[8e307]], [1.5e308], 0.0),  # each coefficient finite, their mass not
+    ([[1.5e308]], [0.0], 0.0),  # Q + Q^T overflows
+    ([[1e308]], [0.0], 1e308),
+    ([[np.nan]], [0.0], 0.0),
+    ([[0.0]], [-np.inf], 0.0),
+], ids=["mass", "symmetrised", "offset", "nan", "inf"])
+def test_non_finite_coefficient_mass_refused_without_a_warning(Q, q, offset):
+    # 2 sum|Q| + sum|q| + |offset| bounds every energy and SA field; a model whose
+    # mass overflows is refused with one ValueError, not after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            QuboModel(dim=1, Q=Q, q=q, offset=offset, formulation="baseline", n=1)
+        model = QuboModel(dim=1, Q=[[4e307]], q=[8e307], offset=0.0, formulation="baseline", n=1)
+    assert model.energies(np.ones((1, 1))).tolist() == [1.2e308]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)

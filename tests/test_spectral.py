@@ -7,17 +7,18 @@ import oracles
 from permqubo import (
     HamiltonianPair,
     QapInstance,
+    QuboModel,
     SizeCapError,
     SolverError,
     SpinModel,
     build_formulation,
     build_hamiltonians,
     gap_profile,
-    spectral_gap,
     to_spin,
     two_lowest_eigenvalues,
 )
 from permqubo import spectral
+from permqubo.spectral import _BREAKDOWN
 from permqubo.qubo import enumerate_states
 
 
@@ -191,10 +192,10 @@ class TestTwoLowest:
             assert e1 == pytest.approx(dense[1], abs=1e-8)
 
     def test_reruns_are_bit_identical(self):
-        pair = build_hamiltonians(to_spin(build_formulation(random_instance(3, 66), "baseline")))
-        assert pair.num_qubits == 9
-        first = spectral_gap(pair, num_samples=9)
-        second = spectral_gap(pair, num_samples=9)
+        model = build_formulation(random_instance(3, 66), "baseline")
+        assert model.dim == 9
+        first = gap_profile(model, num_samples=9)
+        second = gap_profile(model, num_samples=9)
         assert np.array_equal(first.e0, second.e0)
         assert np.array_equal(first.e1, second.e1)
 
@@ -254,12 +255,26 @@ def test_norm_bound_bounds_spectral_norm(m, seed, u):
         assert bound == u * float(np.abs(diag).max()) + (1.0 - u) * m
 
 
+@pytest.mark.parametrize("offset", [0.0, 6e9, -6e12, 6e15])
+def test_offset_dwarfing_the_spread_keeps_eigenvalues_in_scale(offset):
+    # A Lanczos vector's rounding error scales with ||H(u)||, offset included.  With
+    # the breakdown threshold scaled by the offset-free half_width instead, that
+    # noise entered the basis, and this constant diagonal (the pair of a uniform
+    # n = 3 instance with entries 1e15, inserted) gave eigenvalues off by 1e17.
+    pair = HamiltonianPair(4, np.full(16, offset))
+    for u in np.linspace(0.0, 1.0, 17)[:-1]:
+        dense = np.linalg.eigvalsh(oracles.dense_hamiltonian(pair, u))
+        tol = 1e-8 + pair.dim * _BREAKDOWN * pair.norm_bound(u)
+        np.testing.assert_allclose(two_lowest_eigenvalues(pair, u), dense[:2], rtol=0, atol=tol)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(m=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), u=st.floats(-1.0, 2.0),
        offset=st.sampled_from([0.0, 40.0, -1e3]))
 def test_half_width_bounds_spectrum(m, seed, u, offset):
     # the propagator's substep bound: every eigenvalue of H(u) lies within
-    # half_width(u) of u (max H_P + min H_P) / 2, whatever the diagonal's offset
+    # half_width(u) of u (max H_P + min H_P) / 2, whatever the diagonal's offset,
+    # and on [0, 1] it is affine in u, as the CF4 substep charge assumes
     rng = np.random.default_rng(seed)
     diag = offset + rng.normal(size=2**m) * 10.0 ** rng.uniform(-2, 2)
     pair = HamiltonianPair(m, diag)
@@ -267,6 +282,8 @@ def test_half_width_bounds_spectrum(m, seed, u, offset):
     evals = np.linalg.eigvalsh(oracles.dense_hamiltonian(pair, u))
     slack = 1e-12 * (pair.norm_bound(u) + 1.0)
     assert np.abs(evals - center).max() <= pair.half_width(u) + slack
+    if 0.0 <= u <= 1.0:
+        assert pair.half_width(u) == u * float(diag.max() - diag.min()) / 2.0 + (1.0 - u) * m
 
 
 class TestGapProfile:
@@ -277,10 +294,10 @@ class TestGapProfile:
 
     def test_degenerate_optimum_reports_zero_gap(self):
         inst = QapInstance(2, np.zeros((4, 4)), np.zeros(4))
-        pair = build_hamiltonians(to_spin(build_formulation(inst, "baseline")))
-        with pytest.warns(UserWarning):
-            profile = spectral_gap(pair, num_samples=5)
+        with pytest.warns(UserWarning, match="degenerate levels") as caught:
+            profile = gap_profile(build_formulation(inst, "baseline"), num_samples=5)
         assert profile.gaps()[-1] == 0.0  # both permutations share the ground energy
+        assert [w.filename for w in caught] == [__file__]  # the warning names the caller
 
     def test_profile_invariants(self):
         inst = random_instance(3, 62)
@@ -305,17 +322,24 @@ class TestGapProfile:
             assert g3 < g1, form
 
     def test_num_samples_validation(self):
-        pair = build_hamiltonians(random_spin_model(2, 8))
+        model = QuboModel(dim=1, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0,
+                          formulation="baseline", n=1)
         with pytest.raises(ValueError):
-            spectral_gap(pair, num_samples=1)
+            gap_profile(model, num_samples=1)
 
-    @pytest.mark.parametrize("n, num_samples", [(4, 17), (5, 2)])
-    def test_caps_checked_before_the_hamiltonian_is_built(self, monkeypatch, n, num_samples):
-        # n = 4 baseline is 16 qubits, 17 points over the gap work cap; n = 5 is over the qubit cap
+    @pytest.mark.parametrize("n, num_samples, refusal", [
+        (4, 17, "eigensolve-amplitude cap"),  # 16 qubits: 17 points are over the work cap
+        (5, 2, "16-qubit cap"),  # 25 qubits are over the qubit cap
+        (5, 10**6, "16-qubit cap"),  # the qubit cap comes before the work cap
+        (5, 1, "num_samples must be an integer >= 2"),  # the count comes before both caps
+        (4, 10**6 + 0.5, "num_samples must be an integer >= 2"),
+    ], ids=["4-17", "5-2", "5-1000000", "5-1", "4-noninteger"])
+    def test_caps_checked_before_the_hamiltonian_is_built(self, monkeypatch, n, num_samples,
+                                                          refusal):
         zero = QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n))
         model = build_formulation(zero, "baseline")
         monkeypatch.setattr(spectral, "annealing_hamiltonian", lambda *args: pytest.fail("built"))
-        with pytest.raises(SizeCapError):
+        with pytest.raises((ValueError, SizeCapError), match=refusal):
             gap_profile(model, num_samples=num_samples)
 
     def test_csv_and_summary_outputs(self, tmp_path):
