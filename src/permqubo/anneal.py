@@ -577,9 +577,10 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
         for s in range(sweeps):
             for j, rng in enumerate(rngs):
                 rng.random(out=U[_SA_BLOCK * j:_SA_BLOCK * (j + 1)])
-            with np.errstate(divide="ignore"):  # log 0 = -inf accepts
+            # log 0 = -inf accepts, and so does a threshold that overflows to -inf
+            with np.errstate(divide="ignore", over="ignore"):
                 np.log(L, out=L)
-            L *= temps[s]
+                L *= temps[s]
             for p0 in range(0, dim, _SA_PANEL):
                 p1 = min(dim, p0 + _SA_PANEL)
                 for k in range(p0, p1):

@@ -169,7 +169,7 @@ def cmd_gap(args) -> int:
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
     csv_paths = [out] if len(scales) == 1 else [
         out.with_name(f"{out.stem}_scale{scale:g}{out.suffix or '.csv'}") for scale in scales]
-    if fmt == "csv":
+    if fmt == "csv" and len(scales) > 1:
         _check_distinct([*csv_paths, args.summary_out])
     summaries = []
     outputs = []

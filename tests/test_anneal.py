@@ -182,13 +182,12 @@ class TestEvolve:
         midpoint = oracles.dense_midpoint_propagator(pair, sched, max(100, ceil(10 * tau)))
         assert np.linalg.norm(evolve(pair, sched) - ref) <= np.linalg.norm(midpoint - ref)
 
-    def test_norm_conservation(self, monkeypatch):
+    def test_norm_conservation(self, step_norms):
         inst = random_instance(3, 70)
         pair = annealing_hamiltonian(build_formulation(inst, "inserted"))
-        norms = record_step_norms(monkeypatch)
         evolve(pair, AnnealSchedule(tau=20.0))
-        assert len(norms) == 50
-        assert max(abs(n - 1.0) for n in norms) < 1e-8
+        assert len(step_norms) == 50
+        assert max(abs(n - 1.0) for n in step_norms) < 1e-8
 
     def test_qubit_cap(self):
         with pytest.raises(SizeCapError):
@@ -205,21 +204,6 @@ class TestEvolve:
             probs.append(abs(psi[gs]) ** 2)
         assert probs[0] <= probs[1] + 1e-12
         assert probs[1] <= probs[2] + 1e-12
-
-
-def record_step_norms(monkeypatch) -> list:
-    """The list that collects, from now on, the norm of each CF4 step's state before
-    ``_step_through`` renormalises it; evolve looks the step up when it is called."""
-    norms = []
-    step = anneal._cf4_step
-
-    def recording(*args):
-        psi = step(*args)
-        norms.append(float(np.linalg.norm(psi)))
-        return psi
-
-    monkeypatch.setattr(anneal, "_cf4_step", recording)
-    return norms
 
 
 def evolve_counting(monkeypatch, pair, sched):
@@ -394,6 +378,13 @@ class TestSimulatedAnnealing:
         model = build_formulation(inst, "baseline")
         samples = simulated_annealing(model, sweeps=10, runs=20, seed=1)
         assert all(e.energy == 0.0 for e in samples.entries)
+
+    def test_threshold_that_overflows_accepts_without_a_warning(self):
+        # T_hi is the model's mass 1.6e308, so T log U overflows to -inf, which
+        # accepts every flip; this was a RuntimeWarning, an error under Tier-1
+        model = QuboModel(dim=1, Q=[[4e307]], q=[8e307], offset=0.0, formulation="baseline", n=1)
+        samples = simulated_annealing(model, sweeps=10, runs=20, seed=1)
+        assert [(e.bits, e.energy, e.count) for e in samples.entries] == [((0,), 0.0, 20)]
 
     def test_deterministic_given_seed(self):
         model = build_formulation(random_instance(3, 74), "inserted")

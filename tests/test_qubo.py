@@ -436,7 +436,7 @@ def test_stored_symmetric_q_keeps_every_energy(drawn):
 @pytest.mark.parametrize("Q, q, offset", [
     ([[8e307]], [1.5e308], 0.0),  # each coefficient finite, their mass not
     ([[1.5e308]], [0.0], 0.0),  # Q + Q^T overflows
-    ([[1e308]], [0.0], 1e308),
+    ([[0.0]], [1e308], 1e308),  # only the offset takes the mass past the float limit
     ([[np.nan]], [0.0], 0.0),
     ([[0.0]], [-np.inf], 0.0),
 ], ids=["mass", "symmetrised", "offset", "nan", "inf"])

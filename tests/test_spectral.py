@@ -327,19 +327,21 @@ class TestGapProfile:
         with pytest.raises(ValueError):
             gap_profile(model, num_samples=1)
 
-    @pytest.mark.parametrize("n, num_samples, refusal", [
-        (4, 17, "eigensolve-amplitude cap"),  # 16 qubits: 17 points are over the work cap
-        (5, 2, "16-qubit cap"),  # 25 qubits are over the qubit cap
-        (5, 10**6, "16-qubit cap"),  # the qubit cap comes before the work cap
-        (5, 1, "num_samples must be an integer >= 2"),  # the count comes before both caps
-        (4, 10**6 + 0.5, "num_samples must be an integer >= 2"),
+    @pytest.mark.parametrize("n, num_samples, expected, refusal", [
+        # 16 qubits: 17 points are over the work cap
+        (4, 17, SizeCapError, "eigensolve-amplitude cap"),
+        (5, 2, SizeCapError, "16-qubit cap"),  # 25 qubits are over the qubit cap
+        (5, 10**6, SizeCapError, "16-qubit cap"),  # the qubit cap comes before the work cap
+        # the count comes before both caps
+        (5, 1, ValueError, "num_samples must be an integer >= 2"),
+        (4, 10**6 + 0.5, ValueError, "num_samples must be an integer >= 2"),
     ], ids=["4-17", "5-2", "5-1000000", "5-1", "4-noninteger"])
     def test_caps_checked_before_the_hamiltonian_is_built(self, monkeypatch, n, num_samples,
-                                                          refusal):
+                                                          expected, refusal):
         zero = QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n))
         model = build_formulation(zero, "baseline")
         monkeypatch.setattr(spectral, "annealing_hamiltonian", lambda *args: pytest.fail("built"))
-        with pytest.raises((ValueError, SizeCapError), match=refusal):
+        with pytest.raises(expected, match=refusal):
             gap_profile(model, num_samples=num_samples)
 
     def test_csv_and_summary_outputs(self, tmp_path):
