@@ -157,8 +157,9 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     off-diagonal entry of a tridiagonal whose eigenvalues lie in H's
     spectrum, so it is at most half the spectrum's width; the caller keeps
     |dt| times that half-width within _STEP_BUDGET, where the stop is met
-    before the cap.  The result is an exponential of a Hermitian T_m
-    applied in an orthonormal basis, so it keeps the norm whatever the stop.
+    before the cap; est_m <= 4^m / m! < 11, so a breakdown (a beta at the
+    rounding level of the centred H the caller passes) ends it too.  The
+    result, a Hermitian exponential in an orthonormal basis, keeps the norm.
     """
     norm_v = np.linalg.norm(v)
     if norm_v == 0:
@@ -182,7 +183,7 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
             break
         beta = np.linalg.norm(w)
         est *= abs(dt) * beta / (j + 1)
-        if beta < 1e-14 * norm_v or est < _KRYLOV_TOL:
+        if est < _KRYLOV_TOL:
             used = j + 1
             break
         betas[j] = beta
@@ -261,13 +262,14 @@ def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step,
 
 
 def _propagate(pair: HamiltonianPair, u: float, psi: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt H(u)) psi, in the fewest equal substeps whose |dt| times the
-    spectrum's half-width (``HamiltonianPair.half_width``) stays within _STEP_BUDGET."""
+    """exp(-i dt H(u)) psi: the centred twin's, in the fewest equal substeps whose
+    |dt| times ``half_width(u)`` stays within _STEP_BUDGET, times exp(-i dt u c)."""
+    shift, twin = pair.centred
     nsub = max(1, ceil(abs(dt) * pair.half_width(u) / _STEP_BUDGET))
     sub = dt / nsub
     for _ in range(nsub):
-        psi = _lanczos_expm(lambda w: pair.apply(u, w), psi, sub)
-    return psi
+        psi = _lanczos_expm(lambda w: twin.apply(u, w), psi, sub)
+    return psi * np.exp(-1j * dt * u * shift)
 
 
 def _cf4_step(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
@@ -301,13 +303,11 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule) -> np.ndarray:
     H(u~_1)), where u~_1 = 2 (alpha_2 u_1 + alpha_1 u_2) and u~_2 = 2
     (alpha_1 u_1 + alpha_2 u_2) mix the path values u_1, u_2 at the step's
     two Gauss nodes.  Each exponential is split into substeps whose |dt|
-    times the half-width of H(u~)'s spectrum is within _STEP_BUDGET (a
-    shift of H changes neither the Krylov basis nor its error), and each
-    substep is a Krylov expansion built from products with H(u~) that
-    grows until its error bound falls below _KRYLOV_TOL (at most
-    _KRYLOV_DIM vectors); the stepping is therefore norm-preserving by
-    construction.  Against the work cap, a step counts
-    once per substep its exponentials may take.
+    times the half-width of H(u~)'s spectrum is within _STEP_BUDGET; each
+    is a Krylov expansion on the centred H(u~) (the offset is a phase) that
+    grows until its error bound falls below _KRYLOV_TOL (at most _KRYLOV_DIM
+    vectors), so the stepping is norm-preserving by construction.  Against
+    the work cap, a step counts once per substep its exponentials may take.
     """
     return _step_through(pair, sched, sched.segments(), partial(_cf4_step, pair, sched),
                          partial(_cf4_substeps, pair))

@@ -87,7 +87,7 @@ class PermutationMatrix:
     assignment: np.ndarray
 
     def __post_init__(self):
-        self.n = int(self.n)
+        self.n = check_count("n", self.n)
         self.assignment = np.asarray(self.assignment, dtype=int)
         if self.assignment.shape != (self.n,):
             raise ValueError(

@@ -189,7 +189,7 @@ class QuboModel:
     n: int
 
     def __post_init__(self):
-        self.dim = int(self.dim)
+        self.dim = check_count("dim", self.dim, least=0)
         self.n = check_count("n", self.n)
         self.Q = np.asarray(self.Q, dtype=float)
         self.q = np.asarray(self.q, dtype=float)

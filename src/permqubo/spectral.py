@@ -18,8 +18,8 @@ most _GROUP_QUBITS qubits each, H_B v = -sum_j A_{k_j} applied along
 group axis j, where A_k is the adjacency matrix of the k-bit hypercube
 (its entries are 1 where _HAMMING[k] is 1).  A product is a few small
 matrix products, one per group.  The eigensolver and the propagator
-both apply H(u) through ``HamiltonianPair.apply``, which keeps u H_P and
-the scaled group matrices of the last u it saw.
+apply H(u) only through the pair's centred twin (``HamiltonianPair.centred``),
+whose ``apply`` keeps u H_P and the scaled group matrices of the last u it saw.
 
 The two lowest eigenvalues come from a deterministic Lanczos solver
 (Paige 1972; Parlett, The Symmetric Eigenvalue Problem, 1998) with full
@@ -50,8 +50,8 @@ DEGENERACY_TOL = 1e-10
 
 # Lanczos eigensolver: the Ritz pairs are checked every _CHECK_EVERY
 # steps and accepted once both residual estimates are below _EIG_TOL.
-# A new vector shorter than _BREAKDOWN * ||H(u)|| (bound) marks an
-# invariant subspace.  Start and restart vectors come from _START_SEED.
+# A new vector shorter than _BREAKDOWN * half_width(u) marks an invariant
+# subspace.  Start and restart vectors come from _START_SEED.
 _EIG_TOL = 1e-12
 _CHECK_EVERY = 8
 _BREAKDOWN = 1e-12
@@ -84,9 +84,9 @@ def _qubit_groups(m: int) -> tuple[int, ...]:
 class HamiltonianPair:
     """Diagonal problem Hamiltonian plus transverse-field mixer, applied by groups.
 
-    The smallest and largest H_P entries are computed on first use and
-    kept for the lifetime of the pair; the terms of H(u) at the last u
-    that ``apply`` saw are kept until it sees another.
+    H_P is held as a read-only copy, so no cache goes stale: its range and
+    the centred twin are kept from first use, and the terms of H(u) at the
+    last u that ``apply`` saw until it sees another.
     """
 
     num_qubits: int
@@ -95,8 +95,9 @@ class HamiltonianPair:
     _terms: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.num_qubits = int(self.num_qubits)
-        self.problem_diagonal = np.asarray(self.problem_diagonal, dtype=float)
+        self.num_qubits = check_count("num_qubits", self.num_qubits)
+        self.problem_diagonal = np.array(self.problem_diagonal, dtype=float)
+        self.problem_diagonal.flags.writeable = False
         if self.problem_diagonal.shape != (2**self.num_qubits,):
             raise ValueError("problem diagonal length must be 2**num_qubits")
         if not np.all(np.isfinite(self.problem_diagonal)):
@@ -147,26 +148,23 @@ class HamiltonianPair:
         # propagator's work check allocates nothing
         return float(self.problem_diagonal.min()), float(self.problem_diagonal.max())
 
-    def norm_bound(self, u: float) -> float:
-        """Upper bound |u| ||H_P|| + |1-u| m on ||H(u)||_2, for any real u.
-
-        The eigensolver's breakdown threshold uses it: a Lanczos vector's
-        rounding error scales with ||H(u)||, offset included, so a threshold
-        by the offset-free ``half_width`` would let rounding noise into the basis.
-        """
+    @cached_property
+    def centred(self) -> tuple[float, HamiltonianPair]:
+        """(c, the pair over H_P - c), c = (min H_P + max H_P) / 2: its H(u) is
+        H(u) - u c, so a Krylov vector's rounding scales with ``half_width(u)``,
+        whatever the offset of H_P."""
         lo, hi = self._problem_range
-        return abs(u) * max(hi, -lo) + abs(1.0 - u) * self.num_qubits
+        c = lo / 2.0 + hi / 2.0
+        return c, HamiltonianPair(self.num_qubits, self.problem_diagonal - c)
 
     def half_width(self, u: float) -> float:
         """Upper bound |u| (max H_P - min H_P) / 2 + |1-u| m on the half-width of the
-        spectrum of H(u), for any real u.
+        spectrum of H(u), and so on the centred twin's ||H(u)||, for any real u.
 
-        Every eigenvalue of H(u) lies within this of u (max H_P + min H_P) / 2.
-        A Krylov expansion does not change under a shift of H, so the
-        propagator paces its substeps by this bound, which leaves out the
-        diagonal's offset.  A CF4 step evaluates H at a mix of two path
-        values with one negative weight; on its breakpoint-aligned grid that
-        mix stays in [0, 1] but for rounding, and the bound holds anyway.
+        The one scale of the eigensolver's breakdown test and the propagator's
+        substeps.  A CF4 step evaluates H at a mix of two path values with one
+        negative weight; on its breakpoint-aligned grid that mix stays in
+        [0, 1] but for rounding, and the bound holds anyway.
         """
         lo, hi = self._problem_range
         return abs(u) * (hi - lo) / 2.0 + abs(1.0 - u) * self.num_qubits
@@ -258,14 +256,15 @@ def eigsh(pair: HamiltonianPair, u: float) -> tuple[float, float]:
     against the basis, which can find further copies of a level, and it
     stops early only once that open block's lowest Ritz pair has
     converged too.  The Ritz pairs come from ``_lowest_ritz``, which calls
-    LAPACK directly.  All products with H(u) go through
-    ``HamiltonianPair.apply``, which builds the terms of H(u) on the first
-    and reuses them for the rest; ``perfbench/spans.py`` traces the solver
-    under the name ``eigsh`` and counts those products.
+    LAPACK directly.  All products go through the centred twin's ``apply``
+    (``HamiltonianPair.centred``), and u c is added back to the Ritz values;
+    ``perfbench/spans.py`` traces the solver under the name ``eigsh`` and
+    counts those products.
     """
     dim = pair.dim
+    shift, twin = pair.centred
     rng = np.random.default_rng(_START_SEED)
-    tiny = _BREAKDOWN * pair.norm_bound(u)
+    tiny = _BREAKDOWN * pair.half_width(u)
     V = np.empty((min(dim, 64), dim))  # basis rows; doubled when full
     alphas = np.empty(dim)
     betas = np.zeros(dim)
@@ -273,7 +272,7 @@ def eigsh(pair: HamiltonianPair, u: float) -> tuple[float, float]:
     V[0] = v / np.linalg.norm(v)
     m = start = 0  # start: first row of the current Krylov block
     while True:
-        w = pair.apply(u, V[m])
+        w = twin.apply(u, V[m])
         alphas[m] = V[m] @ w
         # Full reorthogonalisation also removes the alpha and beta terms.
         w = _orthogonalise(V[: m + 1], w)
@@ -289,7 +288,7 @@ def eigsh(pair: HamiltonianPair, u: float) -> tuple[float, float]:
                 _, s = _lowest_ritz(alphas[start:m], betas[start : m - 1], 1)
                 converged = beta * abs(s[-1, 0]) < _EIG_TOL
             if converged or m == dim:
-                return float(theta[0]), float(theta[1])
+                return float(theta[0]) + u * shift, float(theta[1]) + u * shift
         if beta < tiny:
             w = _orthogonalise(V[:m], rng.standard_normal(dim))
             beta = float(np.linalg.norm(w))

@@ -182,6 +182,18 @@ class TestEvolve:
         midpoint = oracles.dense_midpoint_propagator(pair, sched, max(100, ceil(10 * tau)))
         assert np.linalg.norm(evolve(pair, sched) - ref) <= np.linalg.norm(midpoint - ref)
 
+    @pytest.mark.parametrize("num_qubits", [3, 6])
+    @pytest.mark.parametrize("offset", [1e12, -6e15])
+    def test_offset_changes_no_probability(self, num_qubits, offset):
+        # a constant shift of H_P multiplies the state by a phase; the propagator
+        # runs on the centred pair, so the shift costs no digits (at 1e12 an
+        # uncentred Krylov expansion moved probabilities by up to 1.5e-5)
+        diag = np.random.default_rng(num_qubits).integers(-2, 3, 2**num_qubits).astype(float)
+        sched = AnnealSchedule(tau=5.0)
+        plain = np.abs(evolve(HamiltonianPair(num_qubits, diag), sched)) ** 2
+        shifted = np.abs(evolve(HamiltonianPair(num_qubits, diag + offset), sched)) ** 2
+        np.testing.assert_allclose(shifted, plain, rtol=0.0, atol=1e-12)
+
     def test_norm_conservation(self, step_norms):
         inst = random_instance(3, 70)
         pair = annealing_hamiltonian(build_formulation(inst, "inserted"))

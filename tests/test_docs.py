@@ -1,7 +1,9 @@
 """README's library quick start and every demo run as written, and the benchmark's
-modules import, so an API they use cannot go unnoticed."""
+modules import and pass their output checks on a tiny run, so an API they use
+cannot go unnoticed."""
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -33,13 +35,23 @@ def test_demo_runs(demo, tmp_path):
                    capture_output=True, timeout=300)
 
 
-def test_benchmark_modules_import(monkeypatch):
+def test_benchmark_modules_import(monkeypatch, tmp_path):
     # perfbench/spans.py and perfbench/workloads.py bind package names when they are
-    # imported, so a name they use that was deleted or renamed fails here
+    # imported, so a name they use that was deleted or renamed fails here.  One tiny
+    # repetition of each timed workload then runs under the benchmark's output
+    # capture and must pass its checks, so a change that breaks an output fails here.
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    timed = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
     try:
-        for name in ("spans", "workloads"):
-            importlib.import_module(name)
+        spans = importlib.import_module("spans")
+        workloads = importlib.import_module("workloads")
+        for name in (w["name"] for w in timed):
+            item = workloads.setup(name, 5, True, tmp_path)[0]
+            capture = spans.Capture()
+            with spans.instrumented(capture):
+                output = workloads.run(name, workloads.SIZES[name]["tiny"], item, tmp_path)
+            outcomes = workloads.check(name, item, output, capture.take(), tmp_path)
+            assert outcomes and not any(o["failures"] for o in outcomes), (name, outcomes)
     finally:
         for name in ("checks", "spans", "workloads"):
             sys.modules.pop(name, None)

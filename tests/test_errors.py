@@ -6,6 +6,8 @@ import pytest
 from permqubo import (
     AnnealSchedule,
     ExperimentSpec,
+    HamiltonianPair,
+    PermutationMatrix,
     QapInstance,
     QuboModel,
     SpinModel,
@@ -45,9 +47,14 @@ COUNTS = [
     ("seed", 0, lambda v: spec(seed=v)),
     ("gap_samples", 2, lambda v: spec(gap_samples=v)),
     ("num_samples", 2, lambda v: gap_profile(MODEL, num_samples=v)),
+    ("num_qubits", 1, lambda v: HamiltonianPair(v, np.zeros(2))),
+    ("dim", 0, lambda v: QuboModel(dim=v, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0,
+                                   formulation="inserted", n=2)),
+    ("n", 1, lambda v: PermutationMatrix(v, [0])),
 ]
 COUNT_IDS = ["runs", "sweeps", "seed-sa", "shots", "seed-measure", "slices", "steps", "n-instance",
-             "n-constraints", "n-spec", "num_instances", "seed-spec", "gap_samples", "num_samples"]
+             "n-constraints", "n-spec", "num_instances", "seed-spec", "gap_samples", "num_samples",
+             "num_qubits", "dim", "n-permutation"]
 
 POSITIVES = [
     ("scale", lambda v: build_formulation(INST, "baseline", v)),
