@@ -438,11 +438,15 @@ class SampleSet:
         return self._entries()
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "entries": [e.to_dict() for e in self.entries],
-            "metadata": self.metadata,
-        }
+        """The JSON export: one ``SampleEntry.to_dict`` per row, written from the columns."""
+        entries = [
+            {"bits": bits, "energy": energy, "count": count, "valid": ok,
+             "assignment": assignment if ok else None}
+            for bits, energy, count, ok, assignment in zip(
+                self.states.tolist(), self.energies.tolist(), self.counts.tolist(),
+                self.valid.tolist(), self.assignments.tolist())
+        ]
+        return {"total": self.total, "entries": entries, "metadata": self.metadata}
 
     def histogram_csv(self, path) -> None:
         """Energy histogram with per-bin valid counts, ready for plotting."""
@@ -485,6 +489,19 @@ def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> Sampl
     states = ((hit[:, None] >> np.arange(m)) & 1).astype(int)
     return SampleSet.from_states(model, states, counts[hit],
                                  {"seed": seed, "shots": shots, "model_hash": model.content_hash()})
+
+
+def _group_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (k, dim) 0/1 array in lexicographic order, and their
+    counts: ``np.unique(states, axis=0, return_counts=True)``, by one byte key per row.
+
+    A row's big-endian packed bits compare bytewise as the row compares
+    lexicographically, so sorting the keys sorts the rows.
+    """
+    packed = np.packbits(states, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return states[first], counts
 
 
 def _estimate_t_hi(C: np.ndarray, bias: np.ndarray, seed: int) -> float:
@@ -598,8 +615,7 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
                           overwrite_c=True, trans_b=True)
         final_states[start:stop] = S > 0.0
 
-    # Deterministic aggregation: group identical final states.
-    uniq, counts = np.unique(final_states, axis=0, return_counts=True)
+    uniq, counts = _group_rows(final_states)
     return SampleSet.from_states(model, uniq, counts, {
         "seed": seed, "runs": runs, "sweeps": sweeps, "t_hi": t_hi, "t_lo": t_lo,
         "model_hash": model.content_hash()})

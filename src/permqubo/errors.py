@@ -3,6 +3,7 @@ shared across the package."""
 
 import json
 import sys
+from itertools import chain
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -106,8 +107,14 @@ def _has_json_type(value, kind, finite: bool = True) -> bool:
 
     ``kind`` is a type (float admits any number, only a finite one when
     ``finite``), [kind] for a list of it, or a tuple of alternatives in
-    which None stands for null.
+    which None stands for null.  A number table ([[float]], as in an
+    instance's W or a model's Q) whose cells are all ints and floats is
+    checked in one flat pass; any other value takes the recursive check.
     """
+    if kind == [[float]] and isinstance(value, list) and all(isinstance(row, list) for row in value):
+        cells = list(chain.from_iterable(value))
+        if set(map(type, cells)) <= {int, float}:  # type(), so a bool takes the slow path
+            return not finite or all(map(_is_finite, cells))
     if isinstance(kind, tuple):
         return any(value is None if k is None else _has_json_type(value, k, finite) for k in kind)
     if isinstance(kind, list):

@@ -167,7 +167,9 @@ def permutation_extremes(
     walk down the prefix tree of assignments: column d of every prefix
     takes each of its unused rows in increasing order, so the leaves are
     in lexicographic order.  Each step adds only column d's own cost and
-    its couplings with the d columns already placed, O(n) per leaf.
+    its couplings with the d columns already placed, O(n) per leaf.  At the
+    last column every prefix has one free row left, so its one child keeps
+    the prefix's place: that level adds costs in place and gathers nothing.
     np.argmin/np.argmax return the first extreme, so ties go to the
     lexicographically smallest assignment.  n is capped (errors.SIZE_CAPS).
     """
@@ -181,13 +183,16 @@ def permutation_extremes(
     energies = np.zeros(1)
     for d in range(n):
         r = n - d
-        parent = np.repeat(np.arange(len(free)), r)
         rows = free.ravel()
-        # The child that takes a prefix's i-th free row keeps the others in order.
-        drop = np.array([np.delete(np.arange(r), i) for i in range(r)], dtype=np.intp)
-        free = free[:, drop].reshape(len(rows), r - 1)
-        columns = [col[parent] for col in columns]
-        energies = energies[parent] + own[d, rows]
+        if r > 1:
+            parent = np.repeat(np.arange(len(free)), r)
+            # The child that takes a prefix's i-th free row keeps the others in order.
+            drop = np.array([np.delete(np.arange(r), i) for i in range(r)], dtype=np.intp)
+            free = free[:, drop].reshape(len(rows), r - 1)
+            columns = [col[parent] for col in columns]
+            energies = energies[parent] + own[d, rows]
+        else:
+            energies += own[d, rows]
         coupling = pair[:, :, d, :].reshape(n, n * n)
         for l, col in enumerate(columns):
             energies += coupling[l][col * n + rows]

@@ -239,8 +239,14 @@ class QuboModel:
         return read_json(path, cls.from_dict)
 
     def content_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
-        return hashlib.sha256(blob).hexdigest()
+        """SHA-256 over a JSON of the scalar fields, then the little-endian float64
+        bytes of the stored (symmetric) Q and of q."""
+        scalars = {"dim": self.dim, "formulation": self.formulation, "n": self.n,
+                   "offset": self.offset}
+        digest = hashlib.sha256(json.dumps(scalars, sort_keys=True).encode("utf-8"))
+        for a in (self.Q, self.q):
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        return digest.hexdigest()
 
 
 @dataclass

@@ -38,6 +38,7 @@ import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
@@ -84,9 +85,10 @@ def _qubit_groups(m: int) -> tuple[int, ...]:
 class HamiltonianPair:
     """Diagonal problem Hamiltonian plus transverse-field mixer, applied by groups.
 
-    H_P is held as a read-only copy, so no cache goes stale: its range and
-    the centred twin are kept from first use, and the terms of H(u) at the
-    last u that ``apply`` saw until it sees another.
+    H_P is held as a read-only copy, so no cache goes stale: its range is
+    kept from the check that the pair is made with, the centred twin from
+    first use, and the terms of H(u) at the last u that ``apply`` saw until
+    it sees another.
     """
 
     num_qubits: int
@@ -100,8 +102,11 @@ class HamiltonianPair:
         self.problem_diagonal.flags.writeable = False
         if self.problem_diagonal.shape != (2**self.num_qubits,):
             raise ValueError("problem diagonal length must be 2**num_qubits")
-        if not np.all(np.isfinite(self.problem_diagonal)):
-            raise ValueError("problem diagonal must be finite")
+        # A NaN or infinite entry makes the spread NaN or infinite too.  Both Krylov
+        # solvers scale by the spread (half_width), so it must be finite as well.
+        lo, hi = self._problem_range
+        if not isfinite(hi - lo):
+            raise ValueError("problem diagonal must be finite, and so must its range max - min")
 
     @property
     def dim(self) -> int:

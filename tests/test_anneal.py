@@ -530,6 +530,18 @@ class TestSimulatedAnnealing:
                 simulated_annealing(model, sweeps=2, runs=1, seed=0, schedule=schedule)
 
 
+@pytest.mark.parametrize("dim", [1, 7, 8, 9, 49, 64, 65])
+def test_grouping_matches_unique_rows(dim):
+    # byte-boundary widths and the one-byte case; few distinct rows, so many repeat
+    rng = np.random.default_rng(dim)
+    pool = rng.integers(0, 2, size=(40, dim), dtype=np.int8)
+    states = pool[rng.integers(0, len(pool), size=500)]
+    rows, counts = anneal._group_rows(states)
+    want_rows, want_counts = np.unique(states, axis=0, return_counts=True)
+    assert rows.dtype == want_rows.dtype and np.array_equal(rows, want_rows)
+    assert counts.dtype == want_counts.dtype and np.array_equal(counts, want_counts)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
 @given(drawn=adversarial_model_coefficients(symmetric=False), seed=st.integers(0, 2**32 - 1))
 def test_t_hi_is_the_largest_flip_change_of_the_seeded_states(drawn, seed):
@@ -575,6 +587,15 @@ class TestSuccessAndSampleSet:
         assert samples.total == 14
         assert most_frequent(samples) == SampleEntry(bits=(0, 1), energy=1.0, count=5, valid=True,
                                                      assignment=(1, 0))  # lower energy wins the tie
+
+    def test_export_is_the_entries_export(self):
+        # written from the columns, byte for byte what the SampleEntry rows give
+        model = build_formulation(random_instance(3, 82), "inserted")
+        samples = simulated_annealing(model, sweeps=1, runs=200, seed=4, schedule=(1e9, 1e9))
+        assert not samples.valid.all() and samples.valid.any()
+        want = {"total": samples.total, "entries": [e.to_dict() for e in samples.entries],
+                "metadata": samples.metadata}
+        assert json.dumps(samples.to_dict()) == json.dumps(want)
 
     def test_sampleset_json_and_histogram(self, tmp_path):
         inst = random_instance(2, 81)

@@ -1,5 +1,7 @@
 """The two range rules and every parameter that goes through them at its Python entry point."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,64 @@ def test_json_field_check_names_the_element_not_the_value(data, message):
     with pytest.raises(ValueError) as refused:
         _check_json_types(data, {"W": [[float]], "s": (None, [float])}, "t", required=())
     assert str(refused.value) == message
+
+
+# 4 x 4 number tables (JSON text) that the field check refuses, with the tail of each
+# refusal after "<what> field ".  W[2][2] is the bad cell, W[3] a row, W[0][1] a deeper list.
+_ROW = "[0, 0, 0, 0]"
+
+
+def _table(*rows):
+    return "[" + ", ".join(rows) + "]"
+
+
+def _cell(literal):
+    return _table(_ROW, _ROW, f"[0, 1.5, {literal}, 0]", _ROW)
+
+
+BAD_TABLES = {
+    "bool": (_cell("true"), "'W' has the wrong type at W[2][2]: bool"),
+    "string": (_cell('"1.5"'), "'W' has the wrong type at W[2][2]: str"),
+    "null": (_cell("null"), "'W' has the wrong type at W[2][2]: NoneType"),
+    "nan": (_cell("NaN"), "W[2][2] must be finite"),
+    "infinity": (_cell("Infinity"), "W[2][2] must be finite"),
+    "overflow": (_cell("1e400"), "W[2][2] must be finite"),
+    "huge-int": (_cell("1" + "0" * 400), "W[2][2] must be finite"),
+    "row-no-list": (_table(_ROW, _ROW, _ROW, "5"), "'W' has the wrong type at W[3]: int"),
+    "deeper": (_table("[0, [1.0], 0, 0]", _ROW, _ROW, _ROW),
+               "'W' has the wrong type at W[0][1]: list"),
+}
+
+
+def _loaders(table):
+    """(what, field, the number-table loader) for an instance W and a model Q."""
+    return [
+        ("instance JSON", "W", lambda: QapInstance.from_dict(
+            json.loads('{"n": 2, "W": %s, "c": [0, 0, 0, 0]}' % table))),
+        ("model JSON", "Q", lambda: QuboModel.from_dict(json.loads(
+            '{"dim": 4, "formulation": "baseline", "n": 2, "Q": %s, "q": [0, 0, 0, 0], '
+            '"offset": 0}' % table))),
+    ]
+
+
+@pytest.mark.parametrize("case", list(BAD_TABLES))
+def test_number_table_refusals_name_the_cell(case):
+    # the fast pass over number tables must leave every refusal as the recursive check words it
+    table, tail = BAD_TABLES[case]
+    for what, key, load in _loaders(table):
+        with pytest.raises(ValueError) as refused:
+            load()
+        assert str(refused.value) == f"{what} field " + tail.replace("W", key)
+
+
+def test_number_tables_accepted():
+    for _, _, load in _loaders(_cell("2")):
+        load()
+    # a ragged table passes the field check, and numpy refuses it on conversion
+    ragged = _table(_ROW, "[0, 0, 0]", _ROW, _ROW)
+    with pytest.raises(ValueError) as numpy_refusal:
+        np.asarray(json.loads(ragged), dtype=float)
+    for _, _, load in _loaders(ragged):
+        with pytest.raises(ValueError) as refused:
+            load()
+        assert str(refused.value) == str(numpy_refusal.value)

@@ -552,3 +552,32 @@ class TestEnumerationAndExports:
         m1 = build_formulation(inst, "baseline")
         m2 = build_formulation(inst, "baseline")
         assert m1.content_hash() == m2.content_hash()
+
+    @staticmethod
+    def _hash_model(**changes):
+        fields = {"dim": 4, "Q": np.arange(16.0).reshape(4, 4) / 8 - 1,
+                  "q": [0.5, -0.25, 3.0, 1e-3], "offset": -2.5, "formulation": "baseline", "n": 2}
+        return QuboModel(**{**fields, **changes})
+
+    def test_model_hash_pinned(self):
+        # SHA-256 of the sorted scalar JSON, then the <f8 bytes of the stored Q and of q
+        assert self._hash_model().content_hash() == (
+            "c8e4693f90458c064971016291a3aef8e554abc8ef5b7b89f9dbd04671397237")
+
+    def test_model_hash_covers_every_field(self):
+        base = self._hash_model()
+        asym = base.Q.copy()
+        asym[0, 1], asym[1, 0] = asym[0, 1] + 1.0, asym[1, 0] - 1.0
+        assert self._hash_model(Q=asym).content_hash() == base.content_hash()
+        Q = base.Q.copy()
+        Q[2, 3] += 1e-9
+        q = base.q.copy()
+        q[3] = -q[3]
+        changed = [self._hash_model(Q=Q), self._hash_model(q=q), self._hash_model(offset=-2.0),
+                   self._hash_model(formulation="row_wise"),
+                   self._hash_model(dim=4, n=3, formulation="inserted")]
+        for key, value in (("n", 3), ("dim", 5)):  # no valid model differs in one of these alone
+            changed.append(self._hash_model())
+            setattr(changed[-1], key, value)
+        hashes = {m.content_hash() for m in changed}
+        assert len(hashes) == len(changed) and base.content_hash() not in hashes

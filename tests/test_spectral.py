@@ -65,6 +65,15 @@ class TestProblemHamiltonian:
         with pytest.raises(ValueError, match="finite"):
             HamiltonianPair(2, np.array([0.0, 1.0, bad, 2.0]))
 
+    @pytest.mark.parametrize("diagonal", [[-1e308, 1e308], [1e308, -1.5e308, 0.0, 0.0]])
+    def test_overflowing_range_refused(self, diagonal):
+        # refused when the pair is made: half_width would be inf, and the eigensolver
+        # would warn of an overflow and evolve fail on a NaN substep count
+        m = len(diagonal).bit_length() - 1
+        with pytest.raises(ValueError, match=r"^problem diagonal must be finite, and so must "
+                                             r"its range max - min$"):
+            HamiltonianPair(m, diagonal)
+
 
 class TestInterpolatedOperator:
     def test_mixer_ground_state(self):
