@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dstevd
 from .errors import SolverError, check_count, check_positive, check_size, check_work
 from .qap import QapInstance, permutation_extremes
 from .qubo import QuboModel, decode_states
-from .spectral import _HAMMING, HamiltonianPair
+from .spectral import _HAMMING, HamiltonianPair, _qubit_groups
 
 # Optimality comparisons between recomputed permutation energies.
 ENERGY_RTOL = 1e-9
@@ -235,12 +235,14 @@ def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step,
     Starts from the uniform superposition (the mixer ground state).  Each
     (a, b, n) of ``segments`` is cut into n equal steps; step k maps psi to
     ``step(at, psi, dt)`` with dt = tau (b - a) / n and at(x) the s at
-    fraction x of the step.  Before any work, the qubit cap is checked, and
-    then the work cap, with each step of width dt charged as ``pieces(dt)``
-    steps.  Non-finite amplitudes raise SolverError, and a norm that
-    drifted more than _NORM_DRIFT from 1 is renormalised.
+    fraction x of the step.  Before any work, the annealing Hamiltonian's
+    qubit cap is checked (both simulators act on the qubit groups of
+    ``HamiltonianPair.apply``), and then the work cap, with each step of
+    width dt charged as ``pieces(dt)`` steps.  Non-finite amplitudes raise
+    SolverError, and a norm that drifted more than _NORM_DRIFT from 1 is
+    renormalised.
     """
-    check_size("evolution", pair.num_qubits)
+    check_size("hamiltonian", pair.num_qubits)
     charged = sum(n * pieces(sched.tau * (b - a) / n) for a, b, n in segments)
     check_work("evolution", _evolution_work(charged, pair.num_qubits))
     dim = pair.dim
@@ -322,18 +324,18 @@ def _rotation_matrix(theta: float, k: int) -> np.ndarray:
 
 
 def _mixer_rotation(psi: np.ndarray, theta: float, m: int) -> np.ndarray:
-    """Apply exp(-i theta * (-sum_i sigma_x^(i))) = prod_i exp(i theta sigma_x).
-
-    The rotation is the tensor product R_a (x) R_b of its actions on the
-    high a = m - m//2 and the low b = m//2 qubits, so with psi as a
-    (2^a, 2^b) matrix Psi (row: the high bits) it is R_a Psi R_b, two small
-    matrix products (R_b is symmetric).
+    """Apply exp(-i theta * (-sum_i sigma_x^(i))) = prod_i exp(i theta sigma_x) over the
+    qubit groups of ``HamiltonianPair.apply``: each group's rotation matrix acts along its
+    axis, from the left but on the last group, which (symmetric) multiplies from the right.
     """
     if theta == 0.0:
         return psi
-    b = m // 2
-    rows = psi.reshape(2 ** (m - b), 2**b)
-    return (_rotation_matrix(theta, m - b) @ rows @ _rotation_matrix(theta, b)).reshape(-1)
+    *lead, last = _qubit_groups(m)
+    rows = 1
+    for k in lead:
+        psi = _rotation_matrix(theta, k) @ psi.reshape(rows, 2**k, -1)
+        rows *= 2**k
+    return (psi.reshape(rows, -1) @ _rotation_matrix(theta, last)).reshape(-1)
 
 
 def _trotter_slice(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
@@ -356,10 +358,11 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) ->
 
     The schedule is frozen on ``slices`` equal segments; each segment
     applies exp(-i A dt/2) exp(-i B dt) exp(-i A dt/2) with
-    A = (1-u) H_B (a tensor product of single-qubit rotations, exact)
-    and B = u H_P (diagonal, exact).  Adjacent half-rotations of two
-    slices both act on sum_i sigma_x, so they commute and are applied as
-    one rotation by their summed angle: slices + 1 rotations in all.
+    A = (1-u) H_B and B = u H_P (diagonal, exact).  exp(-i A dt/2) is exact
+    too, a tensor product of single-qubit rotations applied as one small
+    matrix per qubit group (``_mixer_rotation``).  Adjacent half-rotations
+    of two slices both act on sum_i sigma_x, so they commute and are applied
+    as one rotation by their summed angle: slices + 1 rotations in all.
     """
     slices = check_count("slices", slices)
     return _step_through(pair, sched, [(0.0, 1.0, slices)], partial(_trotter_slice, pair, sched),

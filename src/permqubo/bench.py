@@ -40,7 +40,7 @@ from .spectral import _check_gap_request, annealing_hamiltonian, gap_profile
 
 # Every solver and the caps of errors.SIZE_CAPS that it meets on the model's size.
 SOLVERS = {"brute": ("enumeration",), "sa": (),
-           "schrodinger": ("evolution",), "trotter": ("evolution",)}
+           "schrodinger": ("hamiltonian",), "trotter": ("hamiltonian",)}
 
 
 def _check_schedule(what: str, value) -> None:
@@ -217,7 +217,7 @@ def _check_solver_size(solver: str, dim: int, n: int | None = None, gap_samples:
     params = _with_defaults(params or {})
     if solver == "sa":
         check_work("sa", _sa_work(params["runs"], params["sweeps"], dim))
-    if "evolution" in sizes:
+    if solver in ("schrodinger", "trotter"):
         steps = params["slices"] if solver == "trotter" else AnnealSchedule(
             tau=params["tau"], steps=params["steps"]).effective_steps()
         check_work("evolution", _evolution_work(steps, dim))

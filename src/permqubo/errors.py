@@ -16,8 +16,7 @@ class SizeCapError(Exception):
 SIZE_CAPS = {
     "oracle": (8, "element", "the exact oracle"),  # n! permutations of n elements
     "enumeration": (20, "bit", "hypercube enumeration"),  # 2^20 states
-    "evolution": (12, "qubit", "state-vector evolution"),
-    "hamiltonian": (16, "qubit", "the annealing Hamiltonian"),  # gap profiles too
+    "hamiltonian": (16, "qubit", "the annealing Hamiltonian"),  # gap profiles and evolution too
 }
 
 
@@ -37,10 +36,11 @@ def _check_cap(cap: tuple, amount: int) -> None:
 # Every hard work guard: what -> (largest amount allowed, its unit, what it limits).
 # State-vector evolution is charged its steps (Trotter slices; a CF4 step once
 # per substep its exponentials may take) times max(2^m, 2^10) amplitudes
-# (anneal._evolution_work).  Measured on one BLAS thread at m = 1 to 12 and
-# dt = 0.4 to 20, a CF4 step costs at most 1.7 us per charged amplitude and a
-# Trotter slice under a twentieth of that, so a run at the cap takes at most
-# about 4 minutes.
+# (anneal._evolution_work).  Measured on one BLAS thread at dt = 0.4 to 20, a
+# CF4 step costs at most 1.7 us per charged amplitude at m = 1 to 12 and 2.0 us
+# at m = 16 (n = 4 baseline and row_wise), where the cap is 2048 charged steps,
+# and a Trotter slice under a twentieth of that, so a run at the cap takes at
+# most about 4.5 minutes.
 # Simulated annealing is charged sweeps times dim times max(runs, 2^10) flip
 # attempts (anneal._sa_work).  Measured on one BLAS thread at dim 4 to 64 and
 # 1 to 65536 runs, a column of a sweep costs a fixed 6-16 us, about what 2^10
@@ -143,7 +143,8 @@ def _check_json_types(data, types: dict, what: str, required=None) -> None:
     """Raise ValueError unless ``data`` is a JSON object that holds every ``required``
     field (by default every field of ``types``) and gives each field of ``types`` its kind.
 
-    A number field refuses NaN, the infinities and a literal beyond the float range.
+    A number field refuses NaN, the infinities and a literal beyond the float range,
+    and a number table ([[float]]) a row whose length differs from its first row's.
     A refusal names the field and the index path of its first wrong element, and the
     type of that element, never a whole value.
     """
@@ -153,10 +154,17 @@ def _check_json_types(data, types: dict, what: str, required=None) -> None:
         if key not in data:
             raise ValueError(f"{what} is missing field {key!r}")
     for key, kind in types.items():
-        if key not in data or _has_json_type(data[key], kind):
+        if key not in data:
             continue
-        path, part = _first_fault(data[key], kind)
-        if _has_json_type(data[key], kind, finite=False):
-            raise ValueError(f"{what} field {key}{path} must be finite")
-        where = f" at {key}{path}" if path else ""
-        raise ValueError(f"{what} field {key!r} has the wrong type{where}: {type(part).__name__}")
+        value = data[key]
+        if not _has_json_type(value, kind):
+            path, part = _first_fault(value, kind)
+            if _has_json_type(value, kind, finite=False):
+                raise ValueError(f"{what} field {key}{path} must be finite")
+            where = f" at {key}{path}" if path else ""
+            raise ValueError(f"{what} field {key!r} has the wrong type{where}: {type(part).__name__}")
+        if kind == [[float]]:
+            ragged = next((i for i, row in enumerate(value) if len(row) != len(value[0])), None)
+            if ragged is not None:
+                raise ValueError(f"{what} field {key}[{ragged}] has {len(value[ragged])} entries, "
+                                 f"but {key}[0] has {len(value[0])}")

@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from math import isfinite
 
 import numpy as np
@@ -69,11 +69,11 @@ def _hamming_table(k: int) -> np.ndarray:
 
 
 # _HAMMING[k][z, w] is the Hamming distance of the k-bit indices z and w, for
-# every group size; the Trotter rotation's two halves of a state under the
-# 12-qubit evolution cap fit too.
+# every group size.
 _HAMMING = tuple(_hamming_table(k) for k in range(_GROUP_QUBITS + 1))
 
 
+@cache  # asked on every Trotter rotation, where computing it cost a tenth of one at 9 qubits
 def _qubit_groups(m: int) -> tuple[int, ...]:
     """Sizes of the fewest near-equal groups of at most _GROUP_QUBITS qubits
     that hold m qubits, high bits first: 9 is 5+4, 12 is 6+6, 16 is 6+5+5."""
@@ -107,6 +107,12 @@ class HamiltonianPair:
         lo, hi = self._problem_range
         if not isfinite(hi - lo):
             raise ValueError("problem diagonal must be finite, and so must its range max - min")
+        # The centred twin's entries reach half the range, and a Krylov vector's norm
+        # squares them.
+        half = (hi - lo) / 2.0
+        if not isfinite(half * half):
+            raise ValueError("problem diagonal's half range (max - min) / 2 must have a "
+                             "finite square")
 
     @property
     def dim(self) -> int:

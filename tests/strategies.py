@@ -1,9 +1,22 @@
-"""Hypothesis strategies for adversarial QAP instances shared by the property tests."""
+"""Hypothesis strategies for adversarial QAP instances shared by the property tests, and the
+seeded instances and zero Hamiltonians shared by the other tests."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from permqubo import QapInstance, QuboModel
+from permqubo import HamiltonianPair, QapInstance, QuboModel
+
+
+def random_instance(n, seed):
+    """W and c uniform on [-1, 1) from ``np.random.default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    m = n * n
+    return QapInstance(n, rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m))
+
+
+def zero_pair(m):
+    """The m-qubit pair with H_P = 0, built without the qubit cap's check."""
+    return HamiltonianPair(m, np.zeros(2**m))
 
 
 def _coefficients(draw, k, integer, zero_share):

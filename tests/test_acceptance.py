@@ -13,10 +13,10 @@ import pytest
 import scipy.stats
 
 import oracles
+from strategies import random_instance
 from permqubo import (
     AnnealSchedule,
     ExperimentSpec,
-    QapInstance,
     annealing_hamiltonian,
     brute_force_qap,
     build_formulation,
@@ -43,12 +43,6 @@ FORMS = ("baseline", "row_wise", "inserted")
 def _report(name: str, ok: bool, detail: str = "") -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" -- {detail}" if detail else ""))
     assert ok, f"{name}: {detail}"
-
-
-def random_instance(n, seed_key):
-    rng = np.random.default_rng(seed_key)
-    m = n * n
-    return QapInstance(n, rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m))
 
 
 @pytest.fixture(scope="module")

@@ -36,17 +36,7 @@ from permqubo import anneal, permutation_extremes
 from permqubo.errors import SizeCapError
 from permqubo.qubo import QuboModel, enumerate_states
 from strategies import (adversarial_instances, adversarial_model_coefficients, build_model,
-                        coefficient_mass)
-
-
-def random_instance(n, seed):
-    rng = np.random.default_rng(seed)
-    m = n * n
-    return QapInstance(n, rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m))
-
-
-def zero_pair(m):
-    return build_hamiltonians(SpinModel(Q_s=np.zeros((m, m)), q_s=np.zeros(m), offset_s=0.0))
+                        coefficient_mass, random_instance, zero_pair)
 
 
 class TestSchedule:
@@ -203,7 +193,7 @@ class TestEvolve:
 
     def test_qubit_cap(self):
         with pytest.raises(SizeCapError):
-            evolve(zero_pair(13), AnnealSchedule(tau=1.0, steps=2))
+            evolve(zero_pair(17), AnnealSchedule(tau=1.0, steps=2))
 
     def test_ground_state_probability_grows_with_tau(self):
         inst = random_instance(2, 71)
@@ -288,14 +278,23 @@ class TestTrotter:
     @pytest.mark.parametrize("path", [((0, 0), (1, 1)), ((0, 0), (0.45, 0.5), (0.55, 0.5), (1, 1))])
     @pytest.mark.parametrize("slices", [1, 2, 37])
     def test_merged_rotations_match_dense_splitting(self, num_qubits, path, slices):
-        # adjacent half-rotations merged into one, and the rotation as two small
-        # products (odd m splits into unequal factors), against the textbook
-        # splitting with dense exponentials
+        # adjacent half-rotations merged into one, and the rotation by qubit groups
+        # (m = 7 splits into unequal groups, 4+3), against the textbook splitting
+        # with dense exponentials
         rng = np.random.default_rng([num_qubits, slices])
         pair = HamiltonianPair(num_qubits, rng.uniform(-2.0, 5.0, 2**num_qubits))
         sched = AnnealSchedule(tau=7.0, path=path)
         psi = evolve_trotter(pair, sched, slices=slices)
         assert np.linalg.norm(psi - oracles.dense_trotter(pair, sched, slices)) <= 1e-12
+
+    def test_matches_cf4_at_13_qubits(self):
+        # three qubit groups (5+4+4), beyond the dense splitting's reach: at tau = 1
+        # and 256 slices the second-order splitting error was measured at 4.5e-6,
+        # and CF4's own at 3.7e-7 (against 200 steps)
+        pair = HamiltonianPair(13, np.random.default_rng(13).uniform(-1.0, 1.0, 2**13))
+        sched = AnnealSchedule(tau=1.0)
+        psi = evolve_trotter(pair, sched, slices=256)
+        assert np.linalg.norm(psi - evolve(pair, sched)) < 2e-5
 
     def test_zero_rotation_returns_psi(self):
         psi = np.random.default_rng(3).normal(size=8) + 0j

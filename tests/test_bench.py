@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
+from strategies import zero_pair
 from permqubo import (
     AnnealSchedule,
     ExperimentSpec,
-    HamiltonianPair,
     QapInstance,
     QuboModel,
     SampleSet,
@@ -172,7 +172,7 @@ class TestRunExperiment:
             run_experiment(ExperimentSpec(n=5, num_instances=1, seed=0, solver="brute",
                                           formulations=("baseline",)))
         with pytest.raises(SizeCapError):
-            run_experiment(ExperimentSpec(n=4, num_instances=1, seed=0, solver="schrodinger",
+            run_experiment(ExperimentSpec(n=5, num_instances=1, seed=0, solver="schrodinger",
                                           formulations=("baseline",)))
 
     def test_report_files(self, tmp_path):
@@ -188,46 +188,62 @@ class TestRunExperiment:
         assert len(lines) == 1 + 3  # header + one row per (formulation, scale)
 
 
-def _zero_pair(m):
-    return HamiltonianPair(m, np.zeros(2**m))
-
-
-# Per cap: a problem of a given size, the solver-level entries that meet the
-# cap on it, and the smallest (n, formulation, solver, gap_samples) run that meets it.
+# Per group of solver-level entries: the SIZE_CAPS row they meet, the entries, each
+# with the maker of its problem of a given size, and the smallest
+# (n, formulation, solver, gap_samples) runs that meet the row.  Evolution shares the
+# Hamiltonian's qubit cap.  The first entry of a row's own group is small at every
+# run's size.
 _CAP_ENTRIES = {
-    "oracle": (lambda n: QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n)),
-               [permutation_extremes], (9, "baseline", "sa", 0)),
-    "enumeration": (lambda dim: dim, [enumerate_states], (5, "baseline", "brute", 0)),
-    "evolution": (_zero_pair,
-                  [lambda pair: evolve(pair, AnnealSchedule(tau=1.0, steps=1)),
-                   lambda pair: evolve_trotter(pair, AnnealSchedule(tau=1.0), slices=1)],
-                  (4, "baseline", "trotter", 0)),
-    "hamiltonian": (lambda m: SpinModel(np.zeros((m, m)), np.zeros(m), 0.0),
-                    [build_hamiltonians], (5, "baseline", "sa", 2)),
+    "oracle": ("oracle", [(lambda n: QapInstance(n, np.zeros((n * n, n * n)), np.zeros(n * n)),
+                           permutation_extremes)], [(9, "baseline", "sa", 0)]),
+    "enumeration": ("enumeration", [(lambda dim: dim, enumerate_states)],
+                    [(5, "baseline", "brute", 0)]),
+    "evolution": ("hamiltonian",
+                  [(zero_pair, lambda pair: evolve(pair, AnnealSchedule(tau=1.0, steps=1))),
+                   (zero_pair,
+                    lambda pair: evolve_trotter(pair, AnnealSchedule(tau=1.0), slices=1))],
+                  [(5, "baseline", "schrodinger", 0), (5, "baseline", "trotter", 0)]),
+    "hamiltonian": ("hamiltonian",
+                    [(lambda m: SpinModel(np.zeros((m, m)), np.zeros(m), 0.0), build_hamiltonians)],
+                    [(5, "baseline", "sa", 2)]),
 }
 
 
-@pytest.mark.parametrize("what", SIZE_CAPS)
+def _refused_before_allocating(entry, problem) -> str:
+    """The message with which ``entry`` refuses ``problem``, which must come before it
+    allocates: an entry that ran would first allocate 52 KB or more (n = 9's oracle table)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError) as refused:
+            entry(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**15
+    return str(refused.value)
+
+
+@pytest.mark.parametrize("what", _CAP_ENTRIES)
 def test_size_cap_refused_before_allocating(what):
-    # each entry refuses one over its cap, and the run that meets the cap,
-    # before allocating; bench's up-front check refuses that run alike
-    make, entries, (n, formulation, solver, gap_samples) = _CAP_ENTRIES[what]
-    run_size = n if what == "oracle" else _model_dim(formulation, n)
-    for entry in entries:
-        for size in (SIZE_CAPS[what][0] + 1, run_size):
-            problem = make(size)
-            tracemalloc.start()
-            try:
-                with pytest.raises(SizeCapError) as refused:
-                    entry(problem)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # an entry that ran would first allocate 52 KB or more (n = 9's oracle table)
-            assert peak < 2**15
+    # each entry refuses one over its row's cap before allocating, the first entry of
+    # that row's own group refuses each run that meets the cap alike, and bench's
+    # up-front check refuses that run with the same message
+    cap, entries, runs = _CAP_ENTRIES[what]
+    for make, entry in entries:
+        _refused_before_allocating(entry, make(SIZE_CAPS[cap][0] + 1))
+    make, entry = _CAP_ENTRIES[cap][1][0]
+    for n, formulation, solver, gap_samples in runs:
+        dim = _model_dim(formulation, n)
+        message = _refused_before_allocating(entry, make(n if cap == "oracle" else dim))
         with pytest.raises(SizeCapError) as bench_refused:
-            _check_solver_size(solver, _model_dim(formulation, n), n, gap_samples)
-        assert str(bench_refused.value) == str(refused.value)
+            _check_solver_size(solver, dim, n, gap_samples)
+        assert str(bench_refused.value) == message
+
+
+def test_cap_entries_cover_size_caps():
+    # every SIZE_CAPS row has its own group of entries
+    assert {cap for cap, _, _ in _CAP_ENTRIES.values()} == set(SIZE_CAPS)
+    assert all(_CAP_ENTRIES[cap][0] == cap for cap in SIZE_CAPS)
 
 
 # Per state-vector solver: the parameter that sets its steps, and its Python entry.
@@ -240,33 +256,27 @@ _WORK_ENTRIES = {
 
 @pytest.mark.parametrize("solver", _WORK_ENTRIES)
 def test_work_cap_refused_before_allocating(solver, monkeypatch):
-    # the fewest steps over the evolution work cap on a 12-qubit model: the
-    # Python entry refuses them before it allocates the 64-KB state or steps,
-    # bench's up-front check (for a spec and for solve) refuses them with the
-    # same message, and one step fewer passes that check
+    # at the qubit cap, 16, the fewest steps over the evolution work cap (2049): the
+    # Python entry refuses them before it allocates the 1-MB state or steps, bench's
+    # up-front check (for a spec and for solve) refuses them with the same message,
+    # and one step fewer, and a single step, pass that check
     key, entry = _WORK_ENTRIES[solver]
-    steps = WORK_CAPS["evolution"][0] // _evolution_work(1, 12) + 1
+    m = SIZE_CAPS["hamiltonian"][0]
+    steps = WORK_CAPS["evolution"][0] // _evolution_work(1, m) + 1
     monkeypatch.setattr(anneal, "_propagate", lambda *args: pytest.fail("stepped"))
     monkeypatch.setattr(anneal, "_mixer_rotation", lambda *args: pytest.fail("stepped"))
-    pair = _zero_pair(12)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeCapError) as refused:
-            entry(pair, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**15
+    message = _refused_before_allocating(lambda pair: entry(pair, steps), zero_pair(m))
     with pytest.raises(SizeCapError) as bench_refused:
-        _check_solver_size(solver, 12, params={key: steps})
-    assert str(bench_refused.value) == str(refused.value)
-    _check_solver_size(solver, 12, params={key: steps - 1})
+        _check_solver_size(solver, m, params={key: steps})
+    assert str(bench_refused.value) == message
+    _check_solver_size(solver, m, params={key: steps - 1})
+    _check_solver_size(solver, m, params={key: 1})
 
 
 def test_work_cap_counts_substeps():
     # one step of a very long anneal would split into about 10^12 substeps
     with pytest.raises(SizeCapError, match="step-amplitude cap"):
-        evolve(_zero_pair(2), AnnealSchedule(tau=1e12, steps=1))
+        evolve(zero_pair(2), AnnealSchedule(tau=1e12, steps=1))
     errors.check_work("evolution", WORK_CAPS["evolution"][0])
     with pytest.raises(SizeCapError):
         errors.check_work("evolution", WORK_CAPS["evolution"][0] + 1)

@@ -236,9 +236,17 @@ class TestSolve:
         assert data["summary"]["success"]["probability"] > 0.5
 
     def test_schrodinger_cap_exit_4(self, tmp_path):
-        _, path = write_instance(tmp_path, 4, 10)
+        _, path = write_instance(tmp_path, 5, 10)
         assert main(["solve", "--instance", str(path), "--formulation", "baseline",
                      "--solver", "schrodinger", "--out", str(tmp_path / "s.json")]) == 4
+
+    def test_trotter_at_the_qubit_cap(self, tmp_path):
+        # n = 4 baseline is 16 qubits, the cap of every state-vector path
+        _, path = write_instance(tmp_path, 4, 10)
+        out = tmp_path / "s.json"
+        assert main(["solve", "--instance", str(path), "--formulation", "baseline",
+                     "--solver", "trotter", "--slices", "4", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["entries"][0]["bits"]) == 16
 
     @pytest.mark.parametrize("flags", [
         ["--solver", "schrodinger", "--tau", "1e12"],
@@ -776,8 +784,8 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("solver", ["schrodinger", "trotter"])
     def test_qubo_over_the_solver_cap_refused_before_work(self, tmp_path, capsys, solver):
-        _, path = write_zero_instance(tmp_path, 4)
-        model_path = tmp_path / "m16.json"
+        _, path = write_zero_instance(tmp_path, 5)
+        model_path = tmp_path / "m25.json"
         assert main(["build", "--instance", str(path), "--formulation", "baseline",
                      "--out", str(model_path)]) == 0
         capsys.readouterr()
@@ -787,7 +795,7 @@ class TestMalformedInputs:
                          "--out", str(out)])
         assert code == 4
         hamiltonians.assert_not_called()
-        assert "12-qubit" in capsys.readouterr().err
+        assert "needs 25 qubits, over its 16-qubit cap" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("offset", [float("inf"), float("nan")])

@@ -1,6 +1,6 @@
-"""README's library quick start and every demo run as written, and the benchmark's
-modules import and pass their output checks on a tiny run, so an API they use
-cannot go unnoticed."""
+"""README's library quick start and every demo run as written, the README states
+every size cap, and the benchmark's modules import and pass their output checks on a
+tiny run, so an API or a cap they use cannot go unnoticed."""
 
 import importlib
 import json
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import permqubo
+from permqubo.errors import SIZE_CAPS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -23,6 +24,15 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md quick start", "exec"), {})
+
+
+def test_readme_states_every_size_cap():
+    # the README's size-cap sentence names each errors.SIZE_CAPS row with its limit and
+    # unit, so a cap that changes cannot leave the README stale
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = re.search(r"The size caps, all in one table .*?\.\s", readme).group(0)
+    for limit, unit, label in SIZE_CAPS.values():
+        assert f"{label} ≤ {limit} {unit}s" in sentence, (label, sentence)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])

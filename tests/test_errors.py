@@ -110,7 +110,8 @@ def test_json_field_check_names_the_element_not_the_value(data, message):
 
 
 # 4 x 4 number tables (JSON text) that the field check refuses, with the tail of each
-# refusal after "<what> field ".  W[2][2] is the bad cell, W[3] a row, W[0][1] a deeper list.
+# refusal after "<what> field ".  W[2][2] is the bad cell, W[3] a row, W[0][1] a deeper list
+# and W[1] a short row.
 _ROW = "[0, 0, 0, 0]"
 
 
@@ -133,6 +134,7 @@ BAD_TABLES = {
     "row-no-list": (_table(_ROW, _ROW, _ROW, "5"), "'W' has the wrong type at W[3]: int"),
     "deeper": (_table("[0, [1.0], 0, 0]", _ROW, _ROW, _ROW),
                "'W' has the wrong type at W[0][1]: list"),
+    "ragged": (_table(_ROW, "[0, 0, 0]", _ROW, _ROW), "W[1] has 3 entries, but W[0] has 4"),
 }
 
 
@@ -160,11 +162,12 @@ def test_number_table_refusals_name_the_cell(case):
 def test_number_tables_accepted():
     for _, _, load in _loaders(_cell("2")):
         load()
-    # a ragged table passes the field check, and numpy refuses it on conversion
-    ragged = _table(_ROW, "[0, 0, 0]", _ROW, _ROW)
-    with pytest.raises(ValueError) as numpy_refusal:
-        np.asarray(json.loads(ragged), dtype=float)
-    for _, _, load in _loaders(ragged):
-        with pytest.raises(ValueError) as refused:
-            load()
-        assert str(refused.value) == str(numpy_refusal.value)
+
+
+def test_ragged_table_in_a_file_names_the_file_and_the_row(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 2, "W": %s, "c": [0, 0, 0, 0]}'
+                    % _table(_ROW, _ROW, _ROW, "[0, 0, 0, 0, 0]"), encoding="utf-8")
+    with pytest.raises(ValueError) as refused:
+        QapInstance.load(path)
+    assert str(refused.value) == f"{path}: instance JSON field W[3] has 5 entries, but W[0] has 4"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from strategies import adversarial_instances
+from strategies import adversarial_instances, random_instance
 from permqubo import (
     DistanceData,
     PermutationMatrix,
@@ -18,12 +18,6 @@ from permqubo import (
     vectorize,
     worst_permutation,
 )
-
-
-def random_instance(n, seed):
-    rng = np.random.default_rng(seed)
-    m = n * n
-    return QapInstance(n, rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m))
 
 
 class TestVectorize:

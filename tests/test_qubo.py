@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from strategies import (adversarial_instances, adversarial_model_coefficients, adversarial_models,
-                        build_model, coefficient_mass)
+                        build_model, coefficient_mass, random_instance)
 from permqubo import (
     PermutationMatrix,
     QapInstance,
@@ -28,12 +28,6 @@ from permqubo import (
     vectorize,
 )
 from permqubo.qubo import SpinModel, normalize_couplings
-
-
-def random_instance(n, seed):
-    rng = np.random.default_rng(seed)
-    m = n * n
-    return QapInstance(n, rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m))
 
 
 ALL_FORMULATIONS = ("baseline", "row_wise", "inserted")

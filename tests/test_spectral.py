@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 import oracles
+from strategies import random_instance
 from permqubo import (
     HamiltonianPair,
     QapInstance,
@@ -19,12 +22,6 @@ from permqubo import (
 )
 from permqubo import spectral
 from permqubo.qubo import enumerate_states
-
-
-def random_instance(n, seed):
-    rng = np.random.default_rng(seed)
-    m = n * n
-    return QapInstance(n, rng.uniform(-1, 1, (m, m)), rng.uniform(-1, 1, m))
 
 
 def random_spin_model(m, seed):
@@ -73,6 +70,24 @@ class TestProblemHamiltonian:
         with pytest.raises(ValueError, match=r"^problem diagonal must be finite, and so must "
                                              r"its range max - min$"):
             HamiltonianPair(m, diagonal)
+
+    @pytest.mark.parametrize("diagonal", [[1e308, 1.5e308], [-1.4e154, 1.4e154]])
+    def test_overflowing_half_range_square_refused(self, diagonal):
+        # a finite range whose half overflows when squared is refused when the pair is
+        # made, where the eigensolver warned of an overflow in a dot product and failed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^problem diagonal's half range \(max - min\) "
+                                                 r"/ 2 must have a finite square$"):
+                HamiltonianPair(1, diagonal)
+
+    def test_half_range_just_inside_the_bound_solves(self):
+        # (1.3e154)^2 = 1.69e308 is finite: the pair is made and solves without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e0, e1 = two_lowest_eigenvalues(HamiltonianPair(1, [-1.3e154, 1.3e154]), 0.5)
+        # H(0.5) is [[-6.5e153, -0.5], [-0.5, 6.5e153]]
+        assert (e0, e1) == pytest.approx((-6.5e153, 6.5e153), rel=1e-15)
 
 
 class TestInterpolatedOperator:
