@@ -200,23 +200,26 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     return (coef * norm_v) @ V[:used]
 
 
-def _evolution_work(steps: int, num_qubits: int) -> int:
-    """The amount errors.WORK_CAPS["evolution"] charges ``steps`` state-vector steps.
+def _check_evolution_request(num_qubits: int, steps: int) -> None:
+    """Refuse, before any work, a state-vector run over the annealing Hamiltonian's
+    qubit cap (both simulators act on the qubit groups of ``HamiltonianPair.apply``),
+    then one of ``steps`` steps over the evolution work cap.
 
     Each step counts max(2^m, 2^10) amplitudes: below 2^10 amplitudes a
     step costs about its fixed overhead, not its size.
     """
-    return steps * max(2**num_qubits, 2**10)
+    check_size("hamiltonian", num_qubits)
+    check_work("evolution", steps * max(2**num_qubits, 2**10))
 
 
-def _sa_work(runs: int, sweeps: int, dim: int) -> int:
-    """The amount errors.WORK_CAPS["sa"] charges an SA request.
+def _check_sa_request(runs: int, sweeps: int, dim: int) -> None:
+    """Refuse, before any work, an SA request over the SA work cap.
 
     Each sweep attempts dim flips per run, counted over max(runs, 2^10)
     runs: below 2^10 runs a flip column costs about its fixed overhead,
     not its size.
     """
-    return sweeps * dim * max(runs, 2**10)
+    check_work("sa", sweeps * dim * max(runs, 2**10))
 
 
 def _s_at(a: float, w: float, k: int, n: int, x: float) -> float:
@@ -228,23 +231,16 @@ def _s_at(a: float, w: float, k: int, n: int, x: float) -> float:
     return a + w * ((k + x) / n)
 
 
-def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step,
-                  pieces) -> np.ndarray:
-    """The stepping loop shared by the state-vector simulators.
+def _step_through(pair: HamiltonianPair, sched: AnnealSchedule, segments, step) -> np.ndarray:
+    """The stepping loop shared by the state-vector simulators, which check their
+    request (``_check_evolution_request``) before they call it.
 
     Starts from the uniform superposition (the mixer ground state).  Each
     (a, b, n) of ``segments`` is cut into n equal steps; step k maps psi to
     ``step(at, psi, dt)`` with dt = tau (b - a) / n and at(x) the s at
-    fraction x of the step.  Before any work, the annealing Hamiltonian's
-    qubit cap is checked (both simulators act on the qubit groups of
-    ``HamiltonianPair.apply``), and then the work cap, with each step of
-    width dt charged as ``pieces(dt)`` steps.  Non-finite amplitudes raise
-    SolverError, and a norm that drifted more than _NORM_DRIFT from 1 is
-    renormalised.
+    fraction x of the step.  Non-finite amplitudes raise SolverError, and a
+    norm that drifted more than _NORM_DRIFT from 1 is renormalised.
     """
-    check_size("hamiltonian", pair.num_qubits)
-    charged = sum(n * pieces(sched.tau * (b - a) / n) for a, b, n in segments)
-    check_work("evolution", _evolution_work(charged, pair.num_qubits))
     dim = pair.dim
     psi = np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)
     done = 0
@@ -308,11 +304,15 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule) -> np.ndarray:
     times the half-width of H(u~)'s spectrum is within _STEP_BUDGET; each
     is a Krylov expansion on the centred H(u~) (the offset is a phase) that
     grows until its error bound falls below _KRYLOV_TOL (at most _KRYLOV_DIM
-    vectors), so the stepping is norm-preserving by construction.  Against
-    the work cap, a step counts once per substep its exponentials may take.
+    vectors), so the stepping is norm-preserving by construction.  Before any
+    work, the request is checked (``_check_evolution_request``), with a step
+    of width dt charged once per substep its exponentials may take
+    (``_cf4_substeps``).
     """
-    return _step_through(pair, sched, sched.segments(), partial(_cf4_step, pair, sched),
-                         partial(_cf4_substeps, pair))
+    segments = sched.segments()
+    _check_evolution_request(pair.num_qubits, sum(
+        n * _cf4_substeps(pair, sched.tau * (b - a) / n) for a, b, n in segments))
+    return _step_through(pair, sched, segments, partial(_cf4_step, pair, sched))
 
 
 def _rotation_matrix(theta: float, k: int) -> np.ndarray:
@@ -363,10 +363,11 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) ->
     matrix per qubit group (``_mixer_rotation``).  Adjacent half-rotations
     of two slices both act on sum_i sigma_x, so they commute and are applied
     as one rotation by their summed angle: slices + 1 rotations in all.
+    Before any work, the request is checked (``_check_evolution_request``).
     """
     slices = check_count("slices", slices)
-    return _step_through(pair, sched, [(0.0, 1.0, slices)], partial(_trotter_slice, pair, sched),
-                         lambda dt: 1)
+    _check_evolution_request(pair.num_qubits, slices)
+    return _step_through(pair, sched, [(0.0, 1.0, slices)], partial(_trotter_slice, pair, sched))
 
 
 @dataclass
@@ -415,11 +416,13 @@ class SampleSet:
 
     @classmethod
     def from_states(cls, model: QuboModel, states, counts, metadata: dict) -> "SampleSet":
-        """Decode and price a (k, dim) batch of distinct states, then sort it.  The batch is
+        """Decode and price a (k, dim) batch of distinct states, then sort it, with the
+        model's ``content_hash`` stamped into ``metadata`` as ``model_hash``.  The batch is
         priced in the order it arrives, as BLAS may round a reordered batch differently."""
         states = np.asarray(states)
         valid, assignments = decode_states(model, states)
-        return cls(states, counts, model.energies(states), valid, assignments, metadata)
+        return cls(states, counts, model.energies(states), valid, assignments,
+                   {**metadata, "model_hash": model.content_hash()})
 
     @property
     def total(self) -> int:
@@ -490,8 +493,7 @@ def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> Sampl
     counts = np.random.default_rng(seed).multinomial(shots, probs / norm2)
     hit = np.nonzero(counts)[0]
     states = ((hit[:, None] >> np.arange(m)) & 1).astype(int)
-    return SampleSet.from_states(model, states, counts[hit],
-                                 {"seed": seed, "shots": shots, "model_hash": model.content_hash()})
+    return SampleSet.from_states(model, states, counts[hit], {"seed": seed, "shots": shots})
 
 
 def _group_rows(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -549,13 +551,13 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
     panel one matrix product (dgemm) applies H -= steps C[panel, :] in
     place.  Only one sweep's uniforms are held at a time, so memory does
     not grow with ``sweeps``.  A request over the work cap
-    errors.WORK_CAPS["sa"] is refused before any work.
+    (``_check_sa_request``) is refused before any work.
     """
     runs = check_count("runs", runs)
     sweeps = check_count("sweeps", sweeps)
     seed = check_count("seed", seed, least=0)
     dim = model.dim
-    check_work("sa", _sa_work(runs, sweeps, dim))
+    _check_sa_request(runs, sweeps, dim)
     bias = model.q + np.diag(model.Q)
     C = 2.0 * model.Q
     np.fill_diagonal(C, 0.0)
@@ -620,8 +622,7 @@ def simulated_annealing(model: QuboModel, sweeps: int, runs: int, seed: int,
 
     uniq, counts = _group_rows(final_states)
     return SampleSet.from_states(model, uniq, counts, {
-        "seed": seed, "runs": runs, "sweeps": sweeps, "t_hi": t_hi, "t_lo": t_lo,
-        "model_hash": model.content_hash()})
+        "seed": seed, "runs": runs, "sweeps": sweeps, "t_hi": t_hi, "t_lo": t_lo})
 
 
 def most_frequent(samples: SampleSet) -> SampleEntry:

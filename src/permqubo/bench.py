@@ -23,24 +23,29 @@ from . import __version__
 from .anneal import (
     AnnealSchedule,
     SampleSet,
-    _evolution_work,
-    _sa_work,
+    _check_evolution_request,
+    _check_sa_request,
     evolve,
     evolve_trotter,
     measure,
     price,
     simulated_annealing,
 )
-from .errors import (SIZE_CAPS, _check_json_types, check_count, check_positive, check_size,
-                     check_work, read_json)
+from .errors import _check_json_types, check_count, check_positive, check_size, read_json
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
 from .spectral import _check_gap_request, annealing_hamiltonian, gap_profile
 
-# Every solver and the caps of errors.SIZE_CAPS that it meets on the model's size.
-SOLVERS = {"brute": ("enumeration",), "sa": (),
-           "schrodinger": ("hamiltonian",), "trotter": ("hamiltonian",)}
+# Every solver and its request check on the model's size and every solver parameter
+# (``_with_defaults``): the check that the solver's Python entry makes, size cap first.
+SOLVERS = {
+    "brute": lambda dim, params: check_size("enumeration", dim),
+    "sa": lambda dim, params: _check_sa_request(params["runs"], params["sweeps"], dim),
+    "schrodinger": lambda dim, params: _check_evolution_request(dim, AnnealSchedule(
+        tau=params["tau"], steps=params["steps"]).effective_steps()),
+    "trotter": lambda dim, params: _check_evolution_request(dim, params["slices"]),
+}
 
 
 def _check_schedule(what: str, value) -> None:
@@ -201,26 +206,15 @@ def _with_defaults(params: dict) -> dict:
 
 def _check_solver_size(solver: str, dim: int, n: int | None = None, gap_samples: int = 0,
                        params: dict | None = None) -> None:
-    """Refuse, before any work, a run that would hit a size cap: the solver's on the
-    largest model's ``dim`` and, when an instance of size ``n`` is priced, the oracle's
-    on n.  Then refuse gap profiles of ``gap_samples`` points (``_check_gap_request``), and,
-    with ``params``, an SA run over its work cap on runs and sweeps, and a state-vector
-    run over the evolution work cap on its steps (Trotter slices)."""
-    sizes = dict.fromkeys(SOLVERS[solver], dim)
+    """Refuse, before any work, a run that a cap would refuse later, with the same
+    message: when an instance of size ``n`` is priced, the oracle's cap on n; then the
+    solver's own request check (``SOLVERS``) on the largest model's ``dim`` and
+    ``params``; then gap profiles of ``gap_samples`` points (``_check_gap_request``)."""
     if n is not None:
-        sizes["oracle"] = n
-    for what in SIZE_CAPS:
-        if what in sizes:
-            check_size(what, sizes[what])
+        check_size("oracle", n)
+    SOLVERS[solver](dim, _with_defaults(params or {}))
     if gap_samples:
         _check_gap_request(dim, gap_samples)
-    params = _with_defaults(params or {})
-    if solver == "sa":
-        check_work("sa", _sa_work(params["runs"], params["sweeps"], dim))
-    if solver in ("schrodinger", "trotter"):
-        steps = params["slices"] if solver == "trotter" else AnnealSchedule(
-            tau=params["tau"], steps=params["steps"]).effective_steps()
-        check_work("evolution", _evolution_work(steps, dim))
 
 
 def _solve(model, solver: str, params: dict, seed: int) -> SampleSet:

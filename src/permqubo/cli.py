@@ -104,18 +104,28 @@ def _print_aggregates(aggregates: dict) -> None:
         )
 
 
-def _check_distinct(paths) -> None:
-    """Refuse two outputs that resolve to the same file; a None path is skipped."""
+def _inputs(args) -> list:
+    """The input paths a command reads (None where a flag is unset)."""
+    return [getattr(args, name, None) for name in ("instance", "qubo", "spec", "report")]
+
+
+def _check_distinct(paths, inputs) -> None:
+    """Refuse an output that resolves to one of the ``inputs`` and two outputs that resolve
+    to the same file; a None path is skipped."""
+    read = {Path(p).resolve() for p in filter(None, inputs)}
     seen = set()
     for path in filter(None, paths):
-        if Path(path).resolve() in seen:
+        target = Path(path).resolve()
+        if target in read:
+            raise ValueError(f"output {path} would overwrite an input file")
+        if target in seen:
             raise ValueError(f"two outputs name the same file {path}")
-        seen.add(Path(path).resolve())
+        seen.add(target)
 
 
 def _check_output_paths(args) -> None:
-    """Refuse, before any work, an output path in a missing directory or naming one, and
-    two outputs that name the same file."""
+    """Refuse, before any work, an output path in a missing directory or naming one, an
+    output that names an input, and two outputs that name the same file."""
     paths = [getattr(args, name, None)
              for name in ("out", "sparse_out", "summary_out", "hist_out", "csv_out")]
     for path in filter(None, paths):
@@ -123,7 +133,7 @@ def _check_output_paths(args) -> None:
             raise ValueError(f"directory of output {path} does not exist")
         if Path(path).is_dir():
             raise ValueError(f"output {path} is a directory")
-    _check_distinct(paths)
+    _check_distinct(paths, _inputs(args))
 
 
 def cmd_build(args) -> int:
@@ -170,8 +180,9 @@ def cmd_gap(args) -> int:
     csv_paths = [out] if len(scales) == 1 else [
         out.with_name(f"{out.stem}_scale{scale:g}{out.suffix or '.csv'}") for scale in scales]
     if fmt == "csv" and len(scales) > 1:
-        _check_distinct([*csv_paths, args.summary_out])
+        _check_distinct([*csv_paths, args.summary_out], _inputs(args))
     summaries = []
+    curves = []
     outputs = []
     for scale, csv_path in zip(scales, csv_paths):
         model = build_formulation(inst, args.formulation, scale)
@@ -181,18 +192,16 @@ def cmd_gap(args) -> int:
             outputs.append((csv_path, profile.to_csv))
             entry["csv"] = str(csv_path)
         else:
-            entry.update({
-                "u": profile.ts.tolist(),
-                "e0": profile.e0.tolist(),
-                "e1": profile.e1.tolist(),
-                "gap": profile.gaps().tolist(),
-            })
+            curves.append({**entry, "u": profile.ts.tolist(), "e0": profile.e0.tolist(),
+                           "e1": profile.e1.tolist(), "gap": profile.gaps().tolist()})
         summaries.append(entry)
         print(f"scale={scale:g}: min_gap={profile.min_gap:.6g} at u={profile.argmin_t:.4g}")
-    payload = {"profiles": summaries, "provenance": _provenance([args.instance])}
+    provenance = _provenance([args.instance])
+    summary = {"profiles": summaries, "provenance": provenance}
     if fmt == "json":
-        outputs.append((out, lambda p: _write_json(p, payload)))
-    _write_outputs(*outputs, (args.summary_out, lambda p: _write_json(p, payload)))
+        outputs.append((out, lambda p: _write_json(p, {"profiles": curves,
+                                                       "provenance": provenance})))
+    _write_outputs(*outputs, (args.summary_out, lambda p: _write_json(p, summary)))
     return 0
 
 
@@ -298,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--out", required=True,
                    help="CSV output path (suffixed per scale); a .json path gets one JSON file")
-    p.add_argument("--summary-out", help="optional JSON summary path")
+    p.add_argument("--summary-out",
+                   help="optional JSON summary path: each scale's min_gap and argmin_t")
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("solve", help="run a solver and report the sample distribution")

@@ -34,20 +34,22 @@ def _check_cap(cap: tuple, amount: int) -> None:
 
 
 # Every hard work guard: what -> (largest amount allowed, its unit, what it limits).
+# Each is charged in a request check beside its solver, which the solver calls at
+# its entry and bench._check_solver_size calls before any work.
 # State-vector evolution is charged its steps (Trotter slices; a CF4 step once
 # per substep its exponentials may take) times max(2^m, 2^10) amplitudes
-# (anneal._evolution_work).  Measured on one BLAS thread at dt = 0.4 to 20, a
+# (anneal._check_evolution_request).  Measured on one BLAS thread at dt = 0.4 to 20, a
 # CF4 step costs at most 1.7 us per charged amplitude at m = 1 to 12 and 2.0 us
 # at m = 16 (n = 4 baseline and row_wise), where the cap is 2048 charged steps,
 # and a Trotter slice under a twentieth of that, so a run at the cap takes at
 # most about 4.5 minutes.
 # Simulated annealing is charged sweeps times dim times max(runs, 2^10) flip
-# attempts (anneal._sa_work).  Measured on one BLAS thread at dim 4 to 64 and
+# attempts (anneal._check_sa_request).  Measured on one BLAS thread at dim 4 to 64 and
 # 1 to 65536 runs, a column of a sweep costs a fixed 6-16 us, about what 2^10
 # runs add to it, and a charged flip attempt costs at most about 55 ns, so a
 # run at the cap takes at most about 2 minutes.
 # A gap profile is charged its grid points times 2^m amplitudes, one eigensolve
-# per point (spectral._gap_work).  Measured on one BLAS thread, a 16-qubit
+# per point (spectral._check_gap_request).  Measured on one BLAS thread, a 16-qubit
 # eigensolve (n = 4 baseline, u = 0.2 to 0.95) takes 4-24 s, so a profile at
 # the cap (16 points at 16 qubits) takes at most about 6 minutes; at 1 to 9
 # qubits a charged amplitude costs 9-32 us, under 40 s at the cap.

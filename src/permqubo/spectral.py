@@ -334,17 +334,12 @@ def two_lowest_eigenvalues(pair: HamiltonianPair, u: float) -> tuple[float, floa
     return eigsh(pair, u)
 
 
-def _gap_work(num_samples: int, num_qubits: int) -> int:
-    """The amount errors.WORK_CAPS["gap"] charges a profile: one eigensolve of
-    2^m amplitudes per grid point."""
-    return num_samples * 2**num_qubits
-
-
 def _check_gap_request(num_qubits: int, num_samples: int) -> None:
     """Refuse, before any work, a profile over the annealing Hamiltonian's qubit cap,
-    then one over the gap work cap."""
+    then one over the gap work cap, which charges one eigensolve of 2^m amplitudes
+    per grid point."""
     check_size("hamiltonian", num_qubits)
-    check_work("gap", _gap_work(num_samples, num_qubits))
+    check_work("gap", num_samples * 2**num_qubits)
 
 
 def annealing_hamiltonian(model: QuboModel) -> HamiltonianPair:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,11 +33,9 @@ from permqubo import (
     worst_permutation,
 )
 from permqubo import anneal, bench, errors, spectral
-from permqubo.anneal import _evolution_work, _sa_work
-from permqubo.bench import PRESETS, _check_solver_size, _run_instance
+from permqubo.bench import PRESETS, SOLVERS, _check_solver_size, _run_instance, _with_defaults
 from permqubo.errors import SIZE_CAPS, WORK_CAPS
 from permqubo.qubo import _model_dim
-from permqubo.spectral import _gap_work
 
 
 def small_spec(**overrides):
@@ -256,13 +255,14 @@ _WORK_ENTRIES = {
 
 @pytest.mark.parametrize("solver", _WORK_ENTRIES)
 def test_work_cap_refused_before_allocating(solver, monkeypatch):
-    # at the qubit cap, 16, the fewest steps over the evolution work cap (2049): the
-    # Python entry refuses them before it allocates the 1-MB state or steps, bench's
-    # up-front check (for a spec and for solve) refuses them with the same message,
-    # and one step fewer, and a single step, pass that check
+    # at the qubit cap, 16, the fewest steps over the evolution work cap (2049 steps of
+    # 2^16 amplitudes each): the Python entry refuses them before it allocates the 1-MB
+    # state or steps, bench's up-front check (for a spec and for solve) refuses them
+    # with the same message, and one step fewer, and a single step, pass that check
     key, entry = _WORK_ENTRIES[solver]
     m = SIZE_CAPS["hamiltonian"][0]
-    steps = WORK_CAPS["evolution"][0] // _evolution_work(1, m) + 1
+    steps = WORK_CAPS["evolution"][0] // 2**m + 1
+    assert (m, steps) == (16, 2049)
     monkeypatch.setattr(anneal, "_propagate", lambda *args: pytest.fail("stepped"))
     monkeypatch.setattr(anneal, "_mixer_rotation", lambda *args: pytest.fail("stepped"))
     message = _refused_before_allocating(lambda pair: entry(pair, steps), zero_pair(m))
@@ -284,16 +284,16 @@ def test_work_cap_counts_substeps():
 
 def test_sa_work_cap_refused_before_allocating(monkeypatch):
     # On a 1-variable model, cap + 1 flip attempts (runs = cap + 1, one sweep) and
-    # the fewest sweeps over the cap at one run (charged as 2^10 runs): the Python
-    # entry refuses them before it draws or allocates, bench's up-front check
+    # the fewest sweeps over the cap at one run (charged as the 2^10-run floor): the
+    # Python entry refuses them before it draws or allocates, bench's up-front check
     # (for a spec and for solve) refuses them with the same message, and one run
     # or sweep fewer passes that check.
     cap = WORK_CAPS["sa"][0]
     model = build_formulation(QapInstance(1, np.zeros((1, 1)), np.zeros(1)), "baseline")
-    assert model.dim == 1 and _sa_work(cap + 1, 1, 1) == cap + 1
+    assert model.dim == 1
     monkeypatch.setattr(anneal, "_estimate_t_hi", lambda *args: pytest.fail("started"))
     monkeypatch.setattr(anneal, "dgemm", lambda *args, **kwargs: pytest.fail("swept"))
-    for runs, sweeps, key in ((cap + 1, 1, "runs"), (1, cap // _sa_work(1, 1, 1) + 1, "sweeps")):
+    for runs, sweeps, key in ((cap + 1, 1, "runs"), (1, cap // 2**10 + 1, "sweeps")):
         tracemalloc.start()
         try:
             with pytest.raises(SizeCapError) as refused:
@@ -314,11 +314,12 @@ def test_sa_work_cap_refused_before_allocating(monkeypatch):
 
 
 def test_gap_work_cap_refused_before_allocating(monkeypatch):
-    # The fewest grid points over the gap work cap on a 1-qubit model: gap_profile
-    # refuses them before it allocates its grid or runs an eigensolve, bench's
-    # up-front check refuses them with the same message, one point fewer passes
-    # that check, and a spec asking for them is refused before any instance is priced.
-    samples = WORK_CAPS["gap"][0] // _gap_work(1, 1) + 1
+    # The fewest grid points over the gap work cap on a 1-qubit model (2 amplitudes
+    # per point): gap_profile refuses them before it allocates its grid or runs an
+    # eigensolve, bench's up-front check refuses them with the same message, one point
+    # fewer passes that check, and a spec asking for them is refused before any
+    # instance is priced.
+    samples = WORK_CAPS["gap"][0] // 2 + 1
     monkeypatch.setattr(spectral, "two_lowest_eigenvalues", lambda *args: pytest.fail("solved"))
     monkeypatch.setattr(bench, "permutation_extremes", lambda *args: pytest.fail("priced"))
     model = QuboModel(dim=1, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0,
@@ -339,6 +340,63 @@ def test_gap_work_cap_refused_before_allocating(monkeypatch):
     with pytest.raises(SizeCapError, match="eigensolve-amplitude cap"):
         run_experiment(ExperimentSpec(n=2, num_instances=1, seed=0, formulations=("inserted",),
                                       gap_samples=samples))
+
+
+def _zero_model(dim):
+    """The zero baseline model of dim = n^2 variables."""
+    return QuboModel(dim=dim, Q=np.zeros((dim, dim)), q=np.zeros(dim), offset=0.0,
+                     formulation="baseline", n=math.isqrt(dim))
+
+
+# Per solver: its Python entry on a model of dim variables (a zero pair for a
+# state-vector solver; for brute, the enumeration that holds its cap, so that dim need
+# not be a square) and every solver parameter, and requests (dim, params) that are over
+# one of its caps.
+_SOLVER_ENTRIES = {
+    "brute": (lambda dim, p: enumerate_states(dim), [(21, {})]),
+    "sa": (lambda dim, p: anneal.simulated_annealing(_zero_model(dim), sweeps=p["sweeps"],
+                                                     runs=p["runs"], seed=0),
+           [(1, {"runs": 2**31 + 1, "sweeps": 1}), (4, {"runs": 1, "sweeps": 2**19 + 1})]),
+    "schrodinger": (lambda dim, p: evolve(zero_pair(dim),
+                                          AnnealSchedule(tau=p["tau"], steps=p["steps"])),
+                    [(17, {"steps": 1}), (16, {"steps": 2049}), (1, {"tau": 2.0**27})]),
+    "trotter": (lambda dim, p: evolve_trotter(zero_pair(dim), AnnealSchedule(tau=p["tau"]),
+                                              slices=p["slices"]),
+                [(17, {"slices": 1}), (16, {"slices": 2049}), (1, {"slices": 2**17 + 1})]),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_up_front_check_refuses_as_the_solver(solver, monkeypatch):
+    # every solver's Python entry and bench's up-front check refuse each over-cap
+    # request alike, as both call the solver's one request check; one under the caps
+    # passes the up-front check
+    for name in ("_estimate_t_hi", "_propagate", "_mixer_rotation"):
+        monkeypatch.setattr(anneal, name, lambda *args: pytest.fail("started"))
+    entry, requests = _SOLVER_ENTRIES[solver]
+    for dim, params in requests:
+        params = _with_defaults(params)
+        with pytest.raises(SizeCapError) as refused:
+            entry(dim, params)
+        with pytest.raises(SizeCapError) as bench_refused:
+            _check_solver_size(solver, dim, params=params)
+        assert str(bench_refused.value) == str(refused.value)
+    _check_solver_size(solver, 1, params={})
+
+
+@pytest.mark.parametrize("solver, dim, params, gap_samples, solver_cap, gap_cap", [
+    ("sa", 17, {"runs": 2**31, "sweeps": 1}, 2, "flip-attempt cap", "16-qubit cap"),
+    ("trotter", 16, {"slices": 2049}, 17, "step-amplitude cap", "eigensolve-amplitude cap"),
+])
+def test_solver_request_refused_before_the_gap_request(solver, dim, params, gap_samples,
+                                                       solver_cap, gap_cap):
+    # a request over the solver's work cap that also asks for profiles over a cap of
+    # theirs (17 qubits; 17 points at 16 qubits) is refused by the solver's own check,
+    # which comes first; under the solver's caps, the gap request is refused
+    with pytest.raises(SizeCapError, match=solver_cap):
+        _check_solver_size(solver, dim, gap_samples=gap_samples, params=params)
+    with pytest.raises(SizeCapError, match=gap_cap):
+        _check_solver_size(solver, dim, gap_samples=gap_samples, params={})
 
 
 class TestColorSorting:

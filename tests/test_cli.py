@@ -134,6 +134,29 @@ class TestGap:
         profiles = json.loads(summary.read_text())["profiles"]
         assert profiles[0]["min_gap"] > profiles[1]["min_gap"]
 
+    @pytest.mark.parametrize("out_name", ["gap.json", "gap.csv"])
+    def test_summary_holds_no_curves(self, tmp_path, out_name):
+        # in both modes the summary holds each scale's minimum (and its CSV's path in CSV
+        # mode) and the provenance; a JSON --out holds the same entries plus the curves
+        _, path = write_instance(tmp_path, 2, 61)
+        out, summary = tmp_path / out_name, tmp_path / "summary.json"
+        assert main(["gap", "--instance", str(path), "--formulation", "inserted",
+                     "--scales", "1,2", "--samples", "7", "--out", str(out),
+                     "--summary-out", str(summary)]) == 0
+        data = json.loads(summary.read_text())
+        keys = {"scale", "formulation", "min_gap", "argmin_t"}
+        if out.suffix == ".csv":
+            keys.add("csv")
+        assert set(data) == {"profiles", "provenance"} and len(data["profiles"]) == 2
+        assert all(set(entry) == keys for entry in data["profiles"])
+        if out.suffix == ".json":
+            full = json.loads(out.read_text())
+            assert full["provenance"] == data["provenance"]
+            for curve, entry in zip(full["profiles"], data["profiles"]):
+                for key in ("u", "e0", "e1", "gap"):
+                    assert len(curve.pop(key)) == 7
+                assert curve == entry
+
     def test_json_format_embeds_profiles(self, tmp_path):
         _, path = write_instance(tmp_path, 2, 61)
         out = tmp_path / "gap.json"
@@ -427,12 +450,15 @@ class TestSolve:
         assert schedules["trotter"]["slices"] == 40 and "steps" not in schedules["trotter"]
 
     def test_every_solver_stamps_its_name(self, tmp_path):
-        _, path = write_instance(tmp_path, 2, 16)
+        # and the hash of the model it ran on, brute's included
+        inst, path = write_instance(tmp_path, 2, 16)
+        model_hash = build_formulation(inst, "baseline", 1.0).content_hash()
         for solver in SOLVERS:
             out = tmp_path / f"{solver}.json"
             assert main(["solve", "--instance", str(path), "--solver", solver, "--tau", "5",
                          "--runs", "10", "--sweeps", "5", "--shots", "10", "--out", str(out)]) == 0
-            assert json.loads(out.read_text())["metadata"]["solver"] == solver
+            metadata = json.loads(out.read_text())["metadata"]
+            assert metadata["solver"] == solver and metadata["model_hash"] == model_hash
 
     def test_missing_inputs_exit_2(self, tmp_path):
         assert main(["solve", "--solver", "brute", "--out", str(tmp_path / "s.json")]) == 2
@@ -471,6 +497,43 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: two outputs name the same file ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+    # Per command: an output that names one of its inputs ({d} is the test's directory;
+    # each output goes through "./", so the check must compare resolved paths), and that input.
+    _OVERWRITES = {
+        "build": (["build", "--instance", "{d}/inst.json", "--formulation", "baseline",
+                   "--out", "{d}/./inst.json"], "inst.json"),
+        "gap": (["gap", "--instance", "{d}/inst.json", "--formulation", "baseline",
+                 "--samples", "3", "--out", "{d}/./inst.json"], "inst.json"),
+        "gap-per-scale": (["gap", "--instance", "{d}/g_scale2.csv", "--formulation", "baseline",
+                           "--scales", "1,2", "--samples", "3", "--out", "{d}/./g.csv"],
+                          "g_scale2.csv"),
+        "solve": (["solve", "--instance", "{d}/inst.json", "--solver", "brute",
+                   "--out", "{d}/./inst.json"], "inst.json"),
+        "solve-qubo": (["solve", "--qubo", "{d}/model.json", "--solver", "brute",
+                        "--out", "{d}/s.json", "--hist-out", "{d}/./model.json"], "model.json"),
+        "bench": (["bench", "--spec", "{d}/spec.json", "--out", "{d}/./spec.json"], "spec.json"),
+        "report": (["report", "--report", "{d}/report.json", "--out", "{d}/./report.json"],
+                   "report.json"),
+    }
+
+    @pytest.mark.parametrize("command", _OVERWRITES)
+    def test_output_that_names_an_input_refused_before_work(self, tmp_path, capsys, command):
+        # every input is valid, so only the overwrite check stands between the command
+        # and replacing its input: exit 2, every file's bytes unchanged and no new file
+        inst, _ = write_instance(tmp_path, 2, 17)
+        inst.save(tmp_path / "g_scale2.csv")  # an instance file under a per-scale CSV name
+        (tmp_path / "model.json").write_text(
+            json.dumps(build_formulation(inst, "baseline").to_dict()))
+        _bench_report(tmp_path)  # spec.json and report.json
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv, input_name = self._OVERWRITES[command]
+        assert main([arg.format(d=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: output ") and err.count("\n") == 1, err
+        assert f"{input_name} would overwrite an input file" in err
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_failed_side_write_rolls_back(self, tmp_path):
         _, path = write_instance(tmp_path, 3, 14, name="inst3.json")

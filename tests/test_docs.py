@@ -1,5 +1,5 @@
 """README's library quick start and every demo run as written, the README states
-every size cap, and the benchmark's modules import and pass their output checks on a
+every size and work cap, and the benchmark's modules import and pass their output checks on a
 tiny run, so an API or a cap they use cannot go unnoticed."""
 
 import importlib
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import permqubo
-from permqubo.errors import SIZE_CAPS
+from permqubo.errors import SIZE_CAPS, WORK_CAPS
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -33,6 +33,17 @@ def test_readme_states_every_size_cap():
     sentence = re.search(r"The size caps, all in one table .*?\.\s", readme).group(0)
     for limit, unit, label in SIZE_CAPS.values():
         assert f"{label} ≤ {limit} {unit}s" in sentence, (label, sentence)
+
+
+def test_readme_states_every_work_cap():
+    # the README's work-cap sentence states each errors.WORK_CAPS row's limit as a
+    # power of two with its unit
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = re.search(r"The work caps \(`errors.WORK_CAPS`\) .*?few minutes of work\.",
+                         readme).group(0)
+    for limit, unit, _ in WORK_CAPS.values():
+        power = limit.bit_length() - 1
+        assert limit == 2**power and f"2^{power} {unit}s" in sentence, (unit, sentence)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
