@@ -370,6 +370,13 @@ def evolve_trotter(pair: HamiltonianPair, sched: AnnealSchedule, slices: int) ->
     return _step_through(pair, sched, [(0.0, 1.0, slices)], partial(_trotter_slice, pair, sched))
 
 
+def _row_dict(bits: list, energy, count, valid, assignment: list) -> dict:
+    """The JSON shape of one sample row; the assignment is null unless the row is valid.
+    The lists are kept, not copied: a copy of every row of a large set costs memory."""
+    return {"bits": bits, "energy": energy, "count": count, "valid": valid,
+            "assignment": assignment if valid else None}
+
+
 @dataclass
 class SampleEntry:
     bits: tuple
@@ -379,13 +386,8 @@ class SampleEntry:
     assignment: tuple | None
 
     def to_dict(self) -> dict:
-        return {
-            "bits": list(self.bits),
-            "energy": self.energy,
-            "count": self.count,
-            "valid": self.valid,
-            "assignment": None if self.assignment is None else list(self.assignment),
-        }
+        return _row_dict(list(self.bits), self.energy, self.count, self.valid,
+                         list(self.assignment or ()))
 
 
 @dataclass(eq=False)
@@ -444,14 +446,9 @@ class SampleSet:
         return self._entries()
 
     def to_dict(self) -> dict:
-        """The JSON export: one ``SampleEntry.to_dict`` per row, written from the columns."""
-        entries = [
-            {"bits": bits, "energy": energy, "count": count, "valid": ok,
-             "assignment": assignment if ok else None}
-            for bits, energy, count, ok, assignment in zip(
-                self.states.tolist(), self.energies.tolist(), self.counts.tolist(),
-                self.valid.tolist(), self.assignments.tolist())
-        ]
+        """The JSON export: one ``_row_dict`` per row, written from the columns."""
+        entries = list(map(_row_dict, self.states.tolist(), self.energies.tolist(),
+                           self.counts.tolist(), self.valid.tolist(), self.assignments.tolist()))
         return {"total": self.total, "entries": entries, "metadata": self.metadata}
 
     def histogram_csv(self, path) -> None:

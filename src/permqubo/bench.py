@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,8 @@ from .anneal import (
     price,
     simulated_annealing,
 )
-from .errors import _check_json_types, check_count, check_positive, check_size, read_json
+from .errors import _check_json_types, _json_fields, check_count, check_distinct, check_positive
+from .errors import check_size, read_json
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
@@ -57,7 +58,7 @@ def _check_schedule(what: str, value) -> None:
 
 
 # Every solver parameter: its default, its JSON type (see
-# errors._has_json_type) and its range rule.  A solver reads the keys it
+# errors._fault) and its range rule.  A solver reads the keys it
 # uses and ignores the others.
 SOLVER_DEFAULTS = {
     "sweeps": (100, int, check_count), "runs": (500, int, check_count),  # sa
@@ -68,12 +69,13 @@ SOLVER_DEFAULTS = {
 }
 
 
-# JSON type of each spec field.
+# JSON type of each spec field, and the fields to_dict writes.
 _SPEC_TYPES = {
     "n": int, "num_instances": int, "seed": int, "formulations": [str], "scales": [float],
     "sparsity": float, "solver": str, "solver_params": dict, "gap_samples": int,
 }
-# JSON type of each report field that `report` reads, per level.
+# JSON type of each report field that `report` reads, per level; the top level's are
+# the fields to_dict writes.
 _REPORT_TYPES = {"spec": dict, "instances": [dict], "aggregates": dict, "provenance": dict}
 _AGGREGATE_TYPES = {"mean_normalized_energy": float, "mean_success": float,
                     "mean_min_gap": (None, float)}
@@ -131,6 +133,8 @@ class ExperimentSpec:
             _model_dim(f, self.n)  # refuses inserted below n = 2
         if not self.scales:
             raise ValueError("scales must be nonempty")
+        check_distinct("formulations", self.formulations)
+        check_distinct("scales", self.scales)
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
         if self.solver not in SOLVERS:
@@ -138,23 +142,13 @@ class ExperimentSpec:
         _check_solver_params(self.solver_params)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "num_instances": self.num_instances,
-            "seed": self.seed,
-            "formulations": list(self.formulations),
-            "scales": list(self.scales),
-            "sparsity": self.sparsity,
-            "solver": self.solver,
-            "solver_params": self.solver_params,
-            "gap_samples": self.gap_samples,
-        }
+        return _json_fields(self, _SPEC_TYPES)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentSpec":
         _check_json_types(data, _SPEC_TYPES, "experiment spec",
                           required=("n", "num_instances", "seed"))
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(_SPEC_TYPES))
         if unknown:
             raise ValueError(f"unknown experiment spec key(s) {unknown}")
         _check_json_types(data.get("solver_params", {}),
@@ -277,12 +271,7 @@ class BenchReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_dict(),
-            "instances": self.instances,
-            "aggregates": self.aggregates,
-            "provenance": self.provenance,
-        }
+        return _json_fields(self, _REPORT_TYPES)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BenchReport":

@@ -31,7 +31,8 @@ from .bench import (
     preset_spec,
     run_experiment,
 )
-from .errors import SizeCapError, SolverError, check_count, check_positive, read_json
+from .errors import SizeCapError, SolverError, check_count, check_distinct, check_positive
+from .errors import read_json
 from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
@@ -170,15 +171,24 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _scale_name(scale: float) -> str:
+    """A scale as its per-scale CSV name spells it: "{scale:g}" when that reads back as
+    the same float, else its repr, so two scales never share a name."""
+    short = f"{scale:g}"
+    return short if float(short) == scale else repr(scale)
+
+
 def cmd_gap(args) -> int:
     inst = QapInstance.load(args.instance)
     scales = [check_positive("scale", float(s)) for s in args.scales.split(",")]
+    check_distinct("--scales", scales)
     check_count("--samples", args.samples, least=2)
     _check_gap_request(_model_dim(args.formulation, inst.n), args.samples)
     out = Path(args.out)
     fmt = "json" if out.suffix.lower() == ".json" else "csv"
     csv_paths = [out] if len(scales) == 1 else [
-        out.with_name(f"{out.stem}_scale{scale:g}{out.suffix or '.csv'}") for scale in scales]
+        out.with_name(f"{out.stem}_scale{_scale_name(scale)}{out.suffix or '.csv'}")
+        for scale in scales]
     if fmt == "csv" and len(scales) > 1:
         _check_distinct([*csv_paths, args.summary_out], _inputs(args))
     summaries = []

@@ -1,5 +1,6 @@
-"""Exception types, the size and work caps, the range rules, and the JSON reader and field check
-shared across the package."""
+"""Exception types, the size and work caps, the range rules, and the JSON reader, field check
+and writer shared across the package: a document's type table, its only field list, is
+checked by ``_check_json_types`` and written by ``_json_fields``."""
 
 import json
 import sys
@@ -79,6 +80,15 @@ def check_positive(what: str, value) -> float:
     return float(value)
 
 
+def check_distinct(what: str, values) -> None:
+    """Refuse a list of ``values`` that holds one value twice."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ValueError(f"{what} must be distinct, got {value!r} twice")
+        seen.add(value)
+
+
 def _is_finite(value) -> bool:
     """Whether a real number is finite as a float (NaN, infinities and ints beyond the
     float range are not)."""
@@ -104,41 +114,40 @@ def read_json(path, parse):
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _has_json_type(value, kind, finite: bool = True) -> bool:
-    """Whether a parsed JSON value has ``kind``.
+def _fault(value, kind, finite: bool = True):
+    """None when a parsed JSON value has ``kind``; otherwise the index path ("" for the
+    value itself, "[3][5]" inside a list of lists) and the part at which it first goes
+    wrong.
 
     ``kind`` is a type (float admits any number, only a finite one when
     ``finite``), [kind] for a list of it, or a tuple of alternatives in
-    which None stands for null.  A number table ([[float]], as in an
-    instance's W or a model's Q) whose cells are all ints and floats is
-    checked in one flat pass; any other value takes the recursive check.
+    which None stands for null; a fault is held to the first other
+    alternative.  A number table ([[float]], as in an instance's W or a
+    model's Q) whose cells are all ints and floats passes in one flat pass;
+    any other value takes the recursive walk.
     """
     if kind == [[float]] and isinstance(value, list) and all(isinstance(row, list) for row in value):
         cells = list(chain.from_iterable(value))
-        if set(map(type, cells)) <= {int, float}:  # type(), so a bool takes the slow path
-            return not finite or all(map(_is_finite, cells))
+        if set(map(type, cells)) <= {int, float} and (not finite or all(map(_is_finite, cells))):
+            return None  # type(), so a bool takes the walk
     if isinstance(kind, tuple):
-        return any(value is None if k is None else _has_json_type(value, k, finite) for k in kind)
+        faults = [_fault(value, k, finite) for k in kind if k is not None]
+        return None if (value is None and None in kind) or None in faults else faults[0]
     if isinstance(kind, list):
-        return isinstance(value, list) and all(_has_json_type(v, kind[0], finite) for v in value)
+        if not isinstance(value, list):
+            return "", value
+        for i, v in enumerate(value):
+            fault = _fault(v, kind[0], finite)
+            if fault is not None:
+                return f"[{i}]{fault[0]}", fault[1]
+        return None
     if isinstance(value, bool):  # a JSON true/false is no number
-        return kind is bool
-    if kind is float:
-        return isinstance(value, (int, float)) and (not finite or _is_finite(value))
-    return isinstance(value, kind)
-
-
-def _first_fault(value, kind):
-    """The index path ("" for the value itself, "[3][5]" inside a list of lists) and the
-    part of a value without ``kind`` at which it first goes wrong."""
-    path = ""
-    while True:
-        if isinstance(kind, tuple):  # not null, so held to the first other alternative
-            kind = next(k for k in kind if k is not None)
-        if not (isinstance(kind, list) and isinstance(value, list)):
-            return path, value
-        i = next(i for i, v in enumerate(value) if not _has_json_type(v, kind[0]))
-        path, value, kind = f"{path}[{i}]", value[i], kind[0]
+        ok = kind is bool
+    elif kind is float:
+        ok = isinstance(value, (int, float)) and (not finite or _is_finite(value))
+    else:
+        ok = isinstance(value, kind)
+    return None if ok else ("", value)
 
 
 def _check_json_types(data, types: dict, what: str, required=None) -> None:
@@ -147,8 +156,9 @@ def _check_json_types(data, types: dict, what: str, required=None) -> None:
 
     A number field refuses NaN, the infinities and a literal beyond the float range,
     and a number table ([[float]]) a row whose length differs from its first row's.
-    A refusal names the field and the index path of its first wrong element, and the
-    type of that element, never a whole value.
+    Each field is walked once (``_fault``), a refused one again with ``finite=False`` only
+    to word the refusal, which names the field, the index path of its first wrong
+    element and that element's type, never a whole value.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
@@ -159,9 +169,10 @@ def _check_json_types(data, types: dict, what: str, required=None) -> None:
         if key not in data:
             continue
         value = data[key]
-        if not _has_json_type(value, kind):
-            path, part = _first_fault(value, kind)
-            if _has_json_type(value, kind, finite=False):
+        fault = _fault(value, kind)
+        if fault is not None:
+            path, part = fault
+            if _fault(value, kind, finite=False) is None:
                 raise ValueError(f"{what} field {key}{path} must be finite")
             where = f" at {key}{path}" if path else ""
             raise ValueError(f"{what} field {key!r} has the wrong type{where}: {type(part).__name__}")
@@ -170,3 +181,19 @@ def _check_json_types(data, types: dict, what: str, required=None) -> None:
             if ragged is not None:
                 raise ValueError(f"{what} field {key}[{ragged}] has {len(value[ragged])} entries, "
                                  f"but {key}[0] has {len(value[0])}")
+
+
+def _json_fields(obj, types: dict) -> dict:
+    """``obj``'s fields in the order of its type table ``types``, as JSON: an array by its
+    ``tolist()``, a tuple as a list, a nested document by its ``to_dict()``."""
+    out = {}
+    for key in types:
+        value = getattr(obj, key)
+        if hasattr(value, "to_dict"):
+            value = value.to_dict()
+        elif hasattr(value, "tolist"):
+            value = value.tolist()
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[key] = value
+    return out

@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types, check_count, check_size, read_json
+from .errors import _check_json_types, _json_fields, check_count, check_size, read_json
 
-# JSON type of each instance field (see errors._has_json_type).
+# JSON type of each instance field (see errors._fault), and the fields to_dict writes.
 _INSTANCE_TYPES = {"n": int, "W": [[float]], "c": [float]}
 
 
@@ -60,7 +60,7 @@ class QapInstance:
         self.c = _as_array(self.c, (m,), "c")
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "W": self.W.tolist(), "c": self.c.tolist()}
+        return _json_fields(self, _INSTANCE_TYPES)
 
     @classmethod
     def from_dict(cls, data: dict) -> "QapInstance":

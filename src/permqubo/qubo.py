@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import _check_json_types, check_count, check_positive, check_size, read_json
+from .errors import _check_json_types, _json_fields, check_count, check_positive, check_size
+from .errors import read_json
 from .qap import PermutationMatrix, QapInstance
 
 FORMULATIONS = ("baseline", "row_wise", "inserted")
@@ -169,7 +170,8 @@ def penalty_bounds(inst: QapInstance) -> PenaltyBounds:
     return PenaltyBounds(float(lam0), lam_rows, lam1, lam2)
 
 
-# JSON type of each model field; other fields (bounds, provenance) may ride along.
+# JSON type of each model field, and the fields to_dict writes; other fields (bounds,
+# provenance) may ride along.
 _MODEL_TYPES = {"dim": int, "formulation": str, "n": int, "Q": [[float]], "q": [float], "offset": float}
 
 
@@ -220,14 +222,7 @@ class QuboModel:
         return ((S @ self.Q) * S).sum(axis=1) + S @ self.q + self.offset
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "formulation": self.formulation,
-            "n": self.n,
-            "Q": self.Q.tolist(),
-            "q": self.q.tolist(),
-            "offset": self.offset,
-        }
+        return _json_fields(self, _MODEL_TYPES)
 
     @classmethod
     def from_dict(cls, data: dict) -> "QuboModel":

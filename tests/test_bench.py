@@ -81,6 +81,12 @@ class TestGeneration:
             ExperimentSpec(n=3, num_instances=1, seed=0, solver="quantum")
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, formulations=("magic",))
+        # a repeated entry would be solved again and counted twice in its aggregate
+        with pytest.raises(ValueError, match="^formulations must be distinct, got 'baseline' twice$"):
+            ExperimentSpec(n=3, num_instances=1, seed=0, formulations=("baseline", "inserted",
+                                                                       "baseline"))
+        with pytest.raises(ValueError, match=r"^scales must be distinct, got 1\.0 twice$"):
+            ExperimentSpec(n=3, num_instances=1, seed=0, scales=(1, 2.0, 1.0))
         with pytest.raises(ValueError):
             ExperimentSpec(n=3, num_instances=1, seed=0, solver_params=None)
         for schedule in (5, [1.0]):

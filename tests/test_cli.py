@@ -213,17 +213,28 @@ class TestGap:
         assert "eigensolve-amplitude cap" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_scales_that_share_a_csv_name_refused_before_work(self, tmp_path, capsys):
-        # "{scale:g}" names both scales 1: one profile would overwrite the other
+    def test_scales_that_round_alike_get_distinct_csv_names(self, tmp_path):
+        # "{scale:g}" reads both scales as 1, so the second is named by its repr; a
+        # scale that "{scale:g}" spells exactly keeps that name
+        _, path = write_instance(tmp_path, 2, 19)
+        assert main(["gap", "--instance", str(path), "--formulation", "inserted",
+                     "--scales", "1,1.00000001,2.5e7", "--samples", "3", "--out",
+                     str(tmp_path / "g.csv"), "--summary-out", str(tmp_path / "s.json")]) == 0
+        names = ["g_scale1.csv", "g_scale1.00000001.csv", "g_scale2.5e+07.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, "inst.json", "s.json"])
+        profiles = json.loads((tmp_path / "s.json").read_text())["profiles"]
+        assert [entry["csv"] for entry in profiles] == [str(tmp_path / name) for name in names]
+
+    @pytest.mark.parametrize("out_name", ["g.csv", "g.json"])
+    def test_repeated_scale_refused_before_work(self, tmp_path, capsys, out_name):
+        # 1 and 1.0 are one scale: a JSON output would hold its profile twice
         _, path = write_instance(tmp_path, 2, 19)
         with mock.patch("permqubo.cli.gap_profile") as profile:
             code = main(["gap", "--instance", str(path), "--formulation", "inserted",
-                         "--scales", "1,1.00000001", "--samples", "3", "--out",
-                         str(tmp_path / "g.csv"), "--summary-out", str(tmp_path / "s.json")])
+                         "--scales", "1,2,1.0", "--samples", "3", "--out", str(tmp_path / out_name)])
         assert code == 2
         profile.assert_not_called()
-        err = capsys.readouterr().err
-        assert "g_scale1.csv" in err and "name the same file" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: --scales must be distinct, got 1.0 twice\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
 
@@ -271,14 +282,17 @@ class TestSolve:
                      "--solver", "trotter", "--slices", "4", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["entries"][0]["bits"]) == 16
 
-    @pytest.mark.parametrize("flags", [
-        ["--solver", "schrodinger", "--tau", "1e12"],
-        ["--solver", "schrodinger", "--tau", "1e12", "--steps", "1"],  # ~10^12 substeps
-        ["--solver", "schrodinger", "--tau", "1e308"],  # 2.5 tau overflows a float
-        ["--solver", "trotter", "--slices", "1000000000"],
-    ])
-    def test_evolution_over_the_work_cap_exit_4(self, tmp_path, capsys, flags):
-        _, path = write_instance(tmp_path, 2, 19)
+    @pytest.mark.parametrize("n, flags", [
+        (2, ["--solver", "schrodinger", "--tau", "1e12"]),
+        (2, ["--solver", "schrodinger", "--tau", "1e12", "--steps", "1"]),  # ~10^12 substeps
+        (2, ["--solver", "schrodinger", "--tau", "1e308"]),  # 2.5 tau overflows a float
+        (2, ["--solver", "trotter", "--slices", "1000000000"]),
+        # 16 qubits: the up-front check charges the 1250 CF4 steps (cap 2048), but evolve
+        # charges each twice, for the two substeps its exponentials may take
+        (4, ["--formulation", "baseline", "--solver", "schrodinger", "--tau", "500"]),
+    ], ids=["flags0", "flags1", "flags2", "flags3", "n4-baseline-tau500"])
+    def test_evolution_over_the_work_cap_exit_4(self, tmp_path, capsys, n, flags):
+        _, path = write_instance(tmp_path, n, 19)
         out = tmp_path / "s.json"
         with mock.patch("permqubo.anneal._propagate") as propagate, \
                 mock.patch("permqubo.anneal._mixer_rotation") as rotate:
@@ -603,6 +617,20 @@ class TestBenchAndReport:
         spec_path.write_text(text)
         assert main(["bench", "--spec", str(spec_path), "--out", str(tmp_path / "r.json")]) == 2
         assert "experiment spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("entries, err", [
+        ({"formulations": ["baseline", "baseline"]}, "formulations must be distinct, got 'baseline' twice"),
+        ({"scales": [1, 1.0]}, "scales must be distinct, got 1.0 twice"),
+    ])
+    def test_bench_repeated_spec_entry_exit_2(self, tmp_path, capsys, entries, err):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0, **entries}))
+        out = tmp_path / "r.json"
+        with mock.patch("permqubo.bench.generate_instances") as generate:
+            assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 2
+        generate.assert_not_called()
+        assert capsys.readouterr().err == f"error: {spec_path}: {err}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("params", [
         {"runs": None}, {"runs": 2.7}, {"sweeps": True}, {"shots": "5"}, {"slices": 2.0},

@@ -1,6 +1,7 @@
 """README's library quick start and every demo run as written, the README states
-every size and work cap, and the benchmark's modules import and pass their output checks on a
-tiny run, so an API or a cap they use cannot go unnoticed."""
+every size and work cap and names every solver, preset and solver parameter, and the
+benchmark's modules import and pass their output checks on a tiny run, so an API or a
+cap they use cannot go unnoticed."""
 
 import importlib
 import json
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import permqubo
+from permqubo.bench import PRESETS, SOLVER_DEFAULTS, SOLVERS
 from permqubo.errors import SIZE_CAPS, WORK_CAPS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +46,16 @@ def test_readme_states_every_work_cap():
     for limit, unit, _ in WORK_CAPS.values():
         power = limit.bit_length() - 1
         assert limit == 2**power and f"2^{power} {unit}s" in sentence, (unit, sentence)
+
+
+@pytest.mark.parametrize("table", ["SOLVERS", "PRESETS", "SOLVER_DEFAULTS"])
+def test_readme_names_every_key(table):
+    # each key of bench's solver, preset and solver-parameter tables appears in the README
+    # as a code span, so a solver, preset or parameter that is added cannot go undocumented
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    keys = {"SOLVERS": SOLVERS, "PRESETS": PRESETS, "SOLVER_DEFAULTS": SOLVER_DEFAULTS}[table]
+    missing = [key for key in keys if f"`{key}`" not in readme]
+    assert not missing, (table, missing)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
