@@ -18,7 +18,6 @@ max(1, |f_opt|); ``price`` charges an invalid modal row f_worst.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
@@ -28,9 +27,9 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dstevd
 
-from .errors import SolverError, check_count, check_positive, check_size, check_work
+from .errors import SolverError, check_count, check_positive, check_size, check_work, write_csv
 from .qap import QapInstance, permutation_extremes
-from .qubo import QuboModel, decode_states
+from .qubo import QuboModel, _index_bits, decode_states
 from .spectral import _HAMMING, HamiltonianPair, _qubit_groups
 
 # Optimality comparisons between recomputed permutation energies.
@@ -458,16 +457,10 @@ class SampleSet:
             hi = lo + 1.0
         edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
         idx = np.clip(np.digitize(self.energies, edges) - 1, 0, HISTOGRAM_BINS - 1)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["energy_bin", "count", "valid_count"])
-            for b in range(HISTOGRAM_BINS):
-                mask = idx == b
-                writer.writerow([
-                    repr(float(edges[b])),
-                    int(self.counts[mask].sum()),
-                    int(self.counts[mask & self.valid].sum()),
-                ])
+        # each bin's count and valid count, by one product with the rows' bin indicators
+        sums = np.stack([self.counts, self.counts * self.valid]) @ (
+            idx[:, None] == np.arange(HISTOGRAM_BINS))
+        write_csv(path, ["energy_bin", "count", "valid_count"], zip(edges[:-1], *sums.tolist()))
 
 
 def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> SampleSet:
@@ -489,7 +482,7 @@ def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> Sampl
         raise ValueError(f"state norm must be positive and finite, got squared norm {norm2}")
     counts = np.random.default_rng(seed).multinomial(shots, probs / norm2)
     hit = np.nonzero(counts)[0]
-    states = ((hit[:, None] >> np.arange(m)) & 1).astype(int)
+    states = _index_bits(hit, m)
     return SampleSet.from_states(model, states, counts[hit], {"seed": seed, "shots": shots})
 
 

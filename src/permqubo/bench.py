@@ -11,11 +11,9 @@ f_worst, so invalid outputs are priced rather than dropped.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .anneal import (
     simulated_annealing,
 )
 from .errors import _check_json_types, _json_fields, check_count, check_distinct, check_positive
-from .errors import check_size, read_json
+from .errors import check_size, read_json, write_csv
 from .qap import DistanceData, QapInstance, isometric_cost, permutation_extremes
 from .qubo import build_formulation, exhaustive_minimum
 from .qubo import FORMULATIONS, _model_dim
@@ -59,7 +57,7 @@ def _check_schedule(what: str, value) -> None:
 
 # Every solver parameter: its default, its JSON type (see
 # errors._fault) and its range rule.  A solver reads the keys it
-# uses and ignores the others.
+# uses and ignores the others.  `solve` has a flag for each number-valued row.
 SOLVER_DEFAULTS = {
     "sweeps": (100, int, check_count), "runs": (500, int, check_count),  # sa
     "schedule": (None, (None, [float]), _check_schedule),  # sa
@@ -75,7 +73,7 @@ _SPEC_TYPES = {
     "sparsity": float, "solver": str, "solver_params": dict, "gap_samples": int,
 }
 # JSON type of each report field that `report` reads, per level; the top level's are
-# the fields to_dict writes.
+# the fields to_dict writes, and a result's are the report CSV's columns after `instance`.
 _REPORT_TYPES = {"spec": dict, "instances": [dict], "aggregates": dict, "provenance": dict}
 _AGGREGATE_TYPES = {"mean_normalized_energy": float, "mean_success": float,
                     "mean_min_gap": (None, float)}
@@ -86,8 +84,9 @@ _RESULT_TYPES = {
 }
 
 
-def _check_solver_params(params) -> None:
-    """Refuse a solver_params mapping with an unknown key or an out-of-range value."""
+def _check_solver_params(params, name: str = "solver_params {}") -> None:
+    """Refuse a solver_params mapping with an unknown key or an out-of-range value,
+    naming a key by ``name`` (a spec's "solver_params tau", solve's "--tau")."""
     if not isinstance(params, dict):
         raise ValueError(f"solver_params must be a mapping, got {params!r}")
     unknown = sorted(set(params) - set(SOLVER_DEFAULTS))
@@ -98,7 +97,7 @@ def _check_solver_params(params) -> None:
     for key, value in params.items():
         default, _, rule = SOLVER_DEFAULTS[key]
         if value is not None or default is not None:  # null asks for the solver's own rule
-            rule(f"solver_params {key}", value)
+            rule(name.format(key), value)
 
 
 @dataclass
@@ -287,27 +286,11 @@ class BenchReport:
         return cls(spec=ExperimentSpec.from_dict(data["spec"]), instances=data["instances"],
                    aggregates=data["aggregates"], provenance=data.get("provenance", {}))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
-
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([
-                "instance", "formulation", "scale", "normalized_energy",
-                "success", "success_fraction", "valid", "min_gap",
-            ])
-            for record in self.instances:
-                for res in record["results"]:
-                    writer.writerow([
-                        record["instance"], res["formulation"], repr(res["scale"]),
-                        repr(res["normalized_energy"]), int(res["success"]),
-                        repr(res["success_fraction"]), int(res["valid"]),
-                        "" if res["min_gap"] is None else repr(res["min_gap"]),
-                    ])
+        """One row per result: its instance, then its fields in the order of _RESULT_TYPES."""
+        write_csv(path, ["instance", *_RESULT_TYPES],
+                  ([record["instance"], *(res[key] for key in _RESULT_TYPES)]
+                   for record in self.instances for res in record["results"]))
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:

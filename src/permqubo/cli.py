@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from pathlib import Path
@@ -32,7 +31,7 @@ from .bench import (
     run_experiment,
 )
 from .errors import SizeCapError, SolverError, check_count, check_distinct, check_positive
-from .errors import read_json
+from .errors import read_json, write_json
 from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
@@ -54,10 +53,6 @@ def _input_hashes(paths) -> dict:
 def _provenance(paths, **extra) -> dict:
     """Tool version, the SHA-256 of each input file, and ``extra`` (solve's seed)."""
     return {"version": __version__, "inputs": _input_hashes(paths), **extra}
-
-
-def _write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
 
 
 def _write_outputs(*outputs) -> None:
@@ -126,9 +121,9 @@ def _check_distinct(paths, inputs) -> None:
 
 def _check_output_paths(args) -> None:
     """Refuse, before any work, an output path in a missing directory or naming one, an
-    output that names an input, and two outputs that name the same file."""
-    paths = [getattr(args, name, None)
-             for name in ("out", "sparse_out", "summary_out", "hist_out", "csv_out")]
+    output that names an input, and two outputs that name the same file.  The outputs
+    are the parsed arguments named ``out`` or ending in ``_out``."""
+    paths = [path for name, path in vars(args).items() if name == "out" or name.endswith("_out")]
     for path in filter(None, paths):
         if not Path(path).parent.is_dir():
             raise ValueError(f"directory of output {path} does not exist")
@@ -152,7 +147,7 @@ def cmd_build(args) -> int:
     }
     payload["coupling_report"] = ranges.to_dict()
     payload["provenance"] = _provenance([args.instance])
-    _write_outputs((args.out, lambda p: _write_json(p, payload)),
+    _write_outputs((args.out, lambda p: write_json(p, payload)),
                    (args.sparse_out, lambda p: export_sparse(model, p)))
     if args.formulation == "baseline":
         lam_text = f"lambda={bounds.lambda_baseline:.6g}"
@@ -205,20 +200,20 @@ def cmd_gap(args) -> int:
             curves.append({**entry, "u": profile.ts.tolist(), "e0": profile.e0.tolist(),
                            "e1": profile.e1.tolist(), "gap": profile.gaps().tolist()})
         summaries.append(entry)
-        print(f"scale={scale:g}: min_gap={profile.min_gap:.6g} at u={profile.argmin_t:.4g}")
+        print(f"scale={_scale_name(scale)}: "
+              f"min_gap={profile.min_gap:.6g} at u={profile.argmin_t:.4g}")
     provenance = _provenance([args.instance])
     summary = {"profiles": summaries, "provenance": provenance}
     if fmt == "json":
-        outputs.append((out, lambda p: _write_json(p, {"profiles": curves,
-                                                       "provenance": provenance})))
-    _write_outputs(*outputs, (args.summary_out, lambda p: _write_json(p, summary)))
+        outputs.append((out, lambda p: write_json(p, {"profiles": curves,
+                                                      "provenance": provenance})))
+    _write_outputs(*outputs, (args.summary_out, lambda p: write_json(p, summary)))
     return 0
 
 
 def cmd_solve(args) -> int:
     params = {k: v for k, v in vars(args).items() if k in SOLVER_DEFAULTS and v is not None}
-    for key, value in params.items():
-        SOLVER_DEFAULTS[key][2](f"--{key}", value)  # the spec key's range rule
+    bench._check_solver_params(params, "--{}")
     check_count("--seed", args.seed, least=0)
     if not (args.qubo or args.instance):
         raise ValueError("solve needs --instance (or --qubo)")
@@ -259,7 +254,7 @@ def cmd_solve(args) -> int:
     summary["most_frequent"] = mf.to_dict()
     payload = samples.to_dict()
     payload["summary"] = summary
-    _write_outputs((args.out, lambda p: _write_json(p, payload)),
+    _write_outputs((args.out, lambda p: write_json(p, payload)),
                    (args.hist_out, samples.histogram_csv))
     return 0
 
@@ -280,7 +275,8 @@ def cmd_bench(args) -> int:
     report = run_experiment(spec)
     if args.spec:
         report.provenance["inputs"] = _input_hashes([args.spec])
-    _write_outputs((args.out, report.save), (args.csv_out, report.to_csv))
+    _write_outputs((args.out, lambda p: write_json(p, report.to_dict())),
+                   (args.csv_out, report.to_csv))
     _print_aggregates(report.aggregates)
     return 0
 
@@ -328,13 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formulation", choices=FORMULATIONS)
     p.add_argument("--scale", type=float)
     p.add_argument("--solver", required=True, choices=SOLVERS)
-    # Solver flags left unset take bench.SOLVER_DEFAULTS.
-    p.add_argument("--tau", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--slices", type=int)
-    p.add_argument("--shots", type=int)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--sweeps", type=int)
+    # One flag per number-valued solver parameter; one left unset takes its
+    # bench.SOLVER_DEFAULTS value.  A list (the SA schedule) is set in a spec only.
+    for key, (_, kind, _) in SOLVER_DEFAULTS.items():
+        kind = kind[-1] if isinstance(kind, tuple) else kind  # (None, int): null or an int
+        if kind in (int, float):
+            p.add_argument(f"--{key}", type=kind)
     p.add_argument("--out", required=True, help="sample set JSON output path")
     p.add_argument("--hist-out", help="optional histogram CSV path")
     p.add_argument("--seed", type=int, default=0, help="solver seed (sa runs, measurement shots)")

@@ -1,7 +1,9 @@
-"""Exception types, the size and work caps, the range rules, and the JSON reader, field check
-and writer shared across the package: a document's type table, its only field list, is
-checked by ``_check_json_types`` and written by ``_json_fields``."""
+"""Exception types, the size and work caps, the range rules, and the file formats shared
+across the package: the JSON reader and field check (a document's type table, its only
+field list, is checked by ``_check_json_types`` and written by ``_json_fields``), and the
+one JSON writer and one CSV writer of every output."""
 
+import csv
 import json
 import sys
 from itertools import chain
@@ -112,6 +114,31 @@ def read_json(path, parse):
         ) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as UTF-8 JSON with sorted keys."""
+    Path(path).write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+
+
+def _cell(value):
+    """A value as its CSV cell: a float (numpy's float64 is one) by ``repr(float(value))``,
+    a bool as 0 or 1, None as an empty cell, anything else as ``csv`` writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV file of ``header`` and ``rows``, each cell spelled by ``_cell``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def _fault(value, kind, finite: bool = True):

@@ -175,6 +175,13 @@ def penalty_bounds(inst: QapInstance) -> PenaltyBounds:
 _MODEL_TYPES = {"dim": int, "formulation": str, "n": int, "Q": [[float]], "q": [float], "offset": float}
 
 
+def _quadratic_form(states, Q: np.ndarray, q: np.ndarray, offset: float) -> np.ndarray:
+    """The one energy formula, x^T Q x + q^T x + offset for each row x of a (k, dim) batch,
+    of binary states (``QuboModel``) and spin states (``SpinModel``) alike."""
+    S = np.asarray(states, dtype=float)
+    return ((S @ Q) * S).sum(axis=1) + S @ q + offset
+
+
 @dataclass
 class QuboModel:
     """Unconstrained binary quadratic model x^T Q x + q^T x + offset.
@@ -218,8 +225,7 @@ class QuboModel:
 
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Energies of a (k, dim) batch of states."""
-        S = np.asarray(states, dtype=float)
-        return ((S @ self.Q) * S).sum(axis=1) + S @ self.q + self.offset
+        return _quadratic_form(states, self.Q, self.q, self.offset)
 
     def to_dict(self) -> dict:
         return _json_fields(self, _MODEL_TYPES)
@@ -266,8 +272,8 @@ class SpinModel:
         return self.q_s.shape[0]
 
     def energies(self, spin_states: np.ndarray) -> np.ndarray:
-        S = np.asarray(spin_states, dtype=float)
-        return ((S @ self.Q_s) * S).sum(axis=1) + S @ self.q_s + self.offset_s
+        """Energies of a (k, dim) batch of spin states."""
+        return _quadratic_form(spin_states, self.Q_s, self.q_s, self.offset_s)
 
 
 def _effective_penalties(bounds: np.ndarray | float, scale: float):
@@ -454,11 +460,15 @@ def coupling_report(model: QuboModel, inst: QapInstance) -> CouplingReport:
     )
 
 
+def _index_bits(indices: np.ndarray, dim: int) -> np.ndarray:
+    """The (k, dim) int8 states of k basis indices; bit i of index z is column i."""
+    return ((indices[:, None] >> np.arange(dim)) & 1).astype(np.int8)
+
+
 def enumerate_states(dim: int) -> np.ndarray:
     """All binary states as a (2^dim, dim) array; bit i of index z is column i."""
     check_size("enumeration", dim)
-    z = np.arange(2**dim, dtype=np.int64)
-    return ((z[:, None] >> np.arange(dim)) & 1).astype(np.int8)
+    return _index_bits(np.arange(2**dim, dtype=np.int64), dim)
 
 
 def exhaustive_minimum(model: QuboModel) -> tuple[np.ndarray, float]:

@@ -34,7 +34,6 @@ basis index is the i-th least significant bit and maps to spin -1 when
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -43,7 +42,7 @@ from math import isfinite
 import numpy as np
 from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import SolverError, check_count, check_size, check_work
+from .errors import SolverError, check_count, check_size, check_work, write_csv
 from .qubo import QuboModel, SpinModel, enumerate_states, normalize_couplings, to_spin
 
 # Two eigenvalues closer than this are treated as one degenerate level.
@@ -202,11 +201,7 @@ class GapProfile:
         return _gaps(self.e0, self.e1)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["u", "e0", "e1", "gap"])
-            for u, a, b, g in zip(self.ts, self.e0, self.e1, self.gaps()):
-                writer.writerow([repr(float(u)), repr(float(a)), repr(float(b)), repr(float(g))])
+        write_csv(path, ["u", "e0", "e1", "gap"], zip(self.ts, self.e0, self.e1, self.gaps()))
 
     def summary(self, **extra) -> dict:
         out = {"min_gap": self.min_gap, "argmin_t": self.argmin_t}

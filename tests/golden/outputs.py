@@ -85,7 +85,21 @@ RUNS = [
     *[(f"bench_{s[5:]}", ["bench", "--spec", f"inputs/{s}.json", "--out", f"bench_{s[5:]}.json",
                           "--csv-out", f"bench_{s[5:]}.csv"]) for s in SPECS],
     ("report", ["report", "--report", "bench_sa.json", "--out", "report.csv"]),
+    ("report_hand", ["report", "--report", "inputs/report_hand.json", "--out", "report_hand.csv"]),
 ]
+
+# A hand-written report: its results hold an int scale and energy and a null min_gap,
+# which a report that bench writes never does, so the CSV's cells for them are pinned.
+HAND_REPORT = {
+    "spec": {"n": 2, "num_instances": 1, "seed": 0, "formulations": ["baseline", "inserted"]},
+    "instances": [{"instance": 0, "results": [
+        {"formulation": "baseline", "scale": 1, "normalized_energy": 0, "success": True,
+         "success_fraction": 0.25, "valid": True, "min_gap": None},
+        {"formulation": "inserted", "scale": 2.5, "normalized_energy": 0.125, "success": False,
+         "success_fraction": 0, "valid": False, "min_gap": 0.1}]}],
+    "aggregates": {"baseline@1": {"mean_normalized_energy": 0, "mean_success": 1,
+                                  "mean_min_gap": None}},
+}
 
 
 def _write_inputs(inputs: Path) -> None:
@@ -99,6 +113,7 @@ def _write_inputs(inputs: Path) -> None:
     QapInstance(2, np.zeros((4, 4)), np.zeros(4)).save(inputs / "zero2.json")
     for name, spec in SPECS.items():
         (inputs / f"{name}.json").write_text(json.dumps(spec), encoding="utf-8")
+    (inputs / "report_hand.json").write_text(json.dumps(HAND_REPORT), encoding="utf-8")
 
 
 def run(out, names=None) -> None:

@@ -6,7 +6,9 @@ them; shared fixtures reuse the expensive artefacts.
 """
 
 import multiprocessing
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from permqubo import (
     vectorize,
 )
 from permqubo.anneal import SampleSet
+from permqubo.errors import write_json
 from permqubo.qubo import enumerate_states
 from permqubo.spectral import build_hamiltonians as _build_h
 
@@ -295,7 +298,11 @@ def test_criterion_11_norm_conservation(step_norms):
 
 
 def _report_json(spec) -> str:
-    return run_experiment(spec).to_json()
+    """The report JSON that `bench --out` writes for ``spec``."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "report.json"
+        write_json(path, run_experiment(spec).to_dict())
+        return path.read_text(encoding="utf-8")
 
 
 def test_criterion_12_determinism():

@@ -34,7 +34,7 @@ from permqubo import (
 )
 from permqubo import anneal, bench, errors, spectral
 from permqubo.bench import PRESETS, SOLVERS, _check_solver_size, _run_instance, _with_defaults
-from permqubo.errors import SIZE_CAPS, WORK_CAPS
+from permqubo.errors import SIZE_CAPS, WORK_CAPS, write_json
 from permqubo.qubo import _model_dim
 
 
@@ -164,9 +164,11 @@ class TestRunExperiment:
         pattern_s = (ms.Q - (sparse.W + sparse.W.T) / 2) != 0
         assert np.array_equal(pattern_d, pattern_s)
 
-    def test_reproducible_and_parallel_identical(self):
+    def test_reproducible_and_parallel_identical(self, tmp_path):
         spec = small_spec(solver="sa", solver_params={"runs": 25, "sweeps": 10})
-        assert run_experiment(spec).to_json() == run_experiment(spec, workers=1).to_json()
+        write_json(tmp_path / "a.json", run_experiment(spec).to_dict())
+        write_json(tmp_path / "b.json", run_experiment(spec, workers=1).to_dict())
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         with pytest.raises(ValueError, match="workers"):
             run_experiment(spec, workers=2)
 
@@ -184,7 +186,7 @@ class TestRunExperiment:
         report = run_experiment(small_spec(num_instances=1))
         json_path = tmp_path / "report.json"
         csv_path = tmp_path / "report.csv"
-        report.save(json_path)
+        write_json(json_path, report.to_dict())
         report.to_csv(csv_path)
         data = json.loads(json_path.read_text())
         assert data["provenance"]["seed"] == 7

@@ -18,7 +18,7 @@ from permqubo import (
     worst_permutation,
 )
 from permqubo.bench import SOLVER_DEFAULTS, SOLVERS
-from permqubo.cli import main
+from permqubo.cli import build_parser, main
 from permqubo.errors import WORK_CAPS
 
 
@@ -213,13 +213,16 @@ class TestGap:
         assert "eigensolve-amplitude cap" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_scales_that_round_alike_get_distinct_csv_names(self, tmp_path):
+    def test_scales_that_round_alike_get_distinct_csv_names(self, tmp_path, capsys):
         # "{scale:g}" reads both scales as 1, so the second is named by its repr; a
-        # scale that "{scale:g}" spells exactly keeps that name
+        # scale that "{scale:g}" spells exactly keeps that name, on the console too
         _, path = write_instance(tmp_path, 2, 19)
         assert main(["gap", "--instance", str(path), "--formulation", "inserted",
                      "--scales", "1,1.00000001,2.5e7", "--samples", "3", "--out",
                      str(tmp_path / "g.csv"), "--summary-out", str(tmp_path / "s.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "scale=1", "scale=1.00000001", "scale=2.5e+07"]
         names = ["g_scale1.csv", "g_scale1.00000001.csv", "g_scale2.5e+07.csv"]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*names, "inst.json", "s.json"])
         profiles = json.loads((tmp_path / "s.json").read_text())["profiles"]
@@ -517,16 +520,23 @@ class TestSolve:
     _OVERWRITES = {
         "build": (["build", "--instance", "{d}/inst.json", "--formulation", "baseline",
                    "--out", "{d}/./inst.json"], "inst.json"),
+        "build-sparse": (["build", "--instance", "{d}/inst.json", "--formulation", "baseline",
+                          "--out", "{d}/m.json", "--sparse-out", "{d}/./inst.json"], "inst.json"),
         "gap": (["gap", "--instance", "{d}/inst.json", "--formulation", "baseline",
                  "--samples", "3", "--out", "{d}/./inst.json"], "inst.json"),
         "gap-per-scale": (["gap", "--instance", "{d}/g_scale2.csv", "--formulation", "baseline",
                            "--scales", "1,2", "--samples", "3", "--out", "{d}/./g.csv"],
                           "g_scale2.csv"),
+        "gap-summary": (["gap", "--instance", "{d}/inst.json", "--formulation", "baseline",
+                         "--samples", "3", "--out", "{d}/g.csv",
+                         "--summary-out", "{d}/./inst.json"], "inst.json"),
         "solve": (["solve", "--instance", "{d}/inst.json", "--solver", "brute",
                    "--out", "{d}/./inst.json"], "inst.json"),
         "solve-qubo": (["solve", "--qubo", "{d}/model.json", "--solver", "brute",
                         "--out", "{d}/s.json", "--hist-out", "{d}/./model.json"], "model.json"),
         "bench": (["bench", "--spec", "{d}/spec.json", "--out", "{d}/./spec.json"], "spec.json"),
+        "bench-csv": (["bench", "--spec", "{d}/spec.json", "--out", "{d}/r.json",
+                       "--csv-out", "{d}/./spec.json"], "spec.json"),
         "report": (["report", "--report", "{d}/report.json", "--out", "{d}/./report.json"],
                    "report.json"),
     }
@@ -548,6 +558,17 @@ class TestSolve:
         assert err.startswith("error: output ") and err.count("\n") == 1, err
         assert f"{input_name} would overwrite an input file" in err
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_every_output_flag_has_an_overwrite_case(self):
+        # every output flag of every command (a parsed argument named out or *_out) is
+        # the one pointed at an input ("{d}/./") in some case of the test above
+        commands = build_parser()._subparsers._group_actions[0].choices
+        flags = {(name, action.option_strings[0]) for name, sub in commands.items()
+                 for action in sub._actions
+                 if action.dest == "out" or action.dest.endswith("_out")}
+        covered = {(argv[0], flag) for argv, _ in self._OVERWRITES.values()
+                   for flag, value in zip(argv, argv[1:]) if value.startswith("{d}/./")}
+        assert flags == covered
 
     def test_failed_side_write_rolls_back(self, tmp_path):
         _, path = write_instance(tmp_path, 3, 14, name="inst3.json")

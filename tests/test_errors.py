@@ -1,5 +1,7 @@
-"""The two range rules and every parameter that goes through them at its Python entry point."""
+"""The two range rules and every parameter that goes through them at its Python entry point,
+the JSON field check, and the CSV cell rule."""
 
+import csv
 import json
 
 import numpy as np
@@ -21,7 +23,10 @@ from permqubo import (
     measure,
     simulated_annealing,
 )
-from permqubo.errors import _check_json_types, check_count, check_positive
+from permqubo.anneal import HISTOGRAM_BINS
+from permqubo.bench import _RESULT_TYPES, BenchReport, run_experiment
+from permqubo.errors import _check_json_types, check_count, check_positive, write_csv
+from strategies import random_instance
 
 INST = QapInstance(2, np.eye(4), np.zeros(4))
 MODEL = QuboModel(dim=1, Q=np.zeros((1, 1)), q=np.zeros(1), offset=0.0, formulation="inserted", n=2)
@@ -171,3 +176,60 @@ def test_ragged_table_in_a_file_names_the_file_and_the_row(tmp_path):
     with pytest.raises(ValueError) as refused:
         QapInstance.load(path)
     assert str(refused.value) == f"{path}: instance JSON field W[3] has 5 entries, but W[0] has 4"
+
+
+def test_csv_cell_rule(tmp_path):
+    # a numpy float and a float by repr(float(v)), a bool as 0/1, None as empty, and an
+    # int or a str as csv writes it: the cells each CSV writer spelled by hand before
+    path = tmp_path / "cells.csv"
+    write_csv(path, ["f64", "float", "tiny", "int", "true", "false", "none", "str"],
+              [[np.float64(0.1), 1 / 3, 5e-324, 1, True, False, None, "row_wise"]])
+    assert path.read_bytes() == (b"f64,float,tiny,int,true,false,none,str\r\n"
+                                 b"0.1,0.3333333333333333,5e-324,1,1,0,,row_wise\r\n")
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_float_cells_read_back_as_the_same_float(tmp_path):
+    model = build_formulation(random_instance(2, 5), "baseline")
+    profile = gap_profile(model, num_samples=9)
+    profile.to_csv(tmp_path / "gap.csv")
+    header, *rows = _rows(tmp_path / "gap.csv")
+    assert header == ["u", "e0", "e1", "gap"]
+    want = np.column_stack([profile.ts, profile.e0, profile.e1, profile.gaps()])
+    assert [[float(c) for c in row] for row in rows] == want.tolist()
+
+    samples = simulated_annealing(model, sweeps=10, runs=40, seed=3)
+    samples.histogram_csv(tmp_path / "hist.csv")
+    edges = np.linspace(samples.energies.min(), samples.energies.max(), HISTOGRAM_BINS + 1)
+    assert [float(row[0]) for row in _rows(tmp_path / "hist.csv")[1:]] == edges[:-1].tolist()
+
+    report = run_experiment(ExperimentSpec(n=2, num_instances=2, seed=1, scales=(1.0, 2.5),
+                                           solver="sa", solver_params={"runs": 20, "sweeps": 5},
+                                           gap_samples=3))
+    report.to_csv(tmp_path / "report.csv")
+    header, *rows = _rows(tmp_path / "report.csv")
+    assert header == ["instance", *_RESULT_TYPES]
+    results = [res for record in report.instances for res in record["results"]]
+    assert len(rows) == len(results) == 12
+    for row, res in zip(rows, results):
+        for cell, (key, kind) in zip(row[1:], _RESULT_TYPES.items()):
+            if kind in (float, (None, float)):
+                assert float(cell) == res[key]
+
+
+def test_hand_written_report_csv(tmp_path):
+    # a report JSON may hold an int scale or energy and a null min_gap: an int is written
+    # as itself and null as an empty cell
+    result = {"formulation": "baseline", "scale": 1, "normalized_energy": 0, "success": True,
+              "success_fraction": 0.5, "valid": False, "min_gap": None}
+    report = BenchReport.from_dict({
+        "spec": spec().to_dict(), "instances": [{"instance": 0, "results": [result]}],
+        "aggregates": {}})
+    report.to_csv(tmp_path / "report.csv")
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b"instance,formulation,scale,normalized_energy,success,success_fraction,valid,min_gap\r\n"
+        b"0,baseline,1,0,1,0.5,0,\r\n")
