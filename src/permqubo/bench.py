@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,15 +175,9 @@ def generate_instances(spec: ExperimentSpec) -> list[QapInstance]:
         W = rng.uniform(-1.0, 1.0, size=(m, m))
         c = rng.uniform(-1.0, 1.0, size=m)
         if spec.sparsity > 0.0:
-            total = m * m + m
-            k = int(spec.sparsity * total)
-            idx = rng.choice(total, size=k, replace=False)
-            flat_w = W.reshape(-1)
-            w_idx = idx[idx < m * m]
-            c_idx = idx[idx >= m * m] - m * m
-            flat_w[w_idx] = 0.0
-            c[c_idx] = 0.0
-            W = flat_w.reshape(m, m)
+            flat = np.concatenate([W.reshape(-1), c])
+            flat[rng.choice(flat.size, size=int(spec.sparsity * flat.size), replace=False)] = 0.0
+            W, c = flat[:m * m].reshape(m, m), flat[m * m:]
         instances.append(QapInstance(n=n, W=W, c=c))
     return instances
 
@@ -303,25 +297,20 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
                        params=spec.solver_params)
     records = [_run_instance(spec, i, inst) for i, inst in enumerate(generate_instances(spec))]
 
+    # Every record holds one result per (formulation, scale) pair, in one order, so the
+    # k-th results of all records form the k-th pair's aggregate.
     aggregates = {}
-    for formulation in spec.formulations:
-        for scale in spec.scales:
-            rows = [
-                res
-                for record in records
-                for res in record["results"]
-                if res["formulation"] == formulation and res["scale"] == scale
-            ]
-            key = f"{formulation}@{scale!r}"
-            gaps = [r["min_gap"] for r in rows if r["min_gap"] is not None]
-            aggregates[key] = {
-                "formulation": formulation,
-                "scale": scale,
-                "mean_normalized_energy": float(np.mean([r["normalized_energy"] for r in rows])),
-                "mean_success": float(np.mean([r["success"] for r in rows])),
-                "mean_success_fraction": float(np.mean([r["success_fraction"] for r in rows])),
-                "mean_min_gap": float(np.mean(gaps)) if gaps else None,
-            }
+    for rows in zip(*(record["results"] for record in records)):
+        formulation, scale = rows[0]["formulation"], rows[0]["scale"]
+        gaps = [r["min_gap"] for r in rows if r["min_gap"] is not None]
+        aggregates[f"{formulation}@{scale!r}"] = {
+            "formulation": formulation,
+            "scale": scale,
+            "mean_normalized_energy": float(np.mean([r["normalized_energy"] for r in rows])),
+            "mean_success": float(np.mean([r["success"] for r in rows])),
+            "mean_success_fraction": float(np.mean([r["success_fraction"] for r in rows])),
+            "mean_min_gap": float(np.mean(gaps)) if gaps else None,
+        }
     spec_json = json.dumps(spec.to_dict(), sort_keys=True)
     provenance = {
         "version": __version__,
@@ -354,32 +343,28 @@ def mean_color_sorting_instance(colors, grid_side: int) -> QapInstance:
 
 PRESETS = {
     # Gap-versus-penalty-strength scan across all formulations.
-    "gap-scan": dict(
-        num_instances=10, formulations=FORMULATIONS, scales=(1.0, 2.0, 3.0, 4.0, 5.0),
-        solver="brute", gap_samples=33, default_n=3,
+    "gap-scan": ExperimentSpec(
+        n=3, num_instances=10, seed=0, scales=(1.0, 2.0, 3.0, 4.0, 5.0), solver="brute",
+        gap_samples=33,
     ),
     # Dense random instances solved by repeated annealing runs.
-    "random-dense": dict(
-        num_instances=10, formulations=FORMULATIONS, scales=(1.0,),
-        solver="sa", solver_params={"runs": 500, "sweeps": 200}, default_n=3,
+    "random-dense": ExperimentSpec(
+        n=3, num_instances=10, seed=0, solver="sa", solver_params={"runs": 500, "sweeps": 200},
     ),
     # Per-run optimum probability against the 1/n! guessing reference.
-    "success-probability": dict(
-        num_instances=10, formulations=FORMULATIONS, scales=(1.0,),
-        solver="sa", solver_params={"runs": 500, "sweeps": 100}, default_n=4,
+    "success-probability": ExperimentSpec(
+        n=4, num_instances=10, seed=0, solver="sa", solver_params={"runs": 500, "sweeps": 100},
     ),
     # Large simulated-annealing comparison of the three formulations.
-    "sa-comparison": dict(
-        num_instances=10, formulations=FORMULATIONS, scales=(1.0,),
-        solver="sa", solver_params={"runs": 5000, "sweeps": 50}, default_n=4,
+    "sa-comparison": ExperimentSpec(
+        n=4, num_instances=10, seed=0, solver="sa", solver_params={"runs": 5000, "sweeps": 50},
     ),
 }
 
 
 def preset_spec(name: str, n: int | None = None, seed: int = 0) -> ExperimentSpec:
-    """Instantiate a named preset, optionally overriding the instance size."""
+    """A named preset with its instance size (unless ``n`` overrides it) and ``seed``."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
-    cfg = dict(PRESETS[name])
-    default_n = cfg.pop("default_n")
-    return ExperimentSpec(n=n if n is not None else default_n, seed=seed, **cfg)
+    preset = PRESETS[name]
+    return replace(preset, n=preset.n if n is None else n, seed=seed)

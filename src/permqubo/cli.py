@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import os
 import sys
@@ -31,7 +32,7 @@ from .bench import (
     run_experiment,
 )
 from .errors import SizeCapError, SolverError, check_count, check_distinct, check_positive
-from .errors import read_json, write_json
+from .errors import _json_fields, read_json, write_json
 from .qap import QapInstance, permutation_extremes
 from .qubo import (
     FORMULATIONS,
@@ -45,14 +46,11 @@ from .qubo import (
 from .spectral import _check_gap_request, gap_profile
 
 
-def _input_hashes(paths) -> dict:
-    """The SHA-256 of each input file, keyed by its path."""
-    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
-
-
 def _provenance(paths, **extra) -> dict:
-    """Tool version, the SHA-256 of each input file, and ``extra`` (solve's seed)."""
-    return {"version": __version__, "inputs": _input_hashes(paths), **extra}
+    """Tool version, the SHA-256 of each input file keyed by its path, and ``extra``
+    (solve's seed)."""
+    inputs = {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+    return {"version": __version__, "inputs": inputs, **extra}
 
 
 def _write_outputs(*outputs) -> None:
@@ -105,31 +103,23 @@ def _inputs(args) -> list:
     return [getattr(args, name, None) for name in ("instance", "qubo", "spec", "report")]
 
 
-def _check_distinct(paths, inputs) -> None:
-    """Refuse an output that resolves to one of the ``inputs`` and two outputs that resolve
-    to the same file; a None path is skipped."""
+def _check_outputs(paths, inputs) -> None:
+    """Refuse, before any work, an output path in a missing directory or naming one, an
+    output that resolves to one of the ``inputs``, and two outputs that resolve to the
+    same file; a None path is skipped."""
     read = {Path(p).resolve() for p in filter(None, inputs)}
     seen = set()
     for path in filter(None, paths):
         target = Path(path).resolve()
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"directory of output {path} does not exist")
+        if Path(path).is_dir():
+            raise ValueError(f"output {path} is a directory")
         if target in read:
             raise ValueError(f"output {path} would overwrite an input file")
         if target in seen:
             raise ValueError(f"two outputs name the same file {path}")
         seen.add(target)
-
-
-def _check_output_paths(args) -> None:
-    """Refuse, before any work, an output path in a missing directory or naming one, an
-    output that names an input, and two outputs that name the same file.  The outputs
-    are the parsed arguments named ``out`` or ending in ``_out``."""
-    paths = [path for name, path in vars(args).items() if name == "out" or name.endswith("_out")]
-    for path in filter(None, paths):
-        if not Path(path).parent.is_dir():
-            raise ValueError(f"directory of output {path} does not exist")
-        if Path(path).is_dir():
-            raise ValueError(f"output {path} is a directory")
-    _check_distinct(paths, _inputs(args))
 
 
 def cmd_build(args) -> int:
@@ -139,12 +129,7 @@ def cmd_build(args) -> int:
     ranges = coupling_report(model, inst)
     payload = model.to_dict()
     payload["scale"] = args.scale
-    payload["penalty_bounds"] = {
-        "lambda_baseline": bounds.lambda_baseline,
-        "lambda_rows": bounds.lambda_rows.tolist(),
-        "lambda1": bounds.lambda1.tolist(),
-        "lambda2": bounds.lambda2,
-    }
+    payload["penalty_bounds"] = _json_fields(bounds, vars(bounds))
     payload["coupling_report"] = ranges.to_dict()
     payload["provenance"] = _provenance([args.instance])
     _write_outputs((args.out, lambda p: write_json(p, payload)),
@@ -185,7 +170,7 @@ def cmd_gap(args) -> int:
         out.with_name(f"{out.stem}_scale{_scale_name(scale)}{out.suffix or '.csv'}")
         for scale in scales]
     if fmt == "csv" and len(scales) > 1:
-        _check_distinct([*csv_paths, args.summary_out], _inputs(args))
+        _check_outputs([*csv_paths, args.summary_out], _inputs(args))
     summaries = []
     curves = []
     outputs = []
@@ -274,7 +259,7 @@ def cmd_bench(args) -> int:
         spec = ExperimentSpec.load(args.spec)
     report = run_experiment(spec)
     if args.spec:
-        report.provenance["inputs"] = _input_hashes([args.spec])
+        report.provenance.update(_provenance([args.spec]))
     _write_outputs((args.out, lambda p: write_json(p, report.to_dict())),
                    (args.csv_out, report.to_csv))
     _print_aggregates(report.aggregates)
@@ -352,11 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        _check_output_paths(args)
+        _check_outputs([path for name, path in vars(args).items()
+                        if name == "out" or name.endswith("_out")], _inputs(args))
         return args.func(args)
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,23 +105,17 @@ def _elimination_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     X[0,0] = 2 - n + sum(y), X[0,j] = 1 - (column sum), X[i,0] = 1 - (row sum).
     """
     r = n - 1
+    k = np.arange(r * r)  # reduced bit k is X[1 + k % r, 1 + k // r]
+    row, col = 1 + k % r, 1 + k // r
     T = np.zeros((n * n, r * r))
-    t = np.zeros(n * n)
-
-    def rid(i, j):  # interior cell (i+1, j+1) of X -> reduced index
-        return j * r + i
-
-    for i in range(r):
-        for j in range(r):
-            T[(j + 1) * n + (i + 1), rid(i, j)] = 1.0
-    t[0] = 2.0 - n
+    T[col * n + row, k] = 1.0
     T[0, :] = 1.0
-    for j in range(r):  # first row, columns 1..n-1
-        t[(j + 1) * n] = 1.0
-        T[(j + 1) * n, rid(np.arange(r), j)] -= 1.0
-    for i in range(r):  # first column, rows 1..n-1
-        t[i + 1] = 1.0
-        T[i + 1, rid(i, np.arange(r))] -= 1.0
+    T[col * n, k] = -1.0  # first row, columns 1..n-1
+    T[row, k] = -1.0  # first column, rows 1..n-1
+    t = np.zeros(n * n)
+    t[0] = 2.0 - n
+    t[n::n] = 1.0
+    t[1:n] = 1.0
     return T, t
 
 

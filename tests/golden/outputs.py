@@ -43,6 +43,7 @@ SPECS = {
     "spec_schrodinger": {"n": 2, "num_instances": 1, "seed": 3,
                          "formulations": ["inserted", "row_wise"], "solver": "schrodinger",
                          "solver_params": {"tau": 5.0, "shots": 50}},
+    "spec_sparse": {"n": 2, "num_instances": 2, "seed": 5, "sparsity": 0.5, "solver": "brute"},
 }
 
 
@@ -84,6 +85,8 @@ RUNS = [
     _solve("sa_dim25", "inst5", "baseline", "sa", "--runs", "70", "--sweeps", "10"),
     *[(f"bench_{s[5:]}", ["bench", "--spec", f"inputs/{s}.json", "--out", f"bench_{s[5:]}.json",
                           "--csv-out", f"bench_{s[5:]}.csv"]) for s in SPECS],
+    ("bench_preset", ["bench", "--preset", "random-dense", "--n", "2", "--seed", "1",
+                      "--out", "bench_preset.json", "--csv-out", "bench_preset.csv"]),
     ("report", ["report", "--report", "bench_sa.json", "--out", "report.csv"]),
     ("report_hand", ["report", "--report", "inputs/report_hand.json", "--out", "report_hand.csv"]),
 ]

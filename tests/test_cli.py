@@ -240,6 +240,19 @@ class TestGap:
         assert capsys.readouterr().err == "error: --scales must be distinct, got 1.0 twice\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
 
+    def test_per_scale_csv_name_that_is_a_directory_refused_before_work(self, tmp_path, capsys):
+        # the second scale's CSV name is a directory: refused before the first profile runs
+        _, path = write_instance(tmp_path, 3, 19)
+        (tmp_path / "g_scale2.csv").mkdir()
+        with mock.patch("permqubo.cli.gap_profile") as profile:
+            code = main(["gap", "--instance", str(path), "--formulation", "inserted",
+                         "--scales", "1,2", "--samples", "3", "--out", str(tmp_path / "g.csv")])
+        assert code == 2
+        profile.assert_not_called()
+        assert capsys.readouterr().err == f"error: output {tmp_path / 'g_scale2.csv'} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g_scale2.csv", "inst.json"]
+        assert not any((tmp_path / "g_scale2.csv").iterdir())
+
 
 class TestSolve:
     def test_brute_success(self, tmp_path, capsys):
