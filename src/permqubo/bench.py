@@ -139,6 +139,8 @@ class ExperimentSpec:
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; expected one of {tuple(SOLVERS)}")
         _check_solver_params(self.solver_params)
+        # A copy, so that editing one spec's parameters (a preset's) edits no other spec.
+        self.solver_params = dict(self.solver_params)
 
     def to_dict(self) -> dict:
         return _json_fields(self, _SPEC_TYPES)

@@ -300,7 +300,7 @@ def test_sa_work_cap_refused_before_allocating(monkeypatch):
     model = build_formulation(QapInstance(1, np.zeros((1, 1)), np.zeros(1)), "baseline")
     assert model.dim == 1
     monkeypatch.setattr(anneal, "_estimate_t_hi", lambda *args: pytest.fail("started"))
-    monkeypatch.setattr(anneal, "dgemm", lambda *args, **kwargs: pytest.fail("swept"))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("drew"))
     for runs, sweeps, key in ((cap + 1, 1, "runs"), (1, cap // 2**10 + 1, "sweeps")):
         tracemalloc.start()
         try:
@@ -468,6 +468,14 @@ class TestSpecIoAndPresets:
             _check_solver_size(spec.solver, top, spec.n, spec.gap_samples, spec.solver_params)
         spec = preset_spec("gap-scan", n=2)
         assert spec.n == 2 and spec.gap_samples > 0
+
+    def test_editing_a_preset_spec_edits_no_preset(self):
+        for name in PRESETS:
+            held = dict(PRESETS[name].solver_params)
+            spec = preset_spec(name)
+            spec.solver_params["runs"] = 1
+            assert PRESETS[name].solver_params == held
+            assert preset_spec(name).solver_params == held
 
     def test_unknown_spec_key_rejected(self):
         data = {"n": 2, "num_instances": 1, "seed": 0, "gap_sample": 5, "solvr": "sa"}

@@ -1,13 +1,16 @@
+import ast
 import json
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import permqubo
 from permqubo import (
     QapInstance,
     QuboModel,
@@ -988,3 +991,45 @@ class TestMalformedInputs:
         solve.assert_not_called()
         assert capsys.readouterr().err == f"error: {message}\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["inst.json"]
+
+
+_SA = ["--solver", "sa", "--runs", "8", "--sweeps", "2"]
+_TROTTER = ["--solver", "trotter", "--tau", "1", "--slices", "4", "--shots", "10"]
+
+
+@pytest.mark.parametrize("commands, krylov", [
+    ([["build", "--instance", "inst.json", "--formulation", "baseline", "--out", "model.json"],
+      ["solve", "--instance", "inst.json", "--formulation", "row_wise", *_SA, "--out", "sa.json"],
+      ["solve", "--instance", "inst.json", "--formulation", "inserted", "--solver", "brute",
+       "--out", "brute.json"],
+      ["solve", "--instance", "inst.json", "--formulation", "baseline", *_TROTTER,
+       "--out", "trotter.json"],
+      ["bench", "--spec", "spec.json", "--out", "report.json"],
+      ["report", "--report", "report.json", "--out", "report.csv"]], False),
+    ([["gap", "--instance", "inst.json", "--formulation", "baseline", "--samples", "3",
+       "--out", "gap.csv"]], True),
+], ids=["no-krylov-solver", "gap"])
+def test_only_krylov_commands_load_scipy(tmp_path, commands, krylov):
+    # Importing scipy.linalg costs a process about ten times an n = 8 SA solve, so
+    # only a Krylov solver's first call loads scipy's LAPACK.  Each case runs its
+    # commands in one fresh interpreter and lists the scipy modules it then holds.
+    write_instance(tmp_path, 2, 71)
+    (tmp_path / "spec.json").write_text(json.dumps({
+        "n": 2, "num_instances": 1, "seed": 0, "solver": "sa",
+        "solver_params": {"runs": 8, "sweeps": 2}, "gap_samples": 0}))
+    code = (
+        "import sys\n"
+        "from permqubo.cli import main\n"
+        f"for argv in {commands!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(permqubo.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout.splitlines()[-1])
+    if krylov:
+        assert "scipy.linalg.lapack" in loaded
+    else:
+        assert loaded == []

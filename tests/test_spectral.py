@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
 
@@ -205,13 +206,13 @@ def test_lowest_ritz_matches_eigh_tridiagonal(size, k, seed, kind):
 
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_lowest_ritz_refuses_lapack_failure(monkeypatch, routine):
-    real = getattr(spectral, routine)
+    real = getattr(scipy.linalg.lapack, routine)
 
     def failing(*args):
         *results, _ = real(*args)
         return (*results, 3)
 
-    monkeypatch.setattr(spectral, routine, failing)
+    monkeypatch.setattr(scipy.linalg.lapack, routine, failing)
     with pytest.raises(SolverError, match="LAPACK info 3"):
         spectral._lowest_ritz(np.arange(4.0), np.ones(3), 2)
 
