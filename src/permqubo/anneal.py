@@ -343,7 +343,8 @@ def _trotter_slice(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.nda
     theta = (1.0 - u) * dt / 2.0
     if at(0.0) == 0.0:
         psi = _mixer_rotation(psi, theta, pair.num_qubits)
-    psi = psi * np.exp(-1j * u * dt * pair.problem_diagonal)
+    with np.errstate(over="ignore", invalid="ignore"):  # _step_through refuses non-finite psi
+        psi = psi * np.exp(-1j * u * dt * pair.problem_diagonal)
     if at(1.0) < 1.0:
         # at(1.5) is the next slice's at(0.5), bit for bit
         theta += (1.0 - sched.path_value(at(1.5))) * dt / 2.0
@@ -427,14 +428,17 @@ class SampleSet:
     def total(self) -> int:
         return int(self.counts.sum())
 
+    def _row_columns(self, rows=slice(None)) -> list:
+        """The columns of ``rows`` (a slice or index list) as lists, in the order of a
+        sample row: bits, energy, count, valid, assignment."""
+        return [c[rows].tolist()
+                for c in (self.states, self.energies, self.counts, self.valid, self.assignments)]
+
     def _entries(self, rows=slice(None)) -> list:
         """The SampleEntry objects of ``rows`` (a slice or index list)."""
         return [
             SampleEntry(tuple(bits), energy, count, ok, tuple(assignment) if ok else None)
-            for bits, energy, count, ok, assignment in zip(
-                self.states[rows].tolist(), self.energies[rows].tolist(),
-                self.counts[rows].tolist(), self.valid[rows].tolist(),
-                self.assignments[rows].tolist())
+            for bits, energy, count, ok, assignment in zip(*self._row_columns(rows))
         ]
 
     @cached_property
@@ -444,8 +448,7 @@ class SampleSet:
 
     def to_dict(self) -> dict:
         """The JSON export: one ``_row_dict`` per row, written from the columns."""
-        entries = list(map(_row_dict, self.states.tolist(), self.energies.tolist(),
-                           self.counts.tolist(), self.valid.tolist(), self.assignments.tolist()))
+        entries = list(map(_row_dict, *self._row_columns()))
         return {"total": self.total, "entries": entries, "metadata": self.metadata}
 
     def histogram_csv(self, path) -> None:
@@ -636,16 +639,10 @@ class SuccessReport:
     f_opt: float
 
     def to_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "reference": {
-                "numerator": self.reference.numerator,
-                "denominator": self.reference.denominator,
-                "value": float(self.reference),
-            },
-            "n": self.n,
-            "f_opt": self.f_opt,
-        }
+        """Every field, the reference fraction as {numerator, denominator, value}."""
+        ref = self.reference
+        return {**vars(self), "reference": {"numerator": ref.numerator,
+                                            "denominator": ref.denominator, "value": float(ref)}}
 
 
 @dataclass

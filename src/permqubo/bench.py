@@ -82,6 +82,8 @@ _RESULT_TYPES = {
     "formulation": str, "scale": float, "normalized_energy": float, "success": bool,
     "success_fraction": float, "valid": bool, "min_gap": (None, float),
 }
+# The result fields that an aggregate averages, each as mean_<field>.
+_AVERAGED = ("normalized_energy", "success", "success_fraction", "min_gap")
 
 
 def _check_solver_params(params, name: str = "solver_params {}") -> None:
@@ -289,6 +291,12 @@ class BenchReport:
                    for record in self.instances for res in record["results"]))
 
 
+def _mean(values: list) -> float | None:
+    """The mean of the non-null ``values``, or None when every one is null."""
+    values = [v for v in values if v is not None]
+    return float(np.mean(values)) if values else None
+
+
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     """Run the configured suite, one instance after another, and aggregate."""
     # ``workers`` stays only for perfbench/workloads.py; it goes with the next benchmark change.
@@ -304,15 +312,9 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> BenchReport:
     aggregates = {}
     for rows in zip(*(record["results"] for record in records)):
         formulation, scale = rows[0]["formulation"], rows[0]["scale"]
-        gaps = [r["min_gap"] for r in rows if r["min_gap"] is not None]
         aggregates[f"{formulation}@{scale!r}"] = {
-            "formulation": formulation,
-            "scale": scale,
-            "mean_normalized_energy": float(np.mean([r["normalized_energy"] for r in rows])),
-            "mean_success": float(np.mean([r["success"] for r in rows])),
-            "mean_success_fraction": float(np.mean([r["success_fraction"] for r in rows])),
-            "mean_min_gap": float(np.mean(gaps)) if gaps else None,
-        }
+            "formulation": formulation, "scale": scale,
+            **{f"mean_{key}": _mean([r[key] for r in rows]) for key in _AVERAGED}}
     spec_json = json.dumps(spec.to_dict(), sort_keys=True)
     provenance = {
         "version": __version__,

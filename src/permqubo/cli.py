@@ -123,6 +123,7 @@ def _check_outputs(paths, inputs) -> None:
 
 
 def cmd_build(args) -> int:
+    check_positive("--scale", args.scale)
     inst = QapInstance.load(args.instance)
     model = build_formulation(inst, args.formulation, args.scale)
     bounds = penalty_bounds(inst)
@@ -158,9 +159,18 @@ def _scale_name(scale: float) -> str:
     return short if float(short) == scale else repr(scale)
 
 
+def _number(text: str):
+    """``text`` as a float, or the text itself when it spells no number, for a range
+    rule to refuse by name."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def cmd_gap(args) -> int:
     inst = QapInstance.load(args.instance)
-    scales = [check_positive("scale", float(s)) for s in args.scales.split(",")]
+    scales = [check_positive("--scales", _number(s)) for s in args.scales.split(",")]
     check_distinct("--scales", scales)
     check_count("--samples", args.samples, least=2)
     _check_gap_request(_model_dim(args.formulation, inst.n), args.samples)
@@ -182,8 +192,7 @@ def cmd_gap(args) -> int:
             outputs.append((csv_path, profile.to_csv))
             entry["csv"] = str(csv_path)
         else:
-            curves.append({**entry, "u": profile.ts.tolist(), "e0": profile.e0.tolist(),
-                           "e1": profile.e1.tolist(), "gap": profile.gaps().tolist()})
+            curves.append({**entry, **{k: v.tolist() for k, v in profile.curve().items()}})
         summaries.append(entry)
         print(f"scale={_scale_name(scale)}: "
               f"min_gap={profile.min_gap:.6g} at u={profile.argmin_t:.4g}")
@@ -204,6 +213,8 @@ def cmd_solve(args) -> int:
         raise ValueError("solve needs --instance (or --qubo)")
     if args.qubo and (args.formulation is not None or args.scale is not None):
         raise ValueError("--qubo fixes the formulation and scale; drop --formulation and --scale")
+    if args.scale is not None:
+        check_positive("--scale", args.scale)
     inst = QapInstance.load(args.instance) if args.instance else None
     if args.qubo:
         model = QuboModel.load(args.qubo)
@@ -275,7 +286,9 @@ def cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = argparse.ArgumentParser(
         prog="permqubo",
         description="Permutation-constrained assignment problems as unconstrained binary models",
@@ -335,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process, built on first use."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

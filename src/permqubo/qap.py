@@ -65,7 +65,7 @@ class QapInstance:
     @classmethod
     def from_dict(cls, data: dict) -> "QapInstance":
         _check_json_types(data, _INSTANCE_TYPES, "instance JSON")
-        return cls(n=data["n"], W=np.asarray(data["W"]), c=np.asarray(data["c"]))
+        return cls(**{key: data[key] for key in _INSTANCE_TYPES})
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict()), encoding="utf-8")

@@ -270,7 +270,9 @@ class SpinModel:
         return _quadratic_form(spin_states, self.Q_s, self.q_s, self.offset_s)
 
 
-def _effective_penalties(bounds: np.ndarray | float, scale: float):
+def _effective_penalties(bounds: np.ndarray, scale: float) -> np.ndarray:
+    """The weights scale * (1 + margin) * bounds, warning at the caller of
+    ``build_formulation`` when scale is below 1."""
     if scale < 1:
         warnings.warn(
             f"scale={scale} is below 1: the unconstrained problem is no longer "
@@ -303,16 +305,15 @@ def build_formulation(inst: QapInstance, formulation: str, scale: float = 1.0) -
     if formulation == "inserted":
         groups = build_constraints(n - 1)
         rows = np.vstack([groups, np.ones((1, groups.shape[1]))])
-        lams = _effective_penalties(np.append(bounds.lambda1, bounds.lambda2), scale)
+        raw = np.append(bounds.lambda1, bounds.lambda2)
         lo = np.append(np.zeros(len(groups)), n - 2.0)
         hi = np.append(np.ones(len(groups)), n - 1.0)
     else:
         rows = build_constraints(n)
         lo = hi = np.ones(2 * n)
-        if formulation == "baseline":
-            lams = np.full(2 * n, _effective_penalties(bounds.lambda_baseline, scale))
-        else:
-            lams = _effective_penalties(bounds.lambda_rows, scale)
+        raw = (np.full(2 * n, bounds.lambda_baseline) if formulation == "baseline"
+               else bounds.lambda_rows)
+    lams = _effective_penalties(raw, scale)
     Q, q, const = _data_part(formulation, inst)
     Q = Q + rows.T @ (lams[:, None] * rows)
     q = q - rows.T @ (lams * (lo + hi))
@@ -408,18 +409,9 @@ class CouplingReport:
     ratio_linear: float | None
 
     def to_dict(self) -> dict:
-        def pair(p):
-            return {"min": p[0], "max": p[1]}
-
-        return {
-            "scale_factor": self.scale_factor,
-            "quadratic_problem": pair(self.quadratic_problem),
-            "quadratic_penalty": pair(self.quadratic_penalty),
-            "linear_problem": pair(self.linear_problem),
-            "linear_penalty": pair(self.linear_penalty),
-            "ratio_quadratic": self.ratio_quadratic,
-            "ratio_linear": self.ratio_linear,
-        }
+        """Every field, each (min, max) range as {"min", "max"}."""
+        return {key: {"min": v[0], "max": v[1]} if isinstance(v, tuple) else v
+                for key, v in vars(self).items()}
 
 
 def coupling_report(model: QuboModel, inst: QapInstance) -> CouplingReport:

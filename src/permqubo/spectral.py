@@ -199,8 +199,13 @@ class GapProfile:
     def gaps(self) -> np.ndarray:
         return _gaps(self.e0, self.e1)
 
+    def curve(self) -> dict:
+        """The curve's columns by name, in CSV order: u, e0, e1, gap."""
+        return {"u": self.ts, "e0": self.e0, "e1": self.e1, "gap": self.gaps()}
+
     def to_csv(self, path) -> None:
-        write_csv(path, ["u", "e0", "e1", "gap"], zip(self.ts, self.e0, self.e1, self.gaps()))
+        curve = self.curve()
+        write_csv(path, list(curve), zip(*curve.values()))
 
     def summary(self, **extra) -> dict:
         out = {"min_gap": self.min_gap, "argmin_t": self.argmin_t}

@@ -57,6 +57,9 @@ RUNS = [
     *[(f"build_{f}", ["build", "--instance", "inputs/inst3.json", "--formulation", f,
                       "--scale", "1.5", "--out", f"build_{f}.json", "--sparse-out", f"build_{f}.txt"])
       for f in ("baseline", "row_wise", "inserted")],
+    # below scale 1 build warns; the run's .stdout file keeps the warning's text
+    ("build_below1", ["build", "--instance", "inputs/inst3.json", "--formulation", "row_wise",
+                      "--scale", "0.5", "--out", "build_below1.json"]),
     ("gap_csv", ["gap", "--instance", "inputs/inst3.json", "--formulation", "inserted",
                  "--scales", "1,2.5", "--samples", "9", "--out", "gap.csv",
                  "--summary-out", "gap_csv_summary.json"]),

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -570,6 +571,18 @@ class TestSuccessAndSampleSet:
         report4 = success_probability(samples4, inst4)
         assert report4.reference == Fraction(1, 24)
         assert float(report4.reference) == pytest.approx(0.0417, abs=5e-5)
+
+    def test_success_report_dict_is_written_from_the_fields(self):
+        # one field list: the dict's keys are the dataclass fields, the fraction spelled out
+        inst = random_instance(3, 83)
+        samples = SampleSet.from_states(build_formulation(inst, "baseline"),
+                                        np.zeros((1, 9), dtype=int), np.ones(1, dtype=int), {})
+        report = success_probability(samples, inst)
+        data = report.to_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(anneal.SuccessReport)]
+        assert data["reference"] == {"numerator": 1, "denominator": 6, "value": 1 / 6}
+        assert {k: v for k, v in data.items() if k != "reference"} == {
+            "probability": report.probability, "n": 3, "f_opt": report.f_opt}
 
     def test_all_optimal_sample_set(self):
         inst = random_instance(3, 80)

@@ -114,6 +114,25 @@ class TestRunExperiment:
             assert agg["mean_success"] == 1.0
             assert agg["mean_success_fraction"] == 1.0
 
+    def test_aggregate_keys_are_the_averaged_fields(self):
+        # one averaged-field list: each aggregate holds its pair and the mean of each
+        # averaged result field, over its non-null values (null when there are none)
+        assert set(bench._AVERAGED) <= set(bench._RESULT_TYPES)
+        for gap_samples in (0, 3):
+            report = run_experiment(small_spec(num_instances=2, gap_samples=gap_samples))
+            for k, agg in enumerate(report.aggregates.values()):
+                assert set(agg) == {"formulation", "scale",
+                                    *(f"mean_{key}" for key in bench._AVERAGED)}
+                rows = [record["results"][k] for record in report.instances]
+                assert (agg["formulation"], agg["scale"]) == (rows[0]["formulation"],
+                                                              rows[0]["scale"])
+                for key in bench._AVERAGED:
+                    values = [r[key] for r in rows if r[key] is not None]
+                    want = float(np.mean(values)) if values else None
+                    assert agg[f"mean_{key}"] == want
+            assert (agg["mean_min_gap"] is None) == (gap_samples == 0)
+        assert bench._mean([1.0, None, 2.0]) == 1.5 and bench._mean([None, None]) is None
+
     def test_normalized_energy_floor(self):
         spec = small_spec(solver="sa", solver_params={"runs": 30, "sweeps": 5})
         report = run_experiment(spec)

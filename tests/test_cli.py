@@ -1,9 +1,11 @@
 import ast
+import csv
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -21,7 +23,7 @@ from permqubo import (
     worst_permutation,
 )
 from permqubo.bench import SOLVER_DEFAULTS, SOLVERS
-from permqubo.cli import build_parser, main
+from permqubo.cli import _parser, main
 from permqubo.errors import WORK_CAPS
 
 
@@ -159,6 +161,23 @@ class TestGap:
                 for key in ("u", "e0", "e1", "gap"):
                     assert len(curve.pop(key)) == 7
                 assert curve == entry
+
+    def test_json_curve_columns_are_the_csv_columns(self, tmp_path):
+        # one column list: a JSON curve holds the summary entry plus exactly the CSV's
+        # columns, with the same numbers
+        _, path = write_instance(tmp_path, 2, 62)
+        runs = {}
+        for suffix in ("json", "csv"):
+            out, summary = tmp_path / f"gap.{suffix}", tmp_path / f"summary_{suffix}.json"
+            assert main(["gap", "--instance", str(path), "--formulation", "row_wise",
+                         "--samples", "5", "--out", str(out), "--summary-out", str(summary)]) == 0
+            runs[suffix] = out, json.loads(summary.read_text())["profiles"][0]
+        curve = json.loads(runs["json"][0].read_text())["profiles"][0]
+        header, *rows = list(csv.reader(runs["csv"][0].read_text().splitlines()))
+        assert header == ["u", "e0", "e1", "gap"]
+        assert set(curve) == set(runs["json"][1]) | set(header)
+        for j, key in enumerate(header):
+            assert curve[key] == [float(row[j]) for row in rows]
 
     def test_json_format_embeds_profiles(self, tmp_path):
         _, path = write_instance(tmp_path, 2, 61)
@@ -300,6 +319,19 @@ class TestSolve:
         assert main(["solve", "--instance", str(path), "--formulation", "baseline",
                      "--solver", "trotter", "--slices", "4", "--out", str(out)]) == 0
         assert len(json.loads(out.read_text())["entries"][0]["bits"]) == 16
+
+    def test_trotter_overflow_refused_without_warnings(self, tmp_path, capsys):
+        # a slice's phase overflows at tau = 1e308; the step check refuses the
+        # non-finite amplitudes, and no numpy warning comes before its message
+        _, path = write_instance(tmp_path, 2, 11)
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["solve", "--instance", str(path), "--solver", "trotter",
+                         "--slices", "3", "--tau", "1e308", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == "error: non-finite amplitudes at step 2\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("n, flags", [
         (2, ["--solver", "schrodinger", "--tau", "1e12"]),
@@ -578,7 +610,7 @@ class TestSolve:
     def test_every_output_flag_has_an_overwrite_case(self):
         # every output flag of every command (a parsed argument named out or *_out) is
         # the one pointed at an input ("{d}/./") in some case of the test above
-        commands = build_parser()._subparsers._group_actions[0].choices
+        commands = _parser()._subparsers._group_actions[0].choices
         flags = {(name, action.option_strings[0]) for name, sub in commands.items()
                  for action in sub._actions
                  if action.dest == "out" or action.dest.endswith("_out")}
@@ -897,17 +929,22 @@ class TestMalformedInputs:
     @pytest.mark.parametrize("command, flags", [
         ("build", ["--scale", "nan"]), ("build", ["--scale", "inf"]),
         ("gap", ["--scales", "1,nan"]), ("gap", ["--scales", "inf,1"]),
+        ("solve", ["--solver", "brute", "--scale", "-1"]),
+        ("gap", ["--scales", "1e400"]), ("gap", ["--scales", "1,x"]), ("gap", ["--scales", ","]),
     ])
     def test_non_finite_scale_refused_before_work(self, tmp_path, capsys, command, flags):
         _, path = write_instance(tmp_path, 2, 20)
         out = tmp_path / "out.json"
-        with mock.patch("permqubo.cli.gap_profile") as profile:
+        with mock.patch("permqubo.cli.gap_profile") as profile, \
+                mock.patch("permqubo.cli.build_formulation") as builder:
             code = main([command, "--instance", str(path), "--formulation", "baseline",
                          *flags, "--out", str(out)])
         assert code == 2
         profile.assert_not_called()
+        builder.assert_not_called()
         err = capsys.readouterr().err
-        assert err.count("scale must be finite and positive") == 1 and err.count("\n") == 1
+        flag = flags[-2]  # each refusal names its flag
+        assert err.count(f"{flag} must be finite and positive") == 1 and err.count("\n") == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("solver", ["schrodinger", "trotter"])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import warnings
@@ -27,7 +28,7 @@ from permqubo import (
     to_spin,
     vectorize,
 )
-from permqubo.qubo import SpinModel, normalize_couplings
+from permqubo.qubo import CouplingReport, SpinModel, normalize_couplings
 
 
 ALL_FORMULATIONS = ("baseline", "row_wise", "inserted")
@@ -246,9 +247,12 @@ class TestBuilders:
             build_formulation(inst, "baseline", 0.0)
 
     def test_scale_below_one_warns(self):
+        # once per model, pointing at the caller of build_formulation
         inst = random_instance(2, 47)
-        with pytest.warns(UserWarning):
-            build_formulation(inst, "baseline", 0.5)
+        for form in ALL_FORMULATIONS:
+            with pytest.warns(UserWarning) as seen:
+                build_formulation(inst, form, 0.5)
+            assert len(seen) == 1 and seen[0].filename == __file__
 
     def test_feasible_states_pay_no_penalty(self):
         for seed in range(5):
@@ -494,6 +498,16 @@ class TestCouplingReport:
         rr = coupling_report(build_formulation(inst, "row_wise"), inst)
         assert rr.ratio_linear < rb.ratio_linear
         assert rr.ratio_quadratic < rb.ratio_quadratic
+
+    def test_dict_is_written_from_the_fields(self):
+        # one field list: the dict's keys are the dataclass fields, each range as min, max
+        inst = random_instance(3, 57)
+        report = coupling_report(build_formulation(inst, "inserted"), inst)
+        data = report.to_dict()
+        assert list(data) == [f.name for f in dataclasses.fields(CouplingReport)]
+        for key, value in vars(report).items():
+            want = {"min": value[0], "max": value[1]} if isinstance(value, tuple) else value
+            assert data[key] == want
 
     def test_scaled_ranges_within_hardware_window(self):
         inst = random_instance(3, 56)
