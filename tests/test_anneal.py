@@ -34,7 +34,7 @@ from permqubo import (
     vectorize,
 )
 from permqubo import anneal, permutation_extremes
-from permqubo.errors import SizeCapError
+from permqubo.errors import SizeCapError, SolverError
 from permqubo.qubo import QuboModel, enumerate_states
 from strategies import (adversarial_instances, adversarial_model_coefficients, build_model,
                         coefficient_mass, random_instance, zero_pair)
@@ -241,6 +241,20 @@ def test_lanczos_expm_matches_expm(dim, seed, diag_spread, dt_frac):
     v /= np.linalg.norm(v)
     got = anneal._lanczos_expm(lambda w: H @ w, v, dt)
     assert np.linalg.norm(got - scipy.linalg.expm(-1j * dt * H) @ v) <= krylov_bound(1)
+
+
+def test_evolve_refuses_eigensolver_failure(monkeypatch):
+    # numpy's LinAlgError is a ValueError, which the CLI reads as bad input, so
+    # the propagator reports a failed tridiagonal solve as a solver failure
+    pair = annealing_hamiltonian(build_formulation(random_instance(2, 71), "baseline"))
+
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    with pytest.raises(SolverError, match=r"^tridiagonal eigensolver failed "
+                                          r"\(Eigenvalues did not converge\)$"):
+        evolve(pair, AnnealSchedule(tau=1.0))
 
 
 class TestTrotter:

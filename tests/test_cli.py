@@ -312,6 +312,23 @@ class TestSolve:
         assert main(["solve", "--instance", str(path), "--formulation", "baseline",
                      "--solver", "schrodinger", "--out", str(tmp_path / "s.json")]) == 4
 
+    def test_schrodinger_eigensolver_failure_exit_3(self, tmp_path, monkeypatch, capsys):
+        # a failed tridiagonal solve is a solver failure, not bad input, although
+        # numpy raises it as a ValueError
+        _, path = write_instance(tmp_path, 2, 11)
+        out = tmp_path / "s.json"
+
+        def failing_eigh(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        code = main(["solve", "--instance", str(path), "--solver", "schrodinger",
+                     "--tau", "1", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: tridiagonal eigensolver failed (Eigenvalues did not converge)\n")
+        assert not out.exists()
+
     def test_trotter_at_the_qubit_cap(self, tmp_path):
         # n = 4 baseline is 16 qubits, the cap of every state-vector path
         _, path = write_instance(tmp_path, 4, 10)
@@ -1034,26 +1051,40 @@ _SA = ["--solver", "sa", "--runs", "8", "--sweeps", "2"]
 _TROTTER = ["--solver", "trotter", "--tau", "1", "--slices", "4", "--shots", "10"]
 
 
-@pytest.mark.parametrize("commands, krylov", [
+_SCHRODINGER = ["--solver", "schrodinger", "--tau", "1", "--shots", "10"]
+_SPECS = {
+    "spec.json": {"solver": "sa", "solver_params": {"runs": 8, "sweeps": 2}, "gap_samples": 0},
+    "spec_schrodinger.json": {"solver": "schrodinger", "solver_params": {"tau": 1.0, "shots": 10},
+                              "gap_samples": 0},
+    "spec_gap.json": {"solver": "sa", "solver_params": {"runs": 8, "sweeps": 2},
+                      "gap_samples": 3},
+}
+
+
+@pytest.mark.parametrize("commands, gap", [
     ([["build", "--instance", "inst.json", "--formulation", "baseline", "--out", "model.json"],
       ["solve", "--instance", "inst.json", "--formulation", "row_wise", *_SA, "--out", "sa.json"],
       ["solve", "--instance", "inst.json", "--formulation", "inserted", "--solver", "brute",
        "--out", "brute.json"],
       ["solve", "--instance", "inst.json", "--formulation", "baseline", *_TROTTER,
        "--out", "trotter.json"],
+      ["solve", "--instance", "inst.json", "--formulation", "row_wise", *_SCHRODINGER,
+       "--out", "schrodinger.json"],
       ["bench", "--spec", "spec.json", "--out", "report.json"],
+      ["bench", "--spec", "spec_schrodinger.json", "--out", "report_schrodinger.json"],
       ["report", "--report", "report.json", "--out", "report.csv"]], False),
     ([["gap", "--instance", "inst.json", "--formulation", "baseline", "--samples", "3",
        "--out", "gap.csv"]], True),
-], ids=["no-krylov-solver", "gap"])
-def test_only_krylov_commands_load_scipy(tmp_path, commands, krylov):
+    ([["bench", "--spec", "spec_gap.json", "--out", "report_gap.json"]], True),
+], ids=["no-gap-profile", "gap", "bench-gap"])
+def test_only_gap_profiles_load_scipy(tmp_path, commands, gap):
     # Importing scipy.linalg costs a process about ten times an n = 8 SA solve, so
-    # only a Krylov solver's first call loads scipy's LAPACK.  Each case runs its
-    # commands in one fresh interpreter and lists the scipy modules it then holds.
+    # only a gap profile's first eigensolve loads scipy's LAPACK; the propagator
+    # runs on numpy alone.  Each case runs its commands in one fresh interpreter
+    # and lists the scipy modules it then holds.
     write_instance(tmp_path, 2, 71)
-    (tmp_path / "spec.json").write_text(json.dumps({
-        "n": 2, "num_instances": 1, "seed": 0, "solver": "sa",
-        "solver_params": {"runs": 8, "sweeps": 2}, "gap_samples": 0}))
+    for name, fields in _SPECS.items():
+        (tmp_path / name).write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0, **fields}))
     code = (
         "import sys\n"
         "from permqubo.cli import main\n"
@@ -1066,7 +1097,7 @@ def test_only_krylov_commands_load_scipy(tmp_path, commands, krylov):
                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     loaded = ast.literal_eval(done.stdout.splitlines()[-1])
-    if krylov:
+    if gap:
         assert "scipy.linalg.lapack" in loaded
     else:
         assert loaded == []
