@@ -63,6 +63,7 @@ _STEP_BUDGET = 4.0
 # 2006; Alvermann and Fehske, J. Comput. Phys. 230, 2011).
 _GAUSS = (0.5 - sqrt(3.0) / 6.0, 0.5 + sqrt(3.0) / 6.0)
 _CF4 = ((3.0 - 2.0 * sqrt(3.0)) / 12.0, (3.0 + 2.0 * sqrt(3.0)) / 12.0)
+MAX_SHOTS = 2**63 - 1  # the most shots of ``measure``: numpy's multinomial draws int64 counts
 # Equal-width energy bins of a histogram CSV.
 HISTOGRAM_BINS = 40
 # Simulated annealing draws its random numbers in blocks of this many runs,
@@ -188,7 +189,7 @@ def _lanczos_expm(apply_h, v: np.ndarray, dt: float) -> np.ndarray:
     # T_m has at most _KRYLOV_DIM rows.  At that size numpy's dense eigh costs
     # 5-15 us more per exponential than LAPACK's tridiagonal dstevd, about 4%
     # of a 9-qubit evolve, and spares the process scipy's import (see
-    # spectral._lapack).  LinAlgError is a ValueError, which the CLI would
+    # spectral._lowest_ritz).  LinAlgError is a ValueError, which the CLI would
     # report as bad input.
     T = np.zeros((used, used))
     T.flat[:: used + 1] = alphas[:used]
@@ -281,16 +282,22 @@ def _cf4_step(pair: HamiltonianPair, sched: AnnealSchedule, at, psi: np.ndarray,
     return _propagate(pair, 2.0 * (a1 * u1 + a2 * u2), psi, dt / 2.0)
 
 
-def _cf4_substeps(pair: HamiltonianPair, dt: float) -> int:
-    """The most substeps an exponential of a CF4 step of width dt can take.
-
-    u~ lies in [0, 1], where the half-width bound is affine in u, so it is
-    at most max(half_width(0), half_width(1)) and each exponential takes at
-    most ceil(dt/2 * that / _STEP_BUDGET) substeps; exact arithmetic, so
-    that no product overflows.
-    """
-    top = max(pair.half_width(0.0), pair.half_width(1.0))
+def _cf4_substeps(dt: float, top: float) -> int:
+    """The most substeps an exponential of a CF4 step of width dt takes at the half-width
+    bound ``top``, in exact arithmetic, so that no product overflows."""
     return max(1, ceil(Fraction(dt) * Fraction(top) / Fraction(2.0 * _STEP_BUDGET)))
+
+
+def _check_cf4_request(num_qubits: int, sched: AnnealSchedule, top: float) -> None:
+    """Refuse, before any work, an ``evolve`` run of ``sched`` over the evolution caps
+    (``_check_evolution_request``), a step charged once per substep its exponentials
+    may take at the half-width bound ``top``.  u~ lies in [0, 1], where the bound is
+    affine in u, so ``evolve`` passes max(half_width(0), half_width(1)); half_width(0)
+    is m on every m-qubit pair, so a check at ``top`` = m refuses no run that ``evolve``
+    accepts.  A step's width is rounded from its exact value, so no count overflows it."""
+    _check_evolution_request(num_qubits, sum(
+        n * _cf4_substeps(float(Fraction(sched.tau * (b - a)) / n), top)
+        for a, b, n in sched.segments()))
 
 
 def evolve(pair: HamiltonianPair, sched: AnnealSchedule) -> np.ndarray:
@@ -305,15 +312,11 @@ def evolve(pair: HamiltonianPair, sched: AnnealSchedule) -> np.ndarray:
     times the half-width of H(u~)'s spectrum is within _STEP_BUDGET; each
     is a Krylov expansion on the centred H(u~) (the offset is a phase) that
     grows until its error bound falls below _KRYLOV_TOL (at most _KRYLOV_DIM
-    vectors), so the stepping is norm-preserving by construction.  Before any
-    work, the request is checked (``_check_evolution_request``), with a step
-    of width dt charged once per substep its exponentials may take
-    (``_cf4_substeps``).
+    vectors), so the stepping is norm-preserving by construction.  The request
+    is checked (``_check_cf4_request``) before any work.
     """
-    segments = sched.segments()
-    _check_evolution_request(pair.num_qubits, sum(
-        n * _cf4_substeps(pair, sched.tau * (b - a) / n) for a, b, n in segments))
-    return _step_through(pair, sched, segments, partial(_cf4_step, pair, sched))
+    _check_cf4_request(pair.num_qubits, sched, max(pair.half_width(0.0), pair.half_width(1.0)))
+    return _step_through(pair, sched, sched.segments(), partial(_cf4_step, pair, sched))
 
 
 def _rotation_matrix(theta: float, k: int) -> np.ndarray:
@@ -470,7 +473,7 @@ class SampleSet:
 
 def measure(state: np.ndarray, shots: int, seed: int, model: QuboModel) -> SampleSet:
     """Sample basis states from |amplitudes|^2 and attach model energies."""
-    shots = check_count("shots", shots)
+    shots = check_count("shots", shots, most=MAX_SHOTS)
     seed = check_count("seed", seed, least=0)
     state = np.asarray(state)
     m = state.size.bit_length() - 1

@@ -14,13 +14,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .anneal import (
+    MAX_SHOTS,
     AnnealSchedule,
     SampleSet,
+    _check_cf4_request,
     _check_evolution_request,
     _check_sa_request,
     evolve,
@@ -41,8 +44,8 @@ from .spectral import _check_gap_request, annealing_hamiltonian, gap_profile
 SOLVERS = {
     "brute": lambda dim, params: check_size("enumeration", dim),
     "sa": lambda dim, params: _check_sa_request(params["runs"], params["sweeps"], dim),
-    "schrodinger": lambda dim, params: _check_evolution_request(dim, AnnealSchedule(
-        tau=params["tau"], steps=params["steps"]).effective_steps()),
+    "schrodinger": lambda dim, params: _check_cf4_request(
+        dim, AnnealSchedule(tau=params["tau"], steps=params["steps"]), dim),
     "trotter": lambda dim, params: _check_evolution_request(dim, params["slices"]),
 }
 
@@ -62,7 +65,7 @@ SOLVER_DEFAULTS = {
     "sweeps": (100, int, check_count), "runs": (500, int, check_count),  # sa
     "schedule": (None, (None, [float]), _check_schedule),  # sa
     "tau": (100.0, float, check_positive), "steps": (None, (None, int), check_count),
-    "shots": (500, int, check_count),  # schrodinger, trotter
+    "shots": (500, int, partial(check_count, most=MAX_SHOTS)),  # schrodinger, trotter
     "slices": (256, int, check_count),  # trotter
 }
 

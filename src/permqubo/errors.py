@@ -68,10 +68,12 @@ def check_work(what: str, amount: int) -> None:
     _check_cap(WORK_CAPS[what], amount)
 
 
-def check_count(what: str, value, least: int = 1) -> int:
-    """Return ``value`` as an int, refusing a bool, a non-integer or a value below ``least``."""
+def check_count(what: str, value, least: int = 1, most: int | None = None) -> int:
+    """Return ``value`` as an int, refusing a bool, a non-integer or one outside [least, most]."""
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= least):
         raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be an integer <= {most}, got {value!r}")
     return int(value)
 
 

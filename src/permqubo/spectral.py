@@ -229,22 +229,6 @@ def _orthogonalise(V: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _lapack():
-    """scipy's LAPACK wrappers, imported at the first call.
-
-    Importing scipy.linalg costs a process about 0.23 s and 28 MB of peak
-    RSS (medians of 10 fresh interpreters on a 2-core Xeon, numpy 2.4, scipy
-    1.17), about ten times an n = 8 SA solve.  Its one caller is
-    ``_lowest_ritz``, the eigensolver of gap profiles; the propagator
-    diagonalises its small tridiagonal with numpy.  So no module imports
-    scipy at load time, and a command that computes no gap profile never
-    loads it.
-    """
-    from scipy.linalg import lapack
-
-    return lapack
-
-
 def _lowest_ritz(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest eigenvalues of the symmetric tridiagonal T with diagonal
     ``alphas`` and off-diagonal ``betas``, ascending, and their eigenvectors
@@ -254,11 +238,16 @@ def _lowest_ritz(alphas: np.ndarray, betas: np.ndarray, k: int) -> tuple[np.ndar
     select_range=(0, k - 1))``, so the same bits: dstebz by index with the
     default tolerance, in block order, then dstein, then a sort into
     ascending order.  Called directly, they skip that wrapper's argument
-    checks, which cost several times the arithmetic at these sizes.
+    checks, which cost several times the arithmetic at these sizes.  They are
+    the package's only scipy calls, imported here at the first call: importing
+    scipy.linalg costs a process about 0.23 s and 28 MB of peak RSS (medians of
+    10 fresh interpreters on a 2-core Xeon, numpy 2.4, scipy 1.17), about ten
+    times an n = 8 SA solve, which a command without gap profiles never pays.
     """
     if len(alphas) == 1:
         return alphas[:1].copy(), np.ones((1, 1))
-    lapack = _lapack()
+    from scipy.linalg import lapack
+
     found, theta, block, split, info = lapack.dstebz(alphas, betas, 2, 0.0, 1.0, 1, k, 0.0, "B")
     if not info:
         vectors, info = lapack.dstein(alphas, betas, theta[:found], block, split)

@@ -131,10 +131,11 @@ class TestEvolve:
 
     @pytest.mark.parametrize("form", ["baseline", "inserted"])
     def test_substeps_within_the_charge(self, monkeypatch, form):
-        # the work cap charges a step of width dt _cf4_substeps(dt) per exponential;
-        # no exponential of evolve takes more, on linear and plateau paths at
-        # short and long anneals
+        # the work cap charges a step of width dt _cf4_substeps(dt, top) per exponential,
+        # top the pair's half-width bound on [0, 1]; no exponential of evolve takes more,
+        # on linear and plateau paths at short and long anneals
         pair = annealing_hamiltonian(build_formulation(random_instance(3, 83), form))
+        top = max(pair.half_width(0.0), pair.half_width(1.0))
         calls = []  # per exponential: [its step's width, substeps taken]
         propagate, expm = anneal._propagate, anneal._lanczos_expm
         monkeypatch.setattr(anneal, "_propagate", lambda pair, u, psi, dt:
@@ -147,7 +148,7 @@ class TestEvolve:
                 calls.clear()
                 evolve(pair, sched)
                 assert len(calls) == 2 * sched.effective_steps()
-                assert all(0 < taken <= anneal._cf4_substeps(pair, dt) for dt, taken in calls)
+                assert all(0 < taken <= anneal._cf4_substeps(dt, top) for dt, taken in calls)
 
     def test_fourth_order_on_a_linear_path(self, monkeypatch):
         # with the Krylov stop far below the integrator's error, halving dt

@@ -2,15 +2,18 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from strategies import zero_pair
 from permqubo import (
     AnnealSchedule,
     ExperimentSpec,
+    HamiltonianPair,
     QapInstance,
     QuboModel,
     SampleSet,
@@ -272,32 +275,44 @@ def test_cap_entries_cover_size_caps():
     assert all(_CAP_ENTRIES[cap][0] == cap for cap in SIZE_CAPS)
 
 
-# Per state-vector solver: the parameter that sets its steps, and its Python entry.
-_WORK_ENTRIES = {
-    "schrodinger": ("steps", lambda pair, steps: evolve(pair, AnnealSchedule(tau=1.0, steps=steps))),
-    "trotter": ("slices",
-                lambda pair, steps: evolve_trotter(pair, AnnealSchedule(tau=1.0), slices=steps)),
+# Per case at the qubit cap, 16: the solver, parameters that are the fewest over the
+# evolution work cap (2048 charged steps of 2^16 amplitudes each), and the same with one
+# charged step fewer.  A schrodinger step is charged once per substep its exponentials may
+# take, and on a zero pair both evolve's half-width bound and the up-front one are m = 16,
+# so one step of width tau takes ceil(tau * 16 / 8) = ceil(2 tau) substeps.
+_WORK_CASES = {
+    "schrodinger": ("schrodinger", {"tau": 1.0, "steps": 2049}, {"tau": 1.0, "steps": 2048}),
+    "trotter": ("trotter", {"tau": 1.0, "slices": 2049}, {"tau": 1.0, "slices": 2048}),
+    "schrodinger-substeps": ("schrodinger", {"tau": 1024.5, "steps": 1},
+                             {"tau": 1024.0, "steps": 1}),
 }
 
 
-@pytest.mark.parametrize("solver", _WORK_ENTRIES)
-def test_work_cap_refused_before_allocating(solver, monkeypatch):
-    # at the qubit cap, 16, the fewest steps over the evolution work cap (2049 steps of
-    # 2^16 amplitudes each): the Python entry refuses them before it allocates the 1-MB
-    # state or steps, bench's up-front check (for a spec and for solve) refuses them
-    # with the same message, and one step fewer, and a single step, pass that check
-    key, entry = _WORK_ENTRIES[solver]
+def _evolution_entry(solver: str, params: dict):
+    """The state-vector solver's Python entry on a pair, at ``params``."""
+    sched = AnnealSchedule(tau=params["tau"], steps=params.get("steps"))
+    if solver == "schrodinger":
+        return lambda pair: evolve(pair, sched)
+    return lambda pair: evolve_trotter(pair, sched, slices=params["slices"])
+
+
+@pytest.mark.parametrize("case", _WORK_CASES)
+def test_work_cap_refused_before_allocating(case, monkeypatch):
+    # the Python entry refuses the fewest charged steps over the work cap before it
+    # allocates the 1-MB state or steps, bench's up-front check (for a spec and for solve)
+    # refuses them with the same message, and one charged step fewer, and a single step,
+    # pass that check
+    solver, over, under = _WORK_CASES[case]
     m = SIZE_CAPS["hamiltonian"][0]
-    steps = WORK_CAPS["evolution"][0] // 2**m + 1
-    assert (m, steps) == (16, 2049)
+    assert (m, WORK_CAPS["evolution"][0] // 2**m) == (16, 2048)
     monkeypatch.setattr(anneal, "_propagate", lambda *args: pytest.fail("stepped"))
     monkeypatch.setattr(anneal, "_mixer_rotation", lambda *args: pytest.fail("stepped"))
-    message = _refused_before_allocating(lambda pair: entry(pair, steps), zero_pair(m))
+    message = _refused_before_allocating(_evolution_entry(solver, over), zero_pair(m))
     with pytest.raises(SizeCapError) as bench_refused:
-        _check_solver_size(solver, m, params={key: steps})
+        _check_solver_size(solver, m, params=over)
     assert str(bench_refused.value) == message
-    _check_solver_size(solver, m, params={key: steps - 1})
-    _check_solver_size(solver, m, params={key: 1})
+    _check_solver_size(solver, m, params=under)
+    _check_solver_size(solver, m, params={"tau": 1.0, "steps": 1, "slices": 1})
 
 
 def test_work_cap_counts_substeps():
@@ -307,6 +322,35 @@ def test_work_cap_counts_substeps():
     errors.check_work("evolution", WORK_CAPS["evolution"][0])
     with pytest.raises(SizeCapError):
         errors.check_work("evolution", WORK_CAPS["evolution"][0] + 1)
+
+
+@pytest.mark.parametrize("params", [{"tau": 1e308}, {"tau": 1.0, "steps": 10**400}])
+def test_work_cap_charges_step_counts_beyond_the_float_range(params):
+    # a step count beyond the float range (2.5e308 default steps, or 10^400 asked for)
+    # is refused by the work cap, from evolve and up front, not by an OverflowError
+    with pytest.raises(SizeCapError, match="over 1e"):
+        evolve(zero_pair(2), AnnealSchedule(**params))
+    with pytest.raises(SizeCapError, match="over 1e"):
+        _check_solver_size("schrodinger", 2, params=params)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(m=st.integers(1, 10), lo=st.floats(-1e6, 0.0), spread=st.floats(0.0, 1e6),
+       tau=st.floats(1e-3, 1e9), steps=st.one_of(st.none(), st.integers(1, 10**6)))
+def test_up_front_cf4_charge_never_exceeds_evolves(m, lo, spread, tau, steps):
+    # on any pair, bench's up-front check charges a schrodinger run at most what evolve
+    # charges, so it refuses no run that evolve takes
+    diagonal = np.full(2**m, lo)
+    diagonal[-1] = lo + spread
+    params = _with_defaults({"tau": tau, "steps": steps})
+    charges = []
+    with mock.patch.object(anneal, "_check_evolution_request",
+                           lambda num_qubits, charged: charges.append(charged)), \
+            mock.patch.object(anneal, "_step_through", lambda *args: None):
+        SOLVERS["schrodinger"](m, params)
+        evolve(HamiltonianPair(m, diagonal), AnnealSchedule(tau=tau, steps=steps))
+    up_front, evolves = charges
+    assert 0 < up_front <= evolves
 
 
 def test_sa_work_cap_refused_before_allocating(monkeypatch):

@@ -17,6 +17,7 @@ from permqubo import (
     QapInstance,
     QuboModel,
     SampleSet,
+    annealing_hamiltonian,
     brute_force_qap,
     build_formulation,
     permutation_extremes,
@@ -355,8 +356,9 @@ class TestSolve:
         (2, ["--solver", "schrodinger", "--tau", "1e12", "--steps", "1"]),  # ~10^12 substeps
         (2, ["--solver", "schrodinger", "--tau", "1e308"]),  # 2.5 tau overflows a float
         (2, ["--solver", "trotter", "--slices", "1000000000"]),
-        # 16 qubits: the up-front check charges the 1250 CF4 steps (cap 2048), but evolve
-        # charges each twice, for the two substeps its exponentials may take
+        # 16 qubits: the up-front check charges the 1250 CF4 steps one substep each at the
+        # half-width bound m = 16 (cap 2048), but evolve charges each twice, for the two
+        # substeps its exponentials may take at its pair's bound (32 to 36)
         (4, ["--formulation", "baseline", "--solver", "schrodinger", "--tau", "500"]),
     ], ids=["flags0", "flags1", "flags2", "flags3", "n4-baseline-tau500"])
     def test_evolution_over_the_work_cap_exit_4(self, tmp_path, capsys, n, flags):
@@ -746,16 +748,27 @@ class TestBenchAndReport:
         assert "16-qubit" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("solver, params", [("schrodinger", {"tau": 1e12}),
-                                                ("trotter", {"slices": 10**9})])
+    @pytest.mark.parametrize("solver, params", [
+        ("schrodinger", {"tau": 1e12}),
+        ("trotter", {"slices": 10**9}),
+        # one step of about 10^12 substeps, charged up front at the half-width bound m = 9
+        ("schrodinger", {"tau": 1e12, "steps": 1, "n": 4, "num_instances": 3,
+                         "formulations": ["inserted"]}),
+    ])
     def test_bench_work_cap_refused_before_work(self, tmp_path, capsys, solver, params):
+        # ``params`` holds solver parameters and, for the spec, other spec fields
+        spec = {"n": 2, "num_instances": 1, "seed": 0, "solver": solver, "solver_params": {}}
+        for key, value in params.items():
+            (spec["solver_params"] if key in SOLVER_DEFAULTS else spec)[key] = value
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps({"n": 2, "num_instances": 1, "seed": 0,
-                                         "solver": solver, "solver_params": params}))
+        spec_path.write_text(json.dumps(spec))
         out = tmp_path / "r.json"
-        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle:
+        with mock.patch("permqubo.bench.permutation_extremes", wraps=permutation_extremes) as oracle, \
+                mock.patch("permqubo.bench.annealing_hamiltonian",
+                           wraps=annealing_hamiltonian) as hamiltonian:
             assert main(["bench", "--spec", str(spec_path), "--out", str(out)]) == 4
         oracle.assert_not_called()
+        hamiltonian.assert_not_called()
         assert "step-amplitude cap" in capsys.readouterr().err
         assert not out.exists()
 
@@ -772,6 +785,7 @@ class TestBenchAndReport:
         *({"seed": bad} for bad in (-1, True, 2.5)),
         *({"gap_samples": bad} for bad in (1, -1, -3, True, 2.5)),
         {"n": 1},
+        {"shots": 2**63},  # beyond measure's int64 counts
     ])
     def test_bench_solver_param_out_of_range_refused_before_work(self, tmp_path, capsys, params):
         (key, value), = params.items()
@@ -1034,6 +1048,7 @@ class TestMalformedInputs:
         ("--tau", "nan", "--tau must be finite and positive, got nan"),
         ("--steps", "0", "--steps must be an integer >= 1, got 0"),
         ("--shots", "-2", "--shots must be an integer >= 1, got -2"),
+        ("--shots", str(2**63), f"--shots must be an integer <= {2**63 - 1}, got {2**63}"),
         ("--sweeps", "0", "--sweeps must be an integer >= 1, got 0"),
     ])
     def test_solver_flag_refusal_names_the_flag(self, tmp_path, capsys, flag, value, message):

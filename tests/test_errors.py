@@ -88,9 +88,19 @@ def test_positive_refused_with_its_name(name, call, bad):
         call(bad)
 
 
+def test_shots_beyond_int64_refused():
+    # numpy's multinomial draws int64 counts, so measure takes at most 2^63 - 1 shots
+    assert measure(STATE, shots=2**63 - 1, seed=0, model=MODEL).total == 2**63 - 1
+    with pytest.raises(ValueError, match=rf"^shots must be an integer <= {2**63 - 1}, got {2**63}$"):
+        measure(STATE, shots=2**63, seed=0, model=MODEL)
+
+
 def test_rules_return_plain_values():
     assert type(check_count("k", np.int64(3))) is int and check_count("k", np.int64(3)) == 3
     assert check_count("k", 0, least=0) == 0
+    assert check_count("k", 5, most=5) == 5
+    with pytest.raises(ValueError, match="^k must be an integer <= 5, got 6$"):
+        check_count("k", 6, most=5)
     assert type(check_positive("x", 2)) is float and check_positive("x", np.float64(0.5)) == 0.5
     for value in ("3", None, 3.0, -(10**400)):
         with pytest.raises(ValueError, match="k must be an integer >= 1"):
